@@ -142,9 +142,10 @@ class FunctionOracle:
     def __call__(self, x: Sequence[int]) -> int:
         x = self.shape.check_point(x)
         self.query_count += 1
-        v = int(self._fn(x))
-        assert v in (0, 1)
-        return v
+        v = self._fn(x)
+        if v not in (0, 1):
+            raise DomainError(f"{self.name} returned {v!r} at {x}, not 0 or 1")
+        return int(v)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) array of points; counts N queries."""
@@ -153,12 +154,12 @@ class FunctionOracle:
             raise DomainError(f"expected (N, {self.shape.d}) points, got {pts.shape}")
         self.query_count += pts.shape[0]
         if self._fn_many is not None:
-            return np.asarray(self._fn_many(pts), dtype=np.int8)
-        return np.fromiter(
-            (self._fn(tuple(int(c) for c in p)) for p in pts),
-            dtype=np.int8,
-            count=pts.shape[0],
-        )
+            vals = np.asarray(self._fn_many(pts))
+        else:
+            vals = np.array([self._fn(tuple(int(c) for c in p)) for p in pts])
+        if not ((vals == 0) | (vals == 1)).all():
+            raise DomainError(f"{self.name} returned values other than 0 and 1")
+        return vals.astype(np.int8, copy=False)
 
     def peek(self, x: Sequence[int]) -> int:
         """Evaluate without counting a query (for oracles validating oracles)."""

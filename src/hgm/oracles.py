@@ -568,7 +568,6 @@ def talagrand_objective(
 
 
 def _tal_value(G: ViolationGraph, chi: np.ndarray) -> float:
-    _, tot = 0, 0.0
     phi, _t = colored_thresholded_degree(G, chi)
     return math.fsum(math.sqrt(v) for v in phi.values())
 

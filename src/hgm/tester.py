@@ -74,7 +74,11 @@ class TesterConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
         if self.tau_schedule is not None:
+            if not self.tau_schedule:
+                raise ConfigError("tau schedule must not be empty")
             for t in self.tau_schedule:
                 if t < 1 or t & (t - 1):
                     raise ConfigError(f"tau schedule entry {t} is not a power of two")
@@ -429,7 +433,8 @@ def run_full_tester(
     defer to the fallback pair tester. Otherwise: ceil(8/eps) rounds, each
     restricting f to k sorted uniform samples per axis and running the trial
     driver on the restriction. A witness in the restriction maps back through
-    the sample tables to a violation of f itself.
+    the sample tables to a violation of f itself. The restrictions read f
+    without counting, so f is charged the restrictions' queries here.
     """
     shape = f.shape
     if not 0 < eps < 1:
@@ -459,6 +464,7 @@ def run_full_tester(
         )
         report = run_tester(fT, cfg)
         total_queries += report.total_queries
+        f.query_count += report.total_queries
         if report.rejections:
             _, _, _, zu, zv = report.witnesses[0]
             u = tuple(T[i][zu[i] - 1] for i in range(shape.d))

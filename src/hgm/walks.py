@@ -347,33 +347,75 @@ def sample_points_batch(shape: GridShape, count: int, rng) -> np.ndarray:
     return rng.integers(1, shape.n + 1, size=(count, shape.d))
 
 
+def _floyd_subsets(d: int, k: int, count: int, rng) -> np.ndarray:
+    """(count, k) array whose rows are uniform size-k subsets of range(d).
+
+    Floyd's algorithm: step j adds a uniform draw from [0, j], or j itself
+    when the draw is already taken. O(k^2) work per row.
+    """
+    cols = np.empty((count, k), dtype=np.int64)
+    for i, j in enumerate(range(d - k, d)):
+        t = rng.integers(0, j + 1, size=count)
+        taken = (cols[:, :i] == t[:, None]).any(axis=1)
+        cols[:, i] = np.where(taken, j, t)
+    return cols
+
+
+def _select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
+    """(N, d) boolean mask whose row i is a uniform subset of
+    min(lengths[i], d) coordinates.
+
+    Rows are grouped by subset size, which takes at most ceil(log2 d) + 1
+    values under the default schedule. A subset (or its complement) of at
+    most sqrt(d) coordinates is drawn by Floyd's algorithm, any other by
+    thresholding d uniform keys at their k-th smallest (float64 ties have
+    probability about d^2 2^-53); a full-size group draws nothing.
+    """
+    m = np.minimum(lengths, d)
+    selected = np.zeros((m.size, d), dtype=bool)
+    for k in np.unique(m[m > 0]):  # ascending, so the stream is deterministic
+        k = int(k)
+        rows = np.flatnonzero(m == k)
+        if k == d:
+            selected[rows] = True
+        elif k * k <= d:
+            selected[rows[:, None], _floyd_subsets(d, k, rows.size, rng)] = True
+        elif (d - k) ** 2 <= d:
+            selected[rows] = True
+            selected[rows[:, None], _floyd_subsets(d, d - k, rows.size, rng)] = False
+        else:
+            keys = rng.random((rows.size, d))
+            selected[rows] = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    return selected
+
+
 def sample_walk_batch(
     shape: GridShape, X: np.ndarray, lengths: np.ndarray, direction: str, rng
 ) -> np.ndarray:
     """Vectorized walk endpoints for a batch of anchors with per-row lengths.
 
-    Draws the same per-coordinate randomness as the scalar sampler: subset
-    membership via a uniform ranking, then (q, window offset, element) per
-    coordinate. Coordinates outside the subset discard their draws, keeping
-    the consumed randomness layout independent of lengths.
+    Each row selects a uniform subset of min(length, d) coordinates, and
+    only the selected coordinates draw (q, window offset, element). These
+    are exact integer draws, so each selected coordinate follows
+    :func:`line_kernel`, as in the scalar sampler. How much randomness a
+    call consumes, and in what order, depends on the lengths: rows are
+    grouped by subset size, then the selected entries draw together.
     """
     n, d = shape.n, shape.d
-    X = np.asarray(X, dtype=np.int64)
-    N = X.shape[0]
-    m = np.minimum(np.asarray(lengths, dtype=np.int64), d)
-    ranks = rng.random((N, d)).argsort(axis=1).argsort(axis=1)
-    selected = ranks < m[:, None]
-    q = rng.integers(1, shape.log_n + 1, size=(N, d))
+    Y = np.array(X, dtype=np.int64, order="C")
+    flat = Y.reshape(-1)  # a view: moves are written into Y
+    idx = np.flatnonzero(_select_coordinates(d, np.broadcast_to(lengths, len(Y)), rng))
+    u = flat[idx]
+    q = rng.integers(1, shape.log_n + 1, size=idx.size)
     size = np.int64(1) << q
-    offset = rng.integers(0, size)
+    # size divides n, so the low bits of a uniform draw from [0, n) are
+    # uniform on [0, size); a scalar bound is faster than an array bound.
+    offset = rng.integers(0, n, size=idx.size) & (size - 1)
     j = rng.integers(0, size - 1)
-    j = j + (j >= offset)
-    c = (X - 1 - offset + j) % n + 1
-    if direction == "up":
-        move = selected & (c > X)
-    else:
-        move = selected & (c < X)
-    return np.where(move, c, X)
+    j += j >= offset
+    c = (u - 1 - offset + j) % n + 1
+    flat[idx] = np.maximum(c, u) if direction == "up" else np.minimum(c, u)
+    return Y
 
 
 def sample_hypercube_batch(shape: GridShape, count: int, rng):
@@ -413,9 +455,7 @@ def sample_hypercube_walk_batch(
 ) -> np.ndarray:
     """Vectorized in-cube lazy walks from vertices X of the cubes (A, B)."""
     N, d = X.shape
-    m = np.minimum(np.asarray(lengths, dtype=np.int64), d)
-    ranks = rng.random((N, d)).argsort(axis=1).argsort(axis=1)
-    selected = ranks < (np.atleast_1d(m).reshape(-1, 1))
+    selected = _select_coordinates(d, np.broadcast_to(lengths, N), rng)
     if direction == "up":
         move = selected & (X == A)
         return np.where(move, B, X)

@@ -10,6 +10,7 @@ from hgm.grid import (
     Comparability,
     ExplicitFunction,
     FamilySpec,
+    FunctionOracle,
     GridShape,
     comparable,
     doubly_flip,
@@ -273,6 +274,25 @@ def test_query_counter_exact():
     assert f.query_count == 1 + 16
     assert f.peek((1, 1)) in (0, 1)
     assert f.query_count == 17  # peek is free
+
+
+def test_oracle_values_outside_0_1_are_rejected():
+    # One-sidedness relies on values in {0, 1}; the check must survive -O.
+    shape = GridShape(4, 2)
+    pts = shape.all_points_array()
+    bad = FunctionOracle(shape, lambda x: 2, fn_many=lambda p: np.full(len(p), 2), name="bad")
+    with pytest.raises(DomainError):
+        bad((1, 1))
+    with pytest.raises(DomainError):
+        bad.eval_many(pts)
+    half = FunctionOracle(shape, lambda x: 0.5)  # int() would round it to 0
+    with pytest.raises(DomainError):
+        half((1, 1))
+    with pytest.raises(DomainError):
+        half.eval_many(pts)
+    good = FunctionOracle(shape, lambda x: x[0] > 2, fn_many=lambda p: p[:, 0] > 2)
+    assert good((3, 1)) == 1
+    assert good.eval_many(pts).dtype == np.int8
 
 
 def test_worker_counters_are_independent():

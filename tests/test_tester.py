@@ -43,6 +43,18 @@ def test_config_validation():
     assert cfg.schedule == (1, 4)
 
 
+def test_config_rejects_nonpositive_batch_size():
+    # run_tester's batching loop would never end on batch_size 0.
+    for batch_size in (0, -8):
+        with pytest.raises(ConfigError):
+            Config(shape=GridShape(4, 2), trials=1, batch_size=batch_size)
+
+
+def test_config_rejects_empty_tau_schedule():
+    with pytest.raises(ConfigError):
+        Config(shape=GridShape(4, 2), trials=1, tau_schedule=())
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("HGM_THREADS", raising=False)
     assert tester.worker_count() == 1
@@ -216,6 +228,12 @@ def test_full_tester_accepts_monotone():
     f = make_family(FamilySpec("dictator"), GridShape(16, 4))
     res = tester.run_full_tester(f, 0.5, seed=3, outer_reps=4, inner_trials=500, k=4)
     assert res.accepted and res.witness is None and not res.fallback
+    # The caller's oracle is charged every query, on either path.
+    assert f.query_count == res.total_queries == 16 * 4 * 500
+    g = make_family(FamilySpec("dictator"), GridShape(4, 4))
+    res = tester.run_full_tester(g, 0.4, seed=3)
+    assert res.accepted and res.fallback
+    assert g.query_count == res.total_queries > 0
 
 
 def test_full_tester_rejects_surface_with_mapped_witness():

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2, hypergeom
 
 from hgm import walks
 from hgm.errors import BudgetError, DomainError
 from hgm.grid import GridShape
 from hgm.rng import substream
+from hgm.stats import chi_square_gof
 from hgm import validate
 
 
@@ -206,6 +208,106 @@ def test_sampled_walks_match_exact_pmf():
         y = walks.sample_upwalk(shape, x, 2, rng)
         counts2[y] = counts2.get(y, 0) + 1
     assert pmf.tv_distance_to_counts(counts2, 20_000) < 0.03
+
+
+# ---------------------------------------------------------------------------
+# Batch kernel at large d: the tester's regime, beyond the exact-pmf gates
+# ---------------------------------------------------------------------------
+
+LARGE = GridShape(8, 256)
+ALPHA = 0.001
+
+
+def _binomial_pmf(m, p):
+    return {k: math.comb(m, k) * p**k * (1 - p) ** (m - k) for k in range(m + 1)}
+
+
+def _tally(values):
+    keys, counts = np.unique(values, return_counts=True)
+    return {int(k): int(c) for k, c in zip(keys, counts)}
+
+
+def _lazy(n, u, direction):
+    return walks.lazy_up_prob(n, u) if direction == "up" else walks.lazy_down_prob(n, u)
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+@pytest.mark.parametrize("m", [1, 16, 37, 128, 255, 256])
+def test_large_d_move_count_is_binomial(m, direction):
+    # From a constant anchor, each of the m selected coordinates moves
+    # independently with the kernel's move probability.
+    u, N = 4, 4000
+    X = np.full((N, LARGE.d), u)
+    rng = substream(m, "large-d-binomial", direction)
+    Y = walks.sample_walk_batch(LARGE, X, np.full(N, m), direction, rng)
+    moved = (Y != X).sum(axis=1)
+    expected = _binomial_pmf(m, 1.0 - _lazy(LARGE.n, u, direction))
+    _, p, _ = chi_square_gof(_tally(moved), expected, N)
+    assert p > ALPHA, (m, direction, p)
+
+
+@pytest.mark.parametrize("m", [1, 16, 37, 128, 255])
+def test_large_d_coordinates_selected_uniformly(m):
+    # At the bottom corner a selected coordinate always moves up (its lazy
+    # probability is 0), so the moved set is exactly the selected subset.
+    d, N = LARGE.d, 4000
+    X = np.ones((N, d), dtype=np.int64)
+    rng = substream(m, "large-d-select")
+    Y = walks.sample_walk_batch(LARGE, X, np.full(N, m), "up", rng)
+    selected = Y != X
+    assert (selected.sum(axis=1) == m).all()
+    # Per-coordinate counts of a uniform m-subset: Pearson's statistic is
+    # scaled by (d-1)/(d-m) because draws without replacement are
+    # negatively correlated; the result is chi-square with d-1 dof.
+    freq = selected.sum(axis=0)
+    e = N * m / d
+    stat = float(((freq - e) ** 2).sum()) / e * (d - 1) / (d - m)
+    assert chi2.sf(stat, d - 1) > ALPHA, (m, stat)
+    # Jointly: the number selected among the first d/2 coordinates is
+    # hypergeometric, which a sampler with uniform marginals but correlated
+    # picks (say, a contiguous block) would miss.
+    half = selected[:, : d // 2].sum(axis=1)
+    expected = {k: float(hypergeom.pmf(k, d, d // 2, m)) for k in range(m + 1)}
+    _, p, _ = chi_square_gof(_tally(half), expected, N)
+    assert p > ALPHA, (m, p)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_large_d_selected_values_follow_line_kernel(n, direction):
+    # With length >= d every coordinate is selected, so each entry is an
+    # independent draw: u with the lazy probability, else v ~ K[u, v].
+    shape, u, N = GridShape(n, 256), n // 2, 1000
+    X = np.full((N, shape.d), u)
+    rng = substream(n, "large-d-values", direction)
+    Y = walks.sample_walk_batch(shape, X, np.full(N, 300), direction, rng)
+    K = walks.line_kernel(n)
+    moves = range(u + 1, n + 1) if direction == "up" else range(1, u)
+    expected = {v: float(K[u, v]) for v in moves}
+    expected[u] = _lazy(n, u, direction)
+    _, p, _ = chi_square_gof(_tally(Y), expected, Y.size)
+    assert p > ALPHA, (n, direction, p)
+
+
+def test_large_d_mixed_lengths_match_per_group_behaviour():
+    d, per = LARGE.d, 2000
+    pool = np.array([0, 1, 3, 16, 37, 255, 256, 300, 1024])
+    lengths = substream(5, "large-d-mixed").permutation(np.repeat(pool, per))
+    # Bottom anchors: every row moves exactly min(length, d) coordinates.
+    X = np.ones((lengths.size, d), dtype=np.int64)
+    Y = walks.sample_walk_batch(LARGE, X, lengths, "up", substream(6, "large-d-mixed"))
+    assert ((Y != X).sum(axis=1) == np.minimum(lengths, d)).all()
+    # Middle anchors: each length group's move count is its own binomial.
+    u = 4
+    X = np.full((lengths.size, d), u)
+    Y = walks.sample_walk_batch(LARGE, X, lengths, "up", substream(7, "large-d-mixed"))
+    moved = (Y != X).sum(axis=1)
+    assert (moved[lengths == 0] == 0).all()
+    p_move = 1.0 - walks.lazy_up_prob(LARGE.n, u)
+    for ell in pool[pool > 0]:
+        expected = _binomial_pmf(min(int(ell), d), p_move)
+        _, p, _ = chi_square_gof(_tally(moved[lengths == ell]), expected, per)
+        assert p > ALPHA, (ell, p)
 
 
 def test_pmf_budget_is_enforced():
