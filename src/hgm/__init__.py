@@ -28,11 +28,9 @@ from .tester import (
     FullTesterResult,
     TesterConfig,
     TesterReport,
-    TrialOutcome,
     exact_reject_prob,
     line_tester_fallback,
     run_full_tester,
-    run_single_trial,
     run_tester,
 )
 from .walks import (
@@ -43,13 +41,6 @@ from .walks import (
     exact_pmf,
     middle_layer_member,
     restricted_walk_pdf,
-    sample_downshift,
-    sample_downwalk,
-    sample_hypercube,
-    sample_hypercube_at,
-    sample_hypercube_walk,
-    sample_upshift,
-    sample_upwalk,
 )
 
 __version__ = "0.1.0"

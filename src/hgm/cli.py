@@ -209,8 +209,7 @@ def cmd_test(args) -> int:
             return EXIT_REJECTED
         return EXIT_OK
     tcfg = tester.TesterConfig(
-        shape=shape, trials=cfg["trials"], seed=cfg["seed"], tau_schedule=schedule,
-        epsilon=cfg["eps"],
+        shape=shape, trials=cfg["trials"], seed=cfg["seed"], tau_schedule=schedule
     )
     report = tester.run_tester(f, tcfg)
     writer.row(
@@ -334,15 +333,13 @@ def cmd_sweep(args) -> int:
     )
     any_failed = False
     fit_points = []
-    for idx, (n, d, family, eps) in enumerate(cells):
+    for idx, (n, d, family, _eps) in enumerate(cells):
         cell_seed = int(substream(cfg["seed"], "cell", idx).integers(0, 2**63))
         try:
             shape = GridShape(n, d)
             f = _family_from(dict(cfg, family=family, dim=1, threshold=None,
                                   family_seed=0, path=None), shape)
-            tcfg = tester.TesterConfig(
-                shape=shape, trials=cfg["trials"], seed=cell_seed, epsilon=eps
-            )
+            tcfg = tester.TesterConfig(shape=shape, trials=cfg["trials"], seed=cell_seed)
             rep = tester.run_tester(f, tcfg)
             writer.row(
                 family, n, d, "|".join(str(t) for t in tcfg.schedule), rep.trials,
@@ -439,7 +436,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reversibility")
     common(p, "d", "ell", "eps", "c", "out")
 
-    p = sub.add_parser("sweep")
+    p = sub.add_parser(
+        "sweep",
+        description="Run the path tester on each cell of --cells, given as "
+        "n:d:family:eps;... The eps field is parsed, but run_tester does not "
+        "use it.",
+    )
     common(p, "cells", "trials", "seed", "out")
     p.add_argument("--fit-slope", dest="fit_slope", action="store_const",
                    const=True, default=None)

@@ -704,6 +704,15 @@ def _exact_walk_event_prob(f: FunctionOracle, x: Point, tau: int, direction: str
     return math.fsum(p * event(y) for y, p in pmf.table.items())
 
 
+def _walk_endpoint_values(
+    f: FunctionOracle, X: np.ndarray, tau: int, direction: str, rng
+) -> np.ndarray:
+    """f at the endpoints of tau-step walks from the rows of X, read without
+    charging f's query count."""
+    Y = walks.sample_walk_batch(f.shape, X, tau, direction, rng)
+    return f.spawn_worker().eval_many(Y)
+
+
 def persistence_classify(
     f: FunctionOracle,
     tau: int,
@@ -720,8 +729,8 @@ def persistence_classify(
     if mode == "exact":
         p = _exact_walk_event_prob(f, x, tau, direction, lambda y: f.peek(y) != fx)
         return Trivalent.YES if p <= beta else Trivalent.NO
-    sampler = walks.sample_upwalk if direction == "up" else walks.sample_downwalk
-    hits = sum(f.peek(sampler(f.shape, x, tau, rng)) != fx for _ in range(samples))
+    ends = _walk_endpoint_values(f, np.tile(x, (samples, 1)), tau, direction, rng)
+    hits = int((ends != fx).sum())
     lo, hi = wilson_interval(hits, samples)
     if hi <= beta:
         return Trivalent.YES
@@ -752,9 +761,8 @@ def mzb_classify(
     if mode == "exact":
         p = mzb_prob(f, ell, z)
         return Trivalent.YES if p >= MZB_THRESHOLD else Trivalent.NO
-    hits = sum(
-        f.peek(walks.sample_downwalk(f.shape, z, ell, rng)) == 0 for _ in range(samples)
-    )
+    ends = _walk_endpoint_values(f, np.tile(z, (samples, 1)), ell, "down", rng)
+    hits = int((ends == 0).sum())
     lo, hi = wilson_interval(hits, samples)
     if lo >= MZB_THRESHOLD:
         return Trivalent.YES
@@ -798,15 +806,13 @@ def red_classify(
         return Trivalent.YES if avg >= REDBLUE_THRESHOLD else Trivalent.NO
     # MC mode: per-sample mostly-zero-below classification is itself
     # three-valued; undecided inner samples propagate to the decision bounds.
-    yes = und = 0
-    for _ in range(samples):
-        z = interior[int(rng.integers(0, len(interior)))]
-        zp = walks.sample_upwalk(f.shape, z, ell, rng)
-        verdict = mzb_classify(f, ell, zp, mode="mc", samples=500, rng=rng)
-        if verdict is Trivalent.YES:
-            yes += 1
-        elif verdict is Trivalent.UNDECIDED:
-            und += 1
+    # One batch of outer walks, then one batch of inner walks per endpoint,
+    # so no array holds all samples x 500 inner walks at once.
+    Z = np.asarray(interior)[rng.integers(0, len(interior), size=samples)]
+    ZP = walks.sample_walk_batch(f.shape, Z, ell, "up", rng)
+    verdicts = [mzb_classify(f, ell, zp, mode="mc", samples=500, rng=rng) for zp in ZP]
+    yes = verdicts.count(Trivalent.YES)
+    und = verdicts.count(Trivalent.UNDECIDED)
     lo, _ = wilson_interval(yes, samples)
     _, hi = wilson_interval(yes + und, samples)
     if lo >= REDBLUE_THRESHOLD:
@@ -833,11 +839,8 @@ def blue_classify(
             for z in interior
         ) / len(interior)
         return Trivalent.YES if avg >= REDBLUE_THRESHOLD else Trivalent.NO
-    hits = 0
-    for _ in range(samples):
-        z = interior[int(rng.integers(0, len(interior)))]
-        zp = walks.sample_downwalk(f.shape, z, ell, rng)
-        hits += f.peek(zp) == 1
+    Z = np.asarray(interior)[rng.integers(0, len(interior), size=samples)]
+    hits = int((_walk_endpoint_values(f, Z, ell, "down", rng) == 1).sum())
     lo, hi = wilson_interval(hits, samples)
     if lo >= REDBLUE_THRESHOLD:
         return Trivalent.YES
@@ -857,11 +860,10 @@ def typicality_estimate(
     """MC estimate (with Wilson 95% CI) of the probability that a random
     sub-hypercube through x places it in the c-middle layers. The exact value
     is available as walks.typical_probability_exact."""
-    x = shape.check_point(x)
-    hits = 0
-    for _ in range(samples):
-        H = walks.sample_hypercube_at(shape, x, rng)
-        hits += walks.middle_layer_member(H, x, c, eps)
+    X = np.tile(shape.check_point(x), (samples, 1))
+    _, B = walks.sample_hypercube_at_batch(shape, X, rng)
+    weights = (X == B).sum(axis=1)  # coordinates at the cube's upper endpoint
+    hits = int(walks.weight_in_band(weights, shape.d, c, eps).sum())
     lo, hi = wilson_interval(hits, samples)
     return hits / samples, (lo, hi)
 

@@ -25,7 +25,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from .stats import wilson_interval
 STEPS = ("up_path", "down_path", "up_path_down_shift", "down_path_up_shift")
 
 DEFAULT_BATCH = 8192
+# Pairs per fallback chunk; larger chunks raise the fallback's peak memory.
+FALLBACK_CHUNK = 1024
 
 
 def default_tau_schedule(d: int) -> Tuple[int, ...]:
@@ -67,7 +69,6 @@ class TesterConfig:
     trials: int
     seed: int = 0
     tau_schedule: Optional[Tuple[int, ...]] = None
-    epsilon: Optional[float] = None
     batch_size: int = DEFAULT_BATCH
     max_witnesses: int = 8
 
@@ -91,16 +92,6 @@ class TesterConfig:
 
 
 @dataclass
-class TrialOutcome:
-    tau: int
-    rejected: bool
-    rejecting_step: Optional[str] = None
-    rejecting_length: Optional[int] = None
-    witness: Optional[Tuple[Point, Point]] = None
-    queries: int = 0
-
-
-@dataclass
 class TesterReport:
     trials: int
     rejections: int
@@ -111,54 +102,6 @@ class TesterReport:
     total_queries: int
     witnesses: List[Tuple[int, str, int, Point, Point]]  # (trial, step, length, u, v)
     seed: int
-
-
-def _violates(fu: int, fv: int) -> bool:
-    return fu > fv
-
-
-def run_single_trial(f: FunctionOracle, cfg: TesterConfig, rng) -> TrialOutcome:
-    """Scalar reference implementation of one trial (16 queries, always)."""
-    shape = cfg.shape
-    schedule = cfg.schedule
-    tau = int(schedule[int(rng.integers(0, len(schedule)))])
-    pairs: List[Tuple[str, int, Point, Point]] = []
-    for step in STEPS:
-        for ell in (tau - 1, tau):
-            if step == "up_path":
-                x = tuple(int(v) for v in rng.integers(1, shape.n + 1, shape.d))
-                y = walks.sample_upwalk(shape, x, ell, rng)
-                pairs.append((step, ell, x, y))
-            elif step == "down_path":
-                y = tuple(int(v) for v in rng.integers(1, shape.n + 1, shape.d))
-                x = walks.sample_downwalk(shape, y, ell, rng)
-                pairs.append((step, ell, x, y))
-            elif step == "up_path_down_shift":
-                x = tuple(int(v) for v in rng.integers(1, shape.n + 1, shape.d))
-                y = walks.sample_upwalk(shape, x, ell, rng)
-                s = walks.sample_downshift(shape, x, tau - 1, rng)
-                u = walks.apply_shift(shape, x, s, -1)
-                v = walks.apply_shift(shape, y, s, -1)
-                pairs.append((step, ell, u, v))
-            else:
-                y = tuple(int(v) for v in rng.integers(1, shape.n + 1, shape.d))
-                x = walks.sample_downwalk(shape, y, ell, rng)
-                s = walks.sample_upshift(shape, y, tau - 1, rng)
-                u = walks.apply_shift(shape, x, s, +1)
-                v = walks.apply_shift(shape, y, s, +1)
-                pairs.append((step, ell, u, v))
-    outcome = TrialOutcome(tau=tau, rejected=False, queries=0)
-    for step, ell, u, v in pairs:
-        if u is None or v is None:  # defensive; cannot occur for coupled shifts
-            continue
-        fu, fv = f(u), f(v)
-        outcome.queries += 2
-        if not outcome.rejected and _violates(fu, fv):
-            outcome.rejected = True
-            outcome.rejecting_step = step
-            outcome.rejecting_length = ell
-            outcome.witness = (u, v)
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +122,6 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     N = count
     d = shape.d
 
-    def uniform_pts():
-        return rng.integers(1, shape.n + 1, size=(N, d))
-
     # Pair list in trial order: (step, length-kind) with length tau-1 then tau.
     pair_specs: List[Tuple[str, int]] = [(s, k) for s in STEPS for k in (0, 1)]
     lows = np.empty((len(pair_specs), N, d), dtype=np.int64)
@@ -189,18 +129,18 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     for pi, (step, kind) in enumerate(pair_specs):
         ell = taus - 1 + kind
         if step == "up_path":
-            X = uniform_pts()
+            X = walks.sample_points_batch(shape, N, rng)
             Y = walks.sample_walk_batch(shape, X, ell, "up", rng)
         elif step == "down_path":
-            Y = uniform_pts()
+            Y = walks.sample_points_batch(shape, N, rng)
             X = walks.sample_walk_batch(shape, Y, ell, "down", rng)
         elif step == "up_path_down_shift":
-            X0 = uniform_pts()
+            X0 = walks.sample_points_batch(shape, N, rng)
             Y0 = walks.sample_walk_batch(shape, X0, ell, "up", rng)
             S = X0 - walks.sample_walk_batch(shape, X0, taus - 1, "down", rng)
             X, Y = X0 - S, Y0 - S
         else:
-            Y0 = uniform_pts()
+            Y0 = walks.sample_points_batch(shape, N, rng)
             X0 = walks.sample_walk_batch(shape, Y0, ell, "down", rng)
             S = walks.sample_walk_batch(shape, Y0, taus - 1, "up", rng) - Y0
             X, Y = X0 + S, Y0 + S
@@ -386,26 +326,34 @@ class FullTesterResult:
 
 def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult:
     """Fallback pair tester for the eps < 1/sqrt(d) regime (own construction,
-    not from the walk analysis): repeatedly pick a uniform point and resample
-    one uniformly chosen coordinate through the dyadic-interval kernel,
-    upward; reject on any violated pair. One-sided by construction."""
+    not from the walk analysis): up to ceil(8 d log n / eps) pairs, each a
+    uniform point and its length-1 up-walk (one uniform coordinate resampled
+    through the dyadic-interval kernel, kept only if it moved up); reject on
+    any violated pair. One-sided by construction.
+
+    Pairs are drawn from the batch kernel in chunks of FALLBACK_CHUNK and a
+    chunk's moved pairs are evaluated together, so every evaluated pair is
+    charged to f, including those after the first violation in its chunk.
+    The witness is the chunk's first violated pair.
+    """
     shape = f.shape
     if not 0 < eps < 1:
         raise ConfigError("eps must be in (0,1)")
     num_pairs = math.ceil(8 * shape.d * max(1, shape.log_n) / eps)
     worker = f.spawn_worker()
-    for _ in range(num_pairs):
-        x = tuple(int(v) for v in rng.integers(1, shape.n + 1, shape.d))
-        i = int(rng.integers(0, shape.d))
-        c = walks._sample_coordinate(shape.n, x[i], rng)
-        if c <= x[i]:
-            continue  # lazy draw; no pair to test
-        y = x[:i] + (c,) + x[i + 1 :]
-        if worker(x) > worker(y):
-            f.query_count += worker.query_count
-            return FullTesterResult(False, (x, y), True, total_queries=worker.query_count)
+    witness = None
+    for start in range(0, num_pairs, FALLBACK_CHUNK):
+        X = walks.sample_points_batch(shape, min(FALLBACK_CHUNK, num_pairs - start), rng)
+        Y = walks.sample_walk_batch(shape, X, 1, "up", rng)
+        moved = (Y != X).any(axis=1)  # a lazy draw leaves no pair to test
+        X, Y = X[moved], Y[moved]
+        violated = np.flatnonzero(worker.eval_many(X) > worker.eval_many(Y))
+        if violated.size:
+            row = violated[0]
+            witness = (tuple(int(c) for c in X[row]), tuple(int(c) for c in Y[row]))
+            break
     f.query_count += worker.query_count
-    return FullTesterResult(True, None, True, total_queries=worker.query_count)
+    return FullTesterResult(witness is None, witness, True, total_queries=worker.query_count)
 
 
 def choose_subgrid_size(shape: GridShape, eps: float) -> Tuple[int, float]:

@@ -6,6 +6,11 @@ current value, then a uniform element of that interval distinct from the
 current value, and moves only if the draw lies strictly in the walk
 direction (plain integer comparison after unwrapping).
 
+Every sampler draws a batch: one row per walk, shift or sub-hypercube
+(``sample_walk_batch``, ``sample_hypercube_batch``,
+``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). The exact
+pmfs are its independent reference.
+
 Three equivalent formulations of the same endpoint distribution are
 implemented via genuinely different enumerations, so their pointwise
 agreement is a meaningful cross-check:
@@ -27,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -87,10 +92,6 @@ class Hypercube:
 
     def top(self) -> Point:
         return tuple(b for _, b in self.pairs)
-
-    def vertices(self):
-        for choice in itertools.product(*[(a, b) for a, b in self.pairs]):
-            yield choice
 
 
 @dataclass
@@ -229,117 +230,7 @@ def pair_distribution_at(n: int, u: int) -> Dict[tuple, float]:
 
 
 # ---------------------------------------------------------------------------
-# Samplers (scalar)
-# ---------------------------------------------------------------------------
-
-
-def _sample_coordinate(n: int, u: int, rng) -> int:
-    """One Def-2.1 coordinate draw: returns c (may land on either side of u)."""
-    q = int(rng.integers(1, n.bit_length()))
-    size = 2**q
-    offset = int(rng.integers(0, size))  # position of u within the window
-    start = (u - 1 - offset) % n
-    j = int(rng.integers(0, size - 1))
-    if j >= offset:
-        j += 1
-    return (start + j) % n + 1
-
-
-def _sample_walk(shape: GridShape, x: Point, tau: int, rng, up: bool) -> Point:
-    x = shape.check_point(x)
-    if tau == 0:
-        return x
-    m = min(tau, shape.d)
-    coords = rng.choice(shape.d, size=m, replace=False)
-    y = list(x)
-    for r in sorted(int(c) for c in coords):
-        c = _sample_coordinate(shape.n, x[r], rng)
-        if (c > x[r]) if up else (c < x[r]):
-            y[r] = c
-    return tuple(y)
-
-
-def sample_upwalk(shape: GridShape, x: Sequence[int], tau: int, rng) -> Point:
-    return _sample_walk(shape, tuple(x), tau, rng, up=True)
-
-
-def sample_downwalk(shape: GridShape, y: Sequence[int], tau: int, rng) -> Point:
-    return _sample_walk(shape, tuple(y), tau, rng, up=False)
-
-
-def sample_upshift(shape: GridShape, x: Sequence[int], tau: int, rng) -> Point:
-    y = sample_upwalk(shape, x, tau, rng)
-    return tuple(b - a for a, b in zip(x, y))
-
-
-def sample_downshift(shape: GridShape, x: Sequence[int], tau: int, rng) -> Point:
-    y = sample_downwalk(shape, x, tau, rng)
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def apply_shift(
-    shape: GridShape, anchor: Sequence[int], shift: Sequence[int], sign: int
-) -> Optional[Point]:
-    """anchor + sign*shift, or None when the result leaves [n]^d.
-
-    The tester applies shifts to anchors from the same coupled walk, where
-    the result is always in-domain; None is defensive only.
-    """
-    moved = tuple(a + sign * s for a, s in zip(anchor, shift))
-    if not shape.contains(moved):
-        return None
-    return moved
-
-
-def sample_hypercube(shape: GridShape, rng) -> Hypercube:
-    """Unconditional sub-hypercube draw (uniform dyadic window per coordinate)."""
-    n = shape.n
-    pairs = []
-    for _ in range(shape.d):
-        q = int(rng.integers(1, n.bit_length()))
-        size = 2**q
-        start = int(rng.integers(0, n))
-        window = sorted((start + k) % n + 1 for k in range(size))
-        i, j = rng.choice(size, size=2, replace=False)
-        a, b = window[int(i)], window[int(j)]
-        pairs.append((min(a, b), max(a, b)))
-    return Hypercube(tuple(pairs))
-
-
-def sample_hypercube_at(shape: GridShape, x: Sequence[int], rng) -> Hypercube:
-    """Sub-hypercube draw conditioned to have x as a vertex."""
-    x = shape.check_point(x)
-    pairs = []
-    for u in x:
-        c = _sample_coordinate(shape.n, u, rng)
-        pairs.append((min(u, c), max(u, c)))
-    return Hypercube(tuple(pairs))
-
-
-def sample_hypercube_walk(
-    H: Hypercube, x: Sequence[int], tau: int, direction: str, rng
-) -> Point:
-    """Lazy walk inside a sub-hypercube: selected coordinates at the movable
-    endpoint flip to the other endpoint."""
-    if direction not in ("up", "down"):
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    if not H.contains_vertex(x):
-        raise DomainError(f"{tuple(x)} is not a vertex of the hypercube")
-    m = min(tau, H.d)
-    y = list(x)
-    if m > 0:
-        coords = rng.choice(H.d, size=m, replace=False)
-        for r in (int(c) for c in coords):
-            a, b = H.pairs[r]
-            if direction == "up" and y[r] == a:
-                y[r] = b
-            elif direction == "down" and y[r] == b:
-                y[r] = a
-    return tuple(y)
-
-
-# ---------------------------------------------------------------------------
-# Samplers (vectorized batches, for the tester hot path)
+# Samplers: batches of walks, shifts and sub-hypercubes
 # ---------------------------------------------------------------------------
 
 
@@ -397,9 +288,10 @@ def sample_walk_batch(
     Each row selects a uniform subset of min(length, d) coordinates, and
     only the selected coordinates draw (q, window offset, element). These
     are exact integer draws, so each selected coordinate follows
-    :func:`line_kernel`, as in the scalar sampler. How much randomness a
-    call consumes, and in what order, depends on the lengths: rows are
-    grouped by subset size, then the selected entries draw together.
+    :func:`line_kernel`. A shift is the difference between a walk endpoint
+    and its anchor. How much randomness a call consumes, and in what order,
+    depends on the lengths: rows are grouped by subset size, then the
+    selected entries draw together.
     """
     n, d = shape.n, shape.d
     Y = np.array(X, dtype=np.int64, order="C")

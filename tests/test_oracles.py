@@ -328,6 +328,58 @@ def test_red_blue_mc_agrees_or_abstains(rng):
     assert blue in (Trivalent.YES, Trivalent.UNDECIDED)
 
 
+def test_mc_classifiers_match_exact_far_from_threshold():
+    # Wherever the exact probability is far from the threshold, the MC verdict
+    # is decided and equals the exact one. The cases include both verdicts in
+    # each direction, so a walk drawn in the wrong direction fails here.
+    shape = GridShape(4, 2)
+    f = ExplicitFunction(shape, random_bits(16, 1))
+    rng = substream(0, "mc-vs-exact")
+    seen = set()
+
+    def agree(name, exact, mc):
+        assert mc is exact, name
+        seen.add((name, exact))
+
+    for x in shape.points():
+        fx = f.peek(x)
+        for direction in ("up", "down"):
+            p = oracles._exact_walk_event_prob(
+                f, x, 2, direction, lambda y: f.peek(y) != fx
+            )
+            for beta in (p - 0.15, p + 0.15):
+                if 0 <= beta < 1:
+                    agree(
+                        f"persistence-{direction}",
+                        oracles.persistence_classify(f, 2, beta, x, direction),
+                        oracles.persistence_classify(
+                            f, 2, beta, x, direction, mode="mc", samples=4000, rng=rng
+                        ),
+                    )
+        if abs(oracles.mzb_prob(f, 2, x) - oracles.MZB_THRESHOLD) >= 0.05:
+            agree(
+                "mzb",
+                oracles.mzb_classify(f, 2, x),
+                oracles.mzb_classify(f, 2, x, mode="mc", rng=rng),
+            )
+        for i in range(shape.d):
+            for v in range(x[i] + 1, shape.n + 1):
+                edge = (x, x[:i] + (v,) + x[i + 1 :])
+                interior = oracles._interval_points(shape, edge)
+                p = math.fsum(
+                    oracles._exact_walk_event_prob(f, z, 2, "down", lambda y: f.peek(y) == 1)
+                    for z in interior
+                ) / len(interior)
+                if p == 0 or p >= 0.05:
+                    agree(
+                        "blue",
+                        oracles.blue_classify(f, 2, edge),
+                        oracles.blue_classify(f, 2, edge, mode="mc", rng=rng),
+                    )
+    names = ("persistence-up", "persistence-down", "mzb", "blue")
+    assert seen == {(name, v) for name in names for v in (Trivalent.YES, Trivalent.NO)}
+
+
 def test_interval_points_validation():
     shape = GridShape(4, 2)
     f = make_family(FamilySpec("constant0"), shape)

@@ -1,6 +1,8 @@
 """The path/shift tester: one-sidedness, witnesses, exact oracles,
 determinism, and the full distance-targeted driver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from hgm.errors import BudgetError, ConfigError
 from hgm.grid import ExplicitFunction, FamilySpec, GridShape, make_family
 from hgm.rng import substream
 from hgm.stats import Z_99, wilson_interval
-from hgm.tester import exact_reject_prob, run_single_trial, run_tester
+from hgm.tester import exact_reject_prob, run_tester
 
 # Aliased so pytest does not try to collect the config dataclass as a test.
 Config = tester.TesterConfig
@@ -66,39 +68,6 @@ def test_worker_count_env(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Single trials
-# ---------------------------------------------------------------------------
-
-
-def test_single_trial_monotone_never_rejects():
-    rng = substream(0, "mono-trials")
-    for name in ("constant0", "constant1", "dictator", "majority_threshold"):
-        f = make_family(FamilySpec(name), GridShape(4, 3))
-        cfg = Config(shape=f.shape, trials=1)
-        for _ in range(100):
-            out = run_single_trial(f, cfg, rng)
-            assert not out.rejected
-            assert out.queries == 16
-
-
-def test_single_trial_witnesses_reverify():
-    f = anti_dictator(4, 2)
-    cfg = Config(shape=f.shape, trials=1)
-    rng = substream(1, "witness-trials")
-    rejected = 0
-    for _ in range(400):
-        out = run_single_trial(f, cfg, rng)
-        if out.rejected:
-            rejected += 1
-            u, v = out.witness
-            assert all(a <= b for a, b in zip(u, v))
-            assert f.peek(u) == 1 and f.peek(v) == 0
-            assert out.rejecting_step in tester.STEPS
-            assert out.rejecting_length in (out.tau - 1, out.tau)
-    assert rejected > 100  # the exact rate here is about 2/3
-
-
-# ---------------------------------------------------------------------------
 # Exact rejection oracle vs Monte Carlo
 # ---------------------------------------------------------------------------
 
@@ -145,17 +114,6 @@ def test_batch_rate_within_ci_of_exact(n, d, fam_seed):
     assert lo <= p <= hi
 
 
-def test_scalar_trials_agree_with_exact():
-    f = anti_dictator(4, 2)
-    cfg = Config(shape=f.shape, trials=1)
-    p = exact_reject_prob(f, cfg)
-    rng = substream(3, "scalar-vs-exact")
-    N = 20_000
-    hits = sum(run_single_trial(f, cfg, rng).rejected for _ in range(N))
-    lo, hi = wilson_interval(hits, N)
-    assert lo <= p <= hi
-
-
 # ---------------------------------------------------------------------------
 # Batch driver
 # ---------------------------------------------------------------------------
@@ -177,6 +135,7 @@ def test_report_accounting_and_witnesses():
     for trial, step, length, u, v in rep.witnesses:
         assert 0 <= trial < rep.trials
         assert step in tester.STEPS
+        assert length in {t - k for t in cfg.schedule for k in (0, 1)}
         assert all(a <= b for a, b in zip(u, v))
         assert f.peek(u) == 1 and f.peek(v) == 0
 
@@ -265,6 +224,34 @@ def test_line_fallback_rejects_two_point_violation():
     assert f.peek(u) == 1 and f.peek(v) == 0
     mono = make_family(FamilySpec("dictator"), GridShape(4, 4))
     assert tester.line_tester_fallback(mono, 0.3, substream(1, "fb")).accepted
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_line_fallback_witnesses_and_query_accounting(eps):
+    for n, d, fam_seed in [(4, 3, 1), (8, 2, 2), (2, 5, 3), (4, 2, 4)]:
+        shape = GridShape(n, d)
+        num_pairs = math.ceil(8 * d * max(1, shape.log_n) / eps)
+        for seed in range(3):
+            f = ExplicitFunction(shape, random_bits(shape.num_points, fam_seed))
+            res = tester.line_tester_fallback(f, eps, substream(seed, "fb-acct"))
+            assert res.fallback
+            assert f.query_count == res.total_queries
+            assert res.total_queries % 2 == 0
+            assert res.total_queries <= 2 * num_pairs
+            if res.accepted:
+                continue
+            u, v = res.witness
+            moved = [i for i in range(d) if u[i] != v[i]]
+            assert len(moved) == 1 and u[moved[0]] < v[moved[0]]
+            assert f.peek(u) == 1 and f.peek(v) == 0
+    # A monotone input runs the whole pair budget: at n = 2 a pair is tested
+    # exactly when its chosen coordinate sits at 1, about half of them.
+    f = make_family(FamilySpec("dictator"), GridShape(2, 6))
+    res = tester.line_tester_fallback(f, eps, substream(9, "fb-acct"))
+    num_pairs = math.ceil(8 * 6 / eps)
+    assert res.accepted
+    assert f.query_count == res.total_queries
+    assert abs(res.total_queries / 2 - num_pairs / 2) < 4 * math.sqrt(num_pairs / 4)
 
 
 def test_full_tester_rejects_bad_eps():

@@ -94,48 +94,47 @@ def test_pair_distribution_at_is_kernel_reshaped():
 # ---------------------------------------------------------------------------
 
 
-@given(
-    st.sampled_from([2, 4, 8]),
-    st.integers(1, 4),
-    st.integers(0, 6),
-    st.integers(0, 10**6),
-)
-def test_walk_support_and_laziness(n, d, tau, seed):
+@given(st.sampled_from([2, 4, 8]), st.integers(1, 4), st.integers(0, 10**6))
+def test_walk_support_and_laziness(n, d, seed):
     shape = GridShape(n, d)
     rng = substream(seed, "prop")
-    x = tuple(int(v) for v in rng.integers(1, n + 1, d))
-    y = walks.sample_upwalk(shape, x, tau, rng)
-    assert all(a <= b for a, b in zip(x, y))
-    assert sum(a != b for a, b in zip(x, y)) <= min(tau, d)
-    z = walks.sample_downwalk(shape, x, tau, rng)
-    assert all(b <= a for a, b in zip(x, z))
-    assert sum(a != b for a, b in zip(x, z)) <= min(tau, d)
+    lengths = np.tile(np.arange(d + 3), 4)  # 0 through d + 2 in one batch
+    X = walks.sample_points_batch(shape, lengths.size, rng)
+    for direction in ("up", "down"):
+        Y = walks.sample_walk_batch(shape, X, lengths, direction, rng)
+        assert ((X <= Y) if direction == "up" else (Y <= X)).all()
+        assert ((Y != X).sum(axis=1) <= np.minimum(lengths, d)).all()
+        assert (Y[lengths == 0] == X[lengths == 0]).all()
 
 
 def test_extreme_points_absorb_and_tau_zero_is_identity(rng):
     shape = GridShape(4, 3)
-    top, bottom = (4, 4, 4), (1, 1, 1)
-    for _ in range(50):
-        assert walks.sample_upwalk(shape, top, 2, rng) == top
-        assert walks.sample_downwalk(shape, bottom, 2, rng) == bottom
-    x = (2, 3, 1)
-    assert walks.sample_upwalk(shape, x, 0, rng) == x
-    assert walks.sample_downwalk(shape, x, 0, rng) == x
-    assert walks.sample_upshift(shape, x, 0, rng) == (0, 0, 0)
+    top, bottom = np.full((50, 3), 4), np.ones((50, 3), dtype=np.int64)
+    assert (walks.sample_walk_batch(shape, top, 2, "up", rng) == top).all()
+    assert (walks.sample_walk_batch(shape, bottom, 2, "down", rng) == bottom).all()
+    X = np.tile((2, 3, 1), (50, 1))
+    for direction in ("up", "down"):
+        assert (walks.sample_walk_batch(shape, X, 0, direction, rng) == X).all()
 
 
 def test_shift_vectors_restore_walk_endpoints(rng):
-    shape = GridShape(8, 3)
-    x = (3, 6, 1)
-    for _ in range(200):
-        s = walks.sample_upshift(shape, x, 2, rng)
-        assert all(v >= 0 for v in s)
-        assert sum(v > 0 for v in s) <= 2
-        assert walks.apply_shift(shape, x, s, +1) is not None
-        s = walks.sample_downshift(shape, x, 2, rng)
-        assert walks.apply_shift(shape, x, s, -1) is not None
-    # A shift applied to a foreign anchor may leave the domain.
-    assert walks.apply_shift(shape, (1, 1, 1), (1, 0, 0), -1) is None
+    # The tester's shift sub-tests: a shift drawn at an anchor moves the
+    # anchor to its own walk endpoint, and moves the coupled walk's other
+    # endpoint to a point that stays inside the grid.
+    shape, N = GridShape(8, 3), 2000
+    X0 = walks.sample_points_batch(shape, N, rng)
+    Y0 = walks.sample_walk_batch(shape, X0, 2, "up", rng)
+    D = walks.sample_walk_batch(shape, X0, 2, "down", rng)
+    S = X0 - D
+    assert (S >= 0).all() and ((S > 0).sum(axis=1) <= 2).all()
+    assert (X0 - S == D).all()
+    assert ((Y0 - S >= 1) & (Y0 - S <= shape.n)).all()
+    X1 = walks.sample_walk_batch(shape, X0, 2, "down", rng)
+    U = walks.sample_walk_batch(shape, X0, 2, "up", rng)
+    S = U - X0
+    assert (S >= 0).all() and ((S > 0).sum(axis=1) <= 2).all()
+    assert (X0 + S == U).all()
+    assert ((X1 + S >= 1) & (X1 + S <= shape.n)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +200,6 @@ def test_sampled_walks_match_exact_pmf():
     keys, counts = np.unique(shape.indices_of_points(Y), return_counts=True)
     emp = {shape.point_of(int(k)): int(c) for k, c in zip(keys, counts)}
     assert pmf.tv_distance_to_counts(emp, N) < 0.01
-    # Scalar sampler at 20k draws.
-    rng = substream(78, "scalar-tv")
-    counts2 = {}
-    for _ in range(20_000):
-        y = walks.sample_upwalk(shape, x, 2, rng)
-        counts2[y] = counts2.get(y, 0) + 1
-    assert pmf.tv_distance_to_counts(counts2, 20_000) < 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +326,33 @@ def test_pmf_csv_export(tmp_path):
 
 def test_hypercube_draws_are_valid(rng):
     shape = GridShape(8, 3)
-    for _ in range(200):
-        H = walks.sample_hypercube(shape, rng)
-        assert all(1 <= a < b <= 8 for a, b in H.pairs)
-        x = (3, 8, 1)
-        Hx = walks.sample_hypercube_at(shape, x, rng)
-        assert Hx.contains_vertex(x)
+    A, B = walks.sample_hypercube_batch(shape, 200, rng)
+    assert ((1 <= A) & (A < B) & (B <= 8)).all()
+    X = np.tile((3, 8, 1), (200, 1))
+    A, B = walks.sample_hypercube_at_batch(shape, X, rng)
+    assert ((1 <= A) & (A < B) & (B <= 8)).all()
+    assert ((X == A) | (X == B)).all()
 
 
 def test_n2_hypercube_is_always_full_cube(rng):
     shape = GridShape(2, 2)
-    for _ in range(20):
-        assert walks.sample_hypercube(shape, rng).pairs == ((1, 2), (1, 2))
-        assert walks.sample_hypercube_at(shape, (1, 2), rng).pairs == ((1, 2), (1, 2))
+    for A, B in (
+        walks.sample_hypercube_batch(shape, 20, rng),
+        walks.sample_hypercube_at_batch(shape, np.tile((1, 2), (20, 1)), rng),
+    ):
+        assert (A == 1).all() and (B == 2).all()
 
 
 def test_hypercube_walk_moves_between_endpoints(rng):
-    H = walks.Hypercube(((2, 5), (1, 8), (3, 4)))
-    top, bottom = H.top(), H.bottom()
-    for _ in range(50):
-        assert walks.sample_hypercube_walk(H, top, 2, "up", rng) == top
-        y = walks.sample_hypercube_walk(H, bottom, 1, "up", rng)
-        assert H.contains_vertex(y)
-        assert H.weight(y) <= 1
-    with pytest.raises(DomainError):
-        walks.sample_hypercube_walk(H, (2, 2, 3), 1, "up", rng)
+    # The cube {2, 5} x {1, 8} x {3, 4}: a corner absorbs walks toward it,
+    # and a length-1 walk from the other corner flips one coordinate.
+    A, B = np.tile((2, 1, 3), (50, 1)), np.tile((5, 8, 4), (50, 1))
+    assert (walks.sample_hypercube_walk_batch(A, B, B, 2, "up", rng) == B).all()
+    assert (walks.sample_hypercube_walk_batch(A, B, A, 2, "down", rng) == A).all()
+    Y = walks.sample_hypercube_walk_batch(A, B, A, 1, "up", rng)
+    assert ((Y == A) | (Y == B)).all() and ((Y == B).sum(axis=1) == 1).all()
+    Y = walks.sample_hypercube_walk_batch(A, B, B, 1, "down", rng)
+    assert ((Y == A) | (Y == B)).all() and ((Y == A).sum(axis=1) == 1).all()
 
 
 def test_weight_definition():
@@ -436,14 +430,13 @@ def test_cube_closed_form_matches_subset_enumeration(d):
 
 def test_cube_walk_mc_matches_closed_form(rng):
     d, w, t, ell = 6, 3, 1, 2
-    H = walks.Hypercube(((1, 2),) * d)
-    x = (2,) * w + (1,) * (d - w)
+    N = 200_000
+    A, B = np.ones((N, d), dtype=np.int64), np.full((N, d), 2)
+    X = np.tile((2,) * w + (1,) * (d - w), (N, 1))
     target = (2,) * (w + t) + (1,) * (d - w - t)
     p = float(walks.cube_walk_closed_form(d, w, t, ell, "up"))
-    N = 200_000
-    hits = sum(
-        walks.sample_hypercube_walk(H, x, ell, "up", rng) == target for _ in range(N)
-    )
+    Y = walks.sample_hypercube_walk_batch(A, B, X, ell, "up", rng)
+    hits = int((Y == target).all(axis=1).sum())
     sigma = math.sqrt(p * (1 - p) / N)
     assert abs(hits / N - p) < 3 * sigma + 1e-9
 
