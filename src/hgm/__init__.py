@@ -7,6 +7,7 @@ objective), and a seeded experiment CLI.
 
 from .errors import BudgetError, ConfigError, DomainError, FormatError
 from .grid import (
+    Box,
     Comparability,
     ExplicitFunction,
     FamilySpec,

@@ -99,7 +99,10 @@ def _merge_config(args: argparse.Namespace, defaults: Dict) -> Dict:
         for key, raw in parse_config_file(args.config).items():
             if key not in _CONVERTERS:
                 raise UsageError(f"unknown config key {key!r}")
-            eff[key] = _CONVERTERS[key](raw)
+            try:
+                eff[key] = _CONVERTERS[key](raw)
+            except ValueError:
+                raise UsageError(f"bad value {raw!r} for config key {key!r}") from None
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -180,11 +183,18 @@ def cmd_test(args) -> int:
     )
     cfg = _merge_config(args, defaults)
     _require(cfg, "family", "n", "d")
+    if cfg["eps"] is not None and not cfg["full"]:
+        raise UsageError("--eps is only used by the full tester; add --full or drop --eps")
     shape = GridShape(cfg["n"], cfg["d"])
     f = _family_from(cfg, shape)
     schedule = None
     if cfg["tau_schedule"]:
-        schedule = tuple(int(t) for t in str(cfg["tau_schedule"]).split("|"))
+        try:
+            schedule = tuple(int(t) for t in str(cfg["tau_schedule"]).split("|"))
+        except ValueError:
+            raise UsageError(
+                f"bad --tau-schedule {cfg['tau_schedule']!r}; expected integers joined by '|'"
+            ) from None
     writer = CsvWriter("test", cfg, cfg["out"])
     writer.header(
         "family", "n", "d", "tau", "trials", "rejections", "reject_rate",
@@ -320,10 +330,11 @@ def cmd_sweep(args) -> int:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        if len(parts) != 4:
-            raise UsageError(f"bad cell {chunk!r}; expected n:d:family:eps")
-        cells.append((int(parts[0]), int(parts[1]), parts[2], float(parts[3])))
+        try:
+            n, d, family, eps = chunk.split(":")
+            cells.append((int(n), int(d), family, float(eps)))
+        except ValueError:
+            raise UsageError(f"bad cell {chunk!r}; expected n:d:family:eps") from None
     if not cells:
         raise UsageError("sweep needs a non-empty --cells list (n:d:family:eps;...)")
     writer = CsvWriter("sweep", cfg, cfg["out"])

@@ -1,7 +1,14 @@
-"""Hypergrid domain [n]^d: shapes, points, oracles, families, truth tables.
+"""Hypergrid domain [n]^d: boxes, points, oracles, families, truth tables.
 
-Points are 1-based tuples of length d. The linear index uses mixed radix
-with coordinate 1 least significant: index(x) = sum_i (x_i - 1) * n^(i-1).
+:class:`Box` is the domain [n]^d for any n >= 1 and holds all point
+indexing; the order-theoretic oracles (distance, violation graphs,
+Talagrand) run on any box. :class:`GridShape` is a Box whose side is a
+power of two, the domain the walks need. Points are 1-based tuples of
+length d. The linear index uses mixed radix with coordinate 1 least
+significant: index(x) = sum_i (x_i - 1) * n^(i-1).
+
+Every value read from a :class:`FunctionOracle`, charged or not, is
+checked to lie in {0, 1}; ``peek_many`` is the one uncharged batch read.
 """
 
 from __future__ import annotations
@@ -25,25 +32,26 @@ def _is_power_of_two(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class GridShape:
-    """The domain [n]^d. n must be a power of two."""
+class Box:
+    """The domain [n]^d for any side n >= 1."""
 
     n: int
     d: int
 
     def __post_init__(self):
-        if self.n < 2 or not _is_power_of_two(self.n):
-            raise DomainError(f"side length must be a power of two >= 2, got {self.n}")
+        if self.n < 1:
+            raise DomainError(f"side length must be positive, got {self.n}")
         if self.d < 1:
             raise DomainError(f"dimension must be positive, got {self.d}")
 
     @property
-    def log_n(self) -> int:
-        return self.n.bit_length() - 1
-
-    @property
     def num_points(self) -> int:
         return self.n**self.d
+
+    @property
+    def strides(self) -> np.ndarray:
+        """Index step of a unit move along each coordinate."""
+        return self.n ** np.arange(self.d, dtype=np.int64)
 
     def contains(self, x: Sequence[int]) -> bool:
         return len(x) == self.d and all(1 <= c <= self.n for c in x)
@@ -95,6 +103,29 @@ class GridShape:
         return idx
 
 
+class GridShape(Box):
+    """The dyadic domain [n]^d the walks run on: n is a power of two >= 2."""
+
+    def __post_init__(self):
+        if self.n < 2 or not _is_power_of_two(self.n):
+            raise DomainError(f"side length must be a power of two >= 2, got {self.n}")
+        super().__post_init__()
+
+    @property
+    def log_n(self) -> int:
+        return self.n.bit_length() - 1
+
+
+def bits_monotone(box: Box, bits: np.ndarray) -> bool:
+    """True iff the truth table never decreases along a covering axis edge."""
+    shaped = np.asarray(bits, dtype=np.uint8).reshape((box.n,) * box.d)
+    for axis in range(box.d):
+        a = np.moveaxis(shaped, axis, 0)
+        if (a[:-1] > a[1:]).any():
+            return False
+    return True
+
+
 class Comparability(enum.Enum):
     INCOMPARABLE = "incomparable"
     X_BELOW_Y = "x_below_y"
@@ -142,10 +173,7 @@ class FunctionOracle:
     def __call__(self, x: Sequence[int]) -> int:
         x = self.shape.check_point(x)
         self.query_count += 1
-        v = self._fn(x)
-        if v not in (0, 1):
-            raise DomainError(f"{self.name} returned {v!r} at {x}, not 0 or 1")
-        return int(v)
+        return self.peek(x)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) array of points; counts N queries."""
@@ -153,6 +181,19 @@ class FunctionOracle:
         if pts.ndim != 2 or pts.shape[1] != self.shape.d:
             raise DomainError(f"expected (N, {self.shape.d}) points, got {pts.shape}")
         self.query_count += pts.shape[0]
+        return self.peek_many(pts)
+
+    def peek(self, x: Sequence[int]) -> int:
+        """Evaluate without counting a query (for oracles validating oracles)."""
+        x = tuple(x)
+        v = self._fn(x)
+        if v not in (0, 1):
+            raise DomainError(f"{self.name} returned {v!r} at {x}, not 0 or 1")
+        return int(v)
+
+    def peek_many(self, pts: np.ndarray) -> np.ndarray:
+        """Evaluate an (N, d) array of points without counting queries."""
+        pts = np.asarray(pts, dtype=np.int64)
         if self._fn_many is not None:
             vals = np.asarray(self._fn_many(pts))
         else:
@@ -160,10 +201,6 @@ class FunctionOracle:
         if not ((vals == 0) | (vals == 1)).all():
             raise DomainError(f"{self.name} returned values other than 0 and 1")
         return vals.astype(np.int8, copy=False)
-
-    def peek(self, x: Sequence[int]) -> int:
-        """Evaluate without counting a query (for oracles validating oracles)."""
-        return int(self._fn(tuple(x)))
 
     def spawn_worker(self) -> "FunctionOracle":
         return FunctionOracle(self.shape, self._fn, self._fn_many, self.name)
@@ -195,15 +232,7 @@ class ExplicitFunction(FunctionOracle):
 
 def tabulate(f: FunctionOracle) -> ExplicitFunction:
     """Materialize an oracle into an explicit truth table (does not count queries)."""
-    pts = f.shape.all_points_array()
-    if f._fn_many is not None:
-        bits = np.asarray(f._fn_many(pts), dtype=np.uint8)
-    else:
-        bits = np.fromiter(
-            (f.peek(tuple(int(c) for c in p)) for p in pts),
-            dtype=np.uint8,
-            count=f.shape.num_points,
-        )
+    bits = f.peek_many(f.shape.all_points_array())
     return ExplicitFunction(f.shape, bits, name=f.name)
 
 
@@ -236,6 +265,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.name not in FAMILY_NAMES:
             raise ConfigError(f"unknown family {self.name!r}; choose from {FAMILY_NAMES}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"family seed must be in [0, 2^64), got {self.seed}")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -360,14 +391,7 @@ def doubly_flip(f: FunctionOracle) -> FunctionOracle:
         return 1 - f.peek(reflect_point(shape, x))
 
     def g_many(pts: np.ndarray) -> np.ndarray:
-        refl = shape.n + 1 - np.asarray(pts, dtype=np.int64)
-        if f._fn_many is not None:
-            vals = np.asarray(f._fn_many(refl), dtype=np.int8)
-        else:
-            vals = np.fromiter(
-                (f.peek(tuple(int(c) for c in p)) for p in refl), np.int8, len(refl)
-            )
-        return (1 - vals).astype(np.int8)
+        return (1 - f.peek_many(shape.n + 1 - np.asarray(pts, dtype=np.int64))).astype(np.int8)
 
     return FunctionOracle(shape, g, g_many, f"flip({f.name})")
 
@@ -395,12 +419,7 @@ def restrict_to_subgrid(
         return f.peek(tuple(int(tables[i][z[i] - 1]) for i in range(d)))
 
     def g_many(pts: np.ndarray) -> np.ndarray:
-        mapped = np.column_stack([tables[i][pts[:, i] - 1] for i in range(d)])
-        if f._fn_many is not None:
-            return np.asarray(f._fn_many(mapped), dtype=np.int8)
-        return np.fromiter(
-            (f.peek(tuple(int(c) for c in p)) for p in mapped), np.int8, len(mapped)
-        )
+        return f.peek_many(np.column_stack([tables[i][pts[:, i] - 1] for i in range(d)]))
 
     return FunctionOracle(sub_shape, g, g_many, f"restrict({f.name},k={k})")
 
@@ -448,16 +467,4 @@ def load_truth_table(path) -> ExplicitFunction:
 
 def is_monotone(f: FunctionOracle) -> bool:
     """Exhaustive monotonicity check along covering axis edges (small domains)."""
-    table = f if isinstance(f, ExplicitFunction) else tabulate(f)
-    bits = table.bits
-    shape = f.shape
-    pts = shape.all_points_array()
-    for i in range(shape.d):
-        movable = pts[:, i] < shape.n
-        nxt = pts[movable].copy()
-        nxt[:, i] += 1
-        lo = bits[shape.indices_of_points(pts[movable])]
-        hi = bits[shape.indices_of_points(nxt)]
-        if (lo > hi).any():
-            return False
-    return True
+    return bits_monotone(f.shape, tabulate(f).bits)

@@ -7,8 +7,10 @@ otherwise), and independent of the sampling code it validates.
 
 The walk machinery requires power-of-two side lengths, but the purely
 order-theoretic quantities (distance, matchings, Talagrand) are defined for
-any box [n]^d; they operate on a relaxed :class:`Box` domain so that odd
-side lengths (used heavily in cross-validation) are supported.
+any box [n]^d. They take a FunctionOracle (whose GridShape is a Box) or a
+(:class:`~hgm.grid.Box`, bits) pair, so odd side lengths (used heavily in
+cross-validation) are supported. Every value they read goes through the
+oracle's checked ``peek``/``peek_many``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import walks
 from .errors import BudgetError, DomainError
-from .grid import FunctionOracle, GridShape, Point, tabulate
+# Box and bits_monotone are re-exported: callers build (Box, bits) pairs here.
+from .grid import Box, FunctionOracle, GridShape, Point, bits_monotone, tabulate
 from .stats import wilson_interval
 
 
@@ -42,71 +45,17 @@ class Trivalent(enum.Enum):
         return self is not Trivalent.UNDECIDED
 
 
-@dataclass(frozen=True)
-class Box:
-    """A box domain [n]^d without the dyadic side-length restriction.
-
-    Indexing matches GridShape: mixed radix, coordinate 1 least significant.
-    """
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise DomainError(f"invalid box {self.n}^{self.d}")
-
-    @property
-    def num_points(self) -> int:
-        return self.n**self.d
-
-    def point_of(self, idx: int) -> Point:
-        coords = []
-        for _ in range(self.d):
-            coords.append(idx % self.n + 1)
-            idx //= self.n
-        return tuple(coords)
-
-    def index_of(self, x: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(tuple(x)):
-            idx = idx * self.n + (c - 1)
-        return idx
-
-    def all_points_array(self) -> np.ndarray:
-        idx = np.arange(self.num_points)
-        out = np.empty((self.num_points, self.d), dtype=np.int64)
-        rem = idx
-        for i in range(self.d):
-            out[:, i] = rem % self.n + 1
-            rem = rem // self.n
-        return out
-
-    @property
-    def strides(self) -> np.ndarray:
-        return self.n ** np.arange(self.d, dtype=np.int64)
-
-
 def box_and_bits(f) -> Tuple[Box, np.ndarray]:
     """Accept a FunctionOracle or a (Box, bits) pair; return (Box, bits)."""
     if isinstance(f, FunctionOracle):
-        table = tabulate(f)
-        return Box(f.shape.n, f.shape.d), np.asarray(table.bits, dtype=np.uint8)
+        return f.shape, tabulate(f).bits
     box, bits = f
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (box.num_points,):
         raise DomainError(f"expected {box.num_points} bits, got {bits.shape}")
+    if (bits > 1).any():
+        raise DomainError("truth table has values other than 0 and 1")
     return box, bits
-
-
-def bits_monotone(box: Box, bits: np.ndarray) -> bool:
-    arr = np.asarray(bits, dtype=np.uint8)
-    shaped = arr.reshape((box.n,) * box.d)
-    for axis in range(box.d):
-        a = np.moveaxis(shaped, axis, 0)
-        if (a[:-1] > a[1:]).any():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +566,7 @@ def influence_tilde(f: FunctionOracle) -> InfluenceResult:
     pts = shape.all_points_array()
     idx = shape.indices_of_points(pts)
     total_terms, neg_terms = [], []
-    strides = shape.n ** np.arange(shape.d, dtype=np.int64)
+    strides = shape.strides
     for i in range(shape.d):
         for u in range(1, shape.n):
             at_u = pts[:, i] == u
@@ -709,8 +658,7 @@ def _walk_endpoint_values(
 ) -> np.ndarray:
     """f at the endpoints of tau-step walks from the rows of X, read without
     charging f's query count."""
-    Y = walks.sample_walk_batch(f.shape, X, tau, direction, rng)
-    return f.spawn_worker().eval_many(Y)
+    return f.peek_many(walks.sample_walk_batch(f.shape, X, tau, direction, rng))
 
 
 def persistence_classify(

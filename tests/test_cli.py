@@ -78,6 +78,40 @@ def test_cmd_test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE  # 6 is not a power of two
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--family", "constant0", "--n", "4", "--d", "2", "--tau-schedule", "a"],
+        ["test", "--family", "constant0", "--n", "4", "--d", "2", "--tau-schedule", "|"],
+        ["test", "--family", "surface", "--n", "4", "--d", "2", "--family-seed", "-1"],
+        ["sweep", "--cells", "8:4:anti_dictator:x"],
+        ["sweep", "--cells", "x:4:anti_dictator:0.5"],
+    ],
+    ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n"],
+)
+def test_bad_inputs_exit_64_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_bad_config_value_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=constant0\nn=four\nd=2\n")
+    code, _, err = run_cli(capsys, "test", "--config", str(cfg))
+    assert code == cli.EXIT_USAGE and "'n'" in err
+
+
+def test_cmd_test_eps_requires_full(capsys):
+    # --eps only feeds the full tester; accepting it without --full would
+    # silently ignore it.
+    code, out, err = run_cli(
+        capsys, "test", "--family", "dictator", "--n", "4", "--d", "2", "--eps", "0.3"
+    )
+    assert code == cli.EXIT_USAGE and "--full" in err and out == ""
+
+
 def test_cmd_test_explicit_family_roundtrip(capsys, tmp_path):
     path = tmp_path / "f.hgf"
     save_truth_table(

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgm.errors import ConfigError, DomainError, FormatError
 from hgm.grid import (
+    Box,
     Comparability,
     ExplicitFunction,
     FamilySpec,
@@ -46,25 +47,43 @@ def test_index_examples():
     assert s.index_of((4, 4)) == 15
 
 
+def test_box_shares_indexing_with_grid_shape():
+    assert isinstance(GridShape(4, 2), Box)
+    assert Box(3, 2).num_points == 9 and Box(1, 5).num_points == 1
+    for bad in ((0, 2), (3, 0)):
+        with pytest.raises(DomainError):
+            Box(*bad)
+    assert GridShape(4, 3).index_of((2, 3, 4)) == Box(4, 3).index_of((2, 3, 4))
+    assert (GridShape(4, 3).strides == [1, 4, 16]).all()
+    assert (Box(3, 3).strides == [1, 3, 9]).all()
+
+
+# Dyadic sides through GridShape, odd sides through Box.
+_SHAPES = [(GridShape, n) for n in (2, 4, 8, 16)] + [(Box, n) for n in (1, 3, 5)]
+
+
+@settings(max_examples=200)
 @given(
-    st.sampled_from([2, 4, 8, 16]),
+    st.sampled_from(_SHAPES),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_index_point_roundtrip(n, d, raw_idx):
-    s = GridShape(n, d)
+def test_index_point_roundtrip(kind_n, d, raw_idx):
+    kind, n = kind_n
+    s = kind(n, d)
     idx = raw_idx % s.num_points
     assert s.index_of(s.point_of(idx)) == idx
 
 
 def test_vectorized_indexing_matches_scalar():
-    s = GridShape(4, 3)
-    pts = s.all_points_array()
-    assert pts.shape == (64, 3)
-    idx = s.indices_of_points(pts)
-    assert (idx == np.arange(64)).all()
-    for i in (0, 17, 63):
-        assert tuple(pts[i]) == s.point_of(i)
+    for s in (GridShape(4, 3), Box(1, 3), Box(3, 3), Box(5, 2)):
+        pts = s.all_points_array()
+        assert pts.shape == (s.num_points, s.d)
+        idx = s.indices_of_points(pts)
+        assert (idx == np.arange(s.num_points)).all()
+        for i in range(s.num_points):
+            assert tuple(pts[i]) == s.point_of(i)
+        assert (s.points_of_indices(idx) == pts).all()
 
 
 def test_out_of_range_point_rejected():
@@ -290,9 +309,21 @@ def test_oracle_values_outside_0_1_are_rejected():
         half((1, 1))
     with pytest.raises(DomainError):
         half.eval_many(pts)
+    # The uncharged reads check values too, on both the batch and scalar paths.
+    for f in (bad, half):
+        with pytest.raises(DomainError):
+            f.peek((1, 1))
+        with pytest.raises(DomainError):
+            f.peek_many(pts)
+        with pytest.raises(DomainError):
+            tabulate(f)
     good = FunctionOracle(shape, lambda x: x[0] > 2, fn_many=lambda p: p[:, 0] > 2)
     assert good((3, 1)) == 1
     assert good.eval_many(pts).dtype == np.int8
+    assert good.peek((3, 1)) == 1
+    assert (good.peek_many(pts) == good.eval_many(pts)).all()
+    assert good.peek_many(pts).dtype == np.int8
+    assert good.query_count == 1 + 2 * len(pts)  # peek and peek_many are free
 
 
 def test_worker_counters_are_independent():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hgm import oracles, walks
 from hgm.errors import BudgetError, DomainError
-from hgm.grid import ExplicitFunction, FamilySpec, GridShape, make_family
+from hgm.grid import ExplicitFunction, FamilySpec, FunctionOracle, GridShape, make_family
 from hgm.oracles import Box, Trivalent
 from hgm.rng import substream
 from hgm.stats import Z_99, wilson_interval
@@ -378,6 +378,48 @@ def test_mc_classifiers_match_exact_far_from_threshold():
                     )
     names = ("persistence-up", "persistence-down", "mzb", "blue")
     assert seen == {(name, v) for name in names for v in (Trivalent.YES, Trivalent.NO)}
+
+
+_EDGE = ((1, 1), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda f, rng: oracles.persistence_classify(f, 1, 0.1, (2, 2), "up"),
+        lambda f, rng: oracles.persistence_classify(
+            f, 1, 0.1, (1, 1), "up", mode="mc", samples=50, rng=rng
+        ),
+        lambda f, rng: oracles.mzb_classify(f, 1, (2, 2)),
+        lambda f, rng: oracles.mzb_classify(f, 1, (2, 2), mode="mc", samples=50, rng=rng),
+        lambda f, rng: oracles.red_classify(f, 1, _EDGE),
+        lambda f, rng: oracles.blue_classify(f, 1, _EDGE),
+        lambda f, rng: oracles.blue_classify(f, 1, _EDGE, mode="mc", samples=50, rng=rng),
+        lambda f, rng: oracles.distance_to_monotonicity(f),
+        lambda f, rng: oracles.distance_to_monotonicity(f, force_method="dag_flow"),
+        lambda f, rng: oracles.distance_bruteforce(f),
+        lambda f, rng: oracles.build_violation_graph(f, "augmented_axis"),
+    ],
+    ids=[
+        "persistence", "persistence-mc", "mzb", "mzb-mc", "red", "blue", "blue-mc",
+        "distance", "distance-flow", "bruteforce", "violation-graph",
+    ],
+)
+@pytest.mark.parametrize("batched", [True, False])
+def test_exact_and_mc_oracles_reject_values_outside_0_1(read, batched, rng):
+    # The tester is one-sided only for {0, 1}-valued functions, so every
+    # oracle read, charged or not, must refuse any other value.
+    bad = FunctionOracle(
+        GridShape(2, 2), lambda x: 2,
+        fn_many=(lambda p: np.full(len(p), 2)) if batched else None, name="bad",
+    )
+    with pytest.raises(DomainError):
+        read(bad, rng)
+
+
+def test_truth_table_pairs_reject_values_outside_0_1():
+    with pytest.raises(DomainError):
+        oracles.distance_to_monotonicity(box_fn(2, 2, [0, 1, 2, 1]))
 
 
 def test_interval_points_validation():
