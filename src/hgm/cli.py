@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -60,35 +60,20 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-_CONVERTERS = {
-    "n": int,
-    "d": int,
-    "k": int,
-    "trials": int,
-    "seed": int,
-    "samples": int,
-    "reps": int,
-    "dim": int,
-    "threshold": int,
-    "family_seed": int,
-    "ell": int,
-    "t": int,
-    "tau": int,
-    "outer_reps": int,
-    "inner_trials": int,
-    "budget": int,
-    "eps": float,
-    "c": float,
-    "family": str,
-    "path": str,
-    "out": str,
-    "mode": str,
-    "cells": str,
-    "tau_schedule": str,
-    "full": lambda s: s.lower() in ("1", "true", "yes"),
-    "single_shot": lambda s: s.lower() in ("1", "true", "yes"),
-    "fit_slope": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _parse_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+def _config_converters(parser: argparse.ArgumentParser) -> Dict[str, Callable[[str], object]]:
+    """Config-file key -> value parser, from the flags of every subcommand:
+    the flag's own type, or :func:`_parse_bool` for an on/off flag."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        flag.dest: _parse_bool if flag.const is True else flag.type
+        for sub in subparsers.choices.values()
+        for flag in sub._actions
+        if flag.dest not in ("help", "config")
+    }
 
 
 def _merge_config(args: argparse.Namespace, defaults: Dict) -> Dict:
@@ -96,11 +81,12 @@ def _merge_config(args: argparse.Namespace, defaults: Dict) -> Dict:
     overridden by explicit flags."""
     eff = dict(defaults)
     if getattr(args, "config", None):
+        converters = _config_converters(build_parser())
         for key, raw in parse_config_file(args.config).items():
-            if key not in _CONVERTERS:
+            if key not in converters:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                eff[key] = _CONVERTERS[key](raw)
+                eff[key] = converters[key](raw)
             except ValueError:
                 raise UsageError(f"bad value {raw!r} for config key {key!r}") from None
     for key in defaults:

@@ -213,11 +213,15 @@ class ExplicitFunction(FunctionOracle):
     """Oracle backed by a bit-packed truth table over all n^d points."""
 
     def __init__(self, shape: GridShape, bits: np.ndarray, name: str = "explicit"):
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits)
         if bits.shape != (shape.num_points,):
             raise DomainError(
                 f"expected {shape.num_points} bits, got {bits.shape}"
             )
+        # Checked before the uint8 cast, which would wrap 256 to 0 and -1 to 255.
+        if not ((bits == 0) | (bits == 1)).all():
+            raise DomainError("truth table values must be 0 or 1")
+        bits = bits.astype(np.uint8)
         self.bits = bits
         super().__init__(
             shape,

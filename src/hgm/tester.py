@@ -25,7 +25,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,41 @@ from .grid import (
 from .rng import substream
 from .stats import wilson_interval
 
-STEPS = ("up_path", "down_path", "up_path_down_shift", "down_path_up_shift")
+
+class SubTest(NamedTuple):
+    """A sub-test as data: the direction of the path walk from the anchor and
+    of the shift walk (None for no shift). The anchor is the path's start, so
+    it is the tested pair's low end under an up path and its high end under
+    a down path."""
+
+    path: str
+    shift: Optional[str]
+
+
+# _run_batch reads this table; _subtest_probs does not, so the exact oracle
+# stays an independent check of it.
+SUBTESTS = {
+    "up_path": SubTest("up", None),
+    "down_path": SubTest("down", None),
+    "up_path_down_shift": SubTest("up", "down"),
+    "down_path_up_shift": SubTest("down", "up"),
+}
+STEPS = tuple(SUBTESTS)
+
+# A trial's eight tested pairs in trial order: each step at length tau - 1,
+# then tau.
+PAIRS = tuple((step, kind) for step in STEPS for kind in (0, 1))
+
+# A trial's twelve walks in four groups, (direction, role, pairs): up paths,
+# up shifts, down paths, down shifts. A pair has one path walk and at most
+# one shift walk.
+WALK_GROUPS = tuple(
+    (direction, role, tuple(
+        p for p, (step, _) in enumerate(PAIRS) if getattr(SUBTESTS[step], role) == direction
+    ))
+    for direction in ("up", "down")
+    for role in ("path", "shift")
+)
 
 DEFAULT_BATCH = 8192
 # Pairs per fallback chunk; larger chunks raise the fallback's peak memory.
@@ -113,42 +147,51 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     """One deterministic batch: returns per-batch aggregates.
 
     All randomness comes from (seed, "batch", batch_index), so the result is
-    independent of which thread runs it.
+    independent of which thread runs it. The batch is one fused pass: one
+    draw for the eight pairs' anchors, one coordinate selection for all
+    twelve walks (stacked in WALK_GROUPS order, so each group is one run of
+    the sorted selected-entry index) and one move-kernel call. Shifts are
+    applied sparsely: X0 - S = W and Y0 - S = W + (Y0 - X0), where W is the
+    shift walk's endpoint, so the shift endpoint is written into the anchor
+    in place and the path's moves are added to one copy.
     """
     shape = cfg.shape
+    n, d, N = shape.n, shape.d, count
     rng = substream(cfg.seed, "batch", batch_index)
     schedule = np.asarray(cfg.schedule, dtype=np.int64)
     taus = schedule[rng.integers(0, len(schedule), size=count)]
-    N = count
-    d = shape.d
+    anchors = walks.sample_points_batch(shape, len(PAIRS) * N, rng).reshape(len(PAIRS), N, d)
 
-    # Pair list in trial order: (step, length-kind) with length tau-1 then tau.
-    pair_specs: List[Tuple[str, int]] = [(s, k) for s in STEPS for k in (0, 1)]
-    lows = np.empty((len(pair_specs), N, d), dtype=np.int64)
-    highs = np.empty((len(pair_specs), N, d), dtype=np.int64)
-    for pi, (step, kind) in enumerate(pair_specs):
-        ell = taus - 1 + kind
-        if step == "up_path":
-            X = walks.sample_points_batch(shape, N, rng)
-            Y = walks.sample_walk_batch(shape, X, ell, "up", rng)
-        elif step == "down_path":
-            Y = walks.sample_points_batch(shape, N, rng)
-            X = walks.sample_walk_batch(shape, Y, ell, "down", rng)
-        elif step == "up_path_down_shift":
-            X0 = walks.sample_points_batch(shape, N, rng)
-            Y0 = walks.sample_walk_batch(shape, X0, ell, "up", rng)
-            S = X0 - walks.sample_walk_batch(shape, X0, taus - 1, "down", rng)
-            X, Y = X0 - S, Y0 - S
-        else:
-            Y0 = walks.sample_points_batch(shape, N, rng)
-            X0 = walks.sample_walk_batch(shape, Y0, ell, "down", rng)
-            S = walks.sample_walk_batch(shape, Y0, taus - 1, "up", rng) - Y0
-            X, Y = X0 + S, Y0 + S
-        lows[pi], highs[pi] = X, Y
+    walk_pairs = np.array([p for _, _, pairs in WALK_GROUPS for p in pairs])
+    lengths = np.concatenate([
+        taus - 1 + (PAIRS[p][1] if role == "path" else 0)
+        for _, role, pairs in WALK_GROUPS
+        for p in pairs
+    ])
+    idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng))
+    # Walk w's entries are idx[ends[w]:ends[w + 1]]; they move its pair's anchor.
+    ends = np.searchsorted(idx, np.arange(walk_pairs.size + 1) * (N * d))
+    target = idx + np.repeat((walk_pairs - np.arange(walk_pairs.size)) * (N * d), np.diff(ends))
+    flat = anchors.reshape(-1)
+    u = flat[target]
+    c = walks.sample_line_kernel(n, u, rng)
+    edges = ends[np.cumsum([0] + [len(pairs) for _, _, pairs in WALK_GROUPS])]
+    groups = [(direction, role, slice(lo, hi))
+              for (direction, role, _), lo, hi in zip(WALK_GROUPS, edges[:-1], edges[1:])]
+    for direction, role, g in groups:
+        (np.maximum if direction == "up" else np.minimum)(c[g], u[g], out=c[g])
+        if role == "shift":
+            flat[target[g]] = c[g]
+    moved = anchors.copy()
+    for _, role, g in groups:
+        if role == "path":
+            moved.reshape(-1)[target[g]] += c[g] - u[g]
+
     worker = f.spawn_worker()
-    flows = worker.eval_many(lows.reshape(-1, d)).reshape(len(pair_specs), N)
-    fhighs = worker.eval_many(highs.reshape(-1, d)).reshape(len(pair_specs), N)
-    viol = flows > fhighs  # (pairs, N)
+    f_anchor = worker.eval_many(anchors.reshape(-1, d)).reshape(len(PAIRS), N)
+    f_moved = worker.eval_many(moved.reshape(-1, d)).reshape(len(PAIRS), N)
+    anchor_low = np.array([SUBTESTS[step].path == "up" for step, _ in PAIRS])[:, None]
+    viol = np.where(anchor_low, f_anchor > f_moved, f_moved > f_anchor)  # (pairs, N)
     rejected = viol.any(axis=0)
     first = np.argmax(viol, axis=0)  # index of first rejecting pair
     per_tau: Dict[int, Tuple[int, int]] = {}
@@ -156,19 +199,22 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
         mask = taus == t
         per_tau[int(t)] = (int(mask.sum()), int((mask & rejected).sum()))
     per_step = {s: 0 for s in STEPS}
-    for pi, (step, _) in enumerate(pair_specs):
+    for pi, (step, _) in enumerate(PAIRS):
         per_step[step] += int((rejected & (first == pi)).sum())
     witnesses = []
     for row in np.nonzero(rejected)[0][: cfg.max_witnesses]:
         pi = int(first[row])
-        step, kind = pair_specs[pi]
+        step, kind = PAIRS[pi]
+        low, high = anchors[pi, row], moved[pi, row]
+        if not anchor_low[pi, 0]:
+            low, high = high, low
         witnesses.append(
             (
                 batch_index * cfg.batch_size + int(row),
                 step,
                 int(taus[row]) - 1 + kind,
-                tuple(int(c) for c in lows[pi, row]),
-                tuple(int(c) for c in highs[pi, row]),
+                tuple(int(c) for c in low),
+                tuple(int(c) for c in high),
             )
         )
     return {

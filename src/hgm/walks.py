@@ -11,6 +11,17 @@ Every sampler draws a batch: one row per walk, shift or sub-hypercube
 ``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). The exact
 pmfs are its independent reference.
 
+A selected coordinate's draw depends on its value u only through a shift:
+the gap G = (c - u) mod n has one law for every u. ``sample_line_kernel``,
+which the walk and conditioned-cube samplers (and the tester's fused batch)
+share, draws G from an integer alias table (Vose's method) whose weights
+have the common denominator den = log n * lcm_q 2^q (2^q - 1), so one
+scalar-bounded draw x from [0, n * den) per move is exact: its low log n
+bits pick a column i and the rest accept i against the column's integer
+threshold or take its alias. For n >= 2048, n * den no longer fits in 63
+bits, and each move draws (q, window offset, element) as three exact
+integer draws instead.
+
 Three equivalent formulations of the same endpoint distribution are
 implemented via genuinely different enumerations, so their pointwise
 agreement is a meaningful cross-check:
@@ -185,6 +196,41 @@ def line_kernel_enumerated(n: int) -> np.ndarray:
     return K
 
 
+@lru_cache(maxsize=None)
+def gap_alias_table(n: int):
+    """Exact integer alias table for the gap G = (c - u) mod n of a selected
+    coordinate, or None when n * den >= 2^63 (n >= 2048).
+
+    Returns (den, thr, alias): G = i with probability
+    (thr[i] + sum over j with alias[j] = i of (den - thr[j])) / (n * den),
+    which equals (1/log n) sum_q cnt_q(i) / (2^q (2^q - 1)), cnt_q being
+    :func:`_count_windows_covering`; G = 0 has mass 0. Built in Python
+    integers by Vose's method.
+    """
+    q_max = n.bit_length() - 1
+    sizes = [2**q for q in range(1, q_max + 1)]
+    lcm = math.lcm(*(s * (s - 1) for s in sizes))
+    den = q_max * lcm
+    if n * den >= 2**63:
+        return None
+    # Column capacity is den; gap g carries n * weight(g), summing to n * den.
+    mass = [0] + [
+        n * sum(_count_windows_covering(n, s, g) * (lcm // (s * (s - 1))) for s in sizes)
+        for g in range(1, n)
+    ]
+    thr, alias = [den] * n, list(range(n))
+    small = [g for g in range(n) if mass[g] < den]
+    large = [g for g in range(n) if mass[g] >= den]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        thr[lo], alias[lo] = mass[lo], hi
+        mass[hi] -= den - mass[lo]
+        (small if mass[hi] < den else large).append(hi)
+    thr, alias = np.array(thr, dtype=np.int64), np.array(alias, dtype=np.int64)
+    thr.flags.writeable = alias.flags.writeable = False
+    return den, thr, alias
+
+
 def lazy_up_prob(n: int, u: int) -> float:
     """Probability a selected coordinate at value u does not move upward."""
     K = line_kernel(n)
@@ -234,8 +280,61 @@ def pair_distribution_at(n: int, u: int) -> Dict[tuple, float]:
 # ---------------------------------------------------------------------------
 
 
+# Moves per chunk of the move kernel's arithmetic, so that its temporaries
+# stay in cache.
+MOVE_CHUNK = 1 << 14
+
+
+def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
+    """c ~ line_kernel(n)[u, :] for every entry of u (values in 1..n).
+
+    The move kernel every walk sampler shares: one scalar-bounded draw per
+    entry through :func:`gap_alias_table`, or, for n >= 2048, three exact
+    integer draws (q, window offset, element). A walk moves up to max(c, u)
+    or down to min(c, u).
+    """
+    u = np.asarray(u)
+    flat_u = u.reshape(-1)
+    c = np.empty(flat_u.size, dtype=np.int64)
+    table = gap_alias_table(n)
+    log_n = n.bit_length() - 1
+    for start in range(0, flat_u.size, MOVE_CHUNK):
+        v = flat_u[start : start + MOVE_CHUNK]
+        if table is None:
+            q = rng.integers(1, log_n + 1, size=v.size)
+            size = np.int64(1) << q
+            # size divides n, so the low bits of a uniform draw from [0, n)
+            # are uniform on [0, size); a scalar bound is faster than an
+            # array bound.
+            offset = rng.integers(0, n, size=v.size) & (size - 1)
+            j = rng.integers(0, size - 1)
+            j += j >= offset
+            gap = j - offset
+        else:
+            den, thr, alias = table
+            x = rng.integers(0, n * den, size=v.size)
+            i = x & (n - 1)
+            gap = np.where((x >> log_n) < thr[i], i, alias[i])
+        c[start : start + MOVE_CHUNK] = ((v - 1 + gap) & (n - 1)) + 1
+    return c.reshape(u.shape)
+
+
 def sample_points_batch(shape: GridShape, count: int, rng) -> np.ndarray:
-    return rng.integers(1, shape.n + 1, size=(count, shape.d))
+    """(count, d) uniform points, in the narrowest signed integer dtype that
+    holds n: int8 up to n = 64, then int16, int32, int64.
+
+    n is a power of two, so it divides 2^bits, and the low bits of one
+    full-range draw are uniform on [0, n): an exact draw that is cheaper than
+    a bounded one.
+    """
+    n = shape.n
+    info = next(
+        np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n
+    )
+    x = rng.integers(info.min, info.max + 1, size=(count, shape.d), dtype=info.dtype)
+    x &= n - 1
+    x += 1
+    return x
 
 
 def _floyd_subsets(d: int, k: int, count: int, rng) -> np.ndarray:
@@ -252,7 +351,7 @@ def _floyd_subsets(d: int, k: int, count: int, rng) -> np.ndarray:
     return cols
 
 
-def _select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
+def select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
     """(N, d) boolean mask whose row i is a uniform subset of
     min(lengths[i], d) coordinates.
 
@@ -286,26 +385,19 @@ def sample_walk_batch(
     """Vectorized walk endpoints for a batch of anchors with per-row lengths.
 
     Each row selects a uniform subset of min(length, d) coordinates, and
-    only the selected coordinates draw (q, window offset, element). These
-    are exact integer draws, so each selected coordinate follows
-    :func:`line_kernel`. A shift is the difference between a walk endpoint
-    and its anchor. How much randomness a call consumes, and in what order,
-    depends on the lengths: rows are grouped by subset size, then the
-    selected entries draw together.
+    only the selected coordinates draw, through the exact move kernel
+    :func:`sample_line_kernel`: one scalar-bounded alias draw per selected
+    coordinate, or three integer draws (q, window offset, element) when
+    n >= 2048. Each selected coordinate follows :func:`line_kernel`. A shift
+    is the difference between a walk endpoint and its anchor. How much
+    randomness a call consumes, and in what order, depends on the lengths:
+    rows are grouped by subset size, then the selected entries draw together.
     """
-    n, d = shape.n, shape.d
     Y = np.array(X, dtype=np.int64, order="C")
     flat = Y.reshape(-1)  # a view: moves are written into Y
-    idx = np.flatnonzero(_select_coordinates(d, np.broadcast_to(lengths, len(Y)), rng))
+    idx = np.flatnonzero(select_coordinates(shape.d, np.broadcast_to(lengths, len(Y)), rng))
     u = flat[idx]
-    q = rng.integers(1, shape.log_n + 1, size=idx.size)
-    size = np.int64(1) << q
-    # size divides n, so the low bits of a uniform draw from [0, n) are
-    # uniform on [0, size); a scalar bound is faster than an array bound.
-    offset = rng.integers(0, n, size=idx.size) & (size - 1)
-    j = rng.integers(0, size - 1)
-    j += j >= offset
-    c = (u - 1 - offset + j) % n + 1
+    c = sample_line_kernel(shape.n, u, rng)
     flat[idx] = np.maximum(c, u) if direction == "up" else np.minimum(c, u)
     return Y
 
@@ -325,15 +417,11 @@ def sample_hypercube_batch(shape: GridShape, count: int, rng):
 
 
 def sample_hypercube_at_batch(shape: GridShape, X: np.ndarray, rng):
-    """Vectorized conditioned draws: (A, B) with X a vertex of every cube."""
-    n = shape.n
+    """Vectorized conditioned draws: (A, B) with X a vertex of every cube.
+
+    Each coordinate's other endpoint is a move-kernel draw from X."""
     X = np.asarray(X, dtype=np.int64)
-    q = rng.integers(1, shape.log_n + 1, size=X.shape)
-    size = np.int64(1) << q
-    offset = rng.integers(0, size)
-    j = rng.integers(0, size - 1)
-    j = j + (j >= offset)
-    c = (X - 1 - offset + j) % n + 1
+    c = sample_line_kernel(shape.n, X, rng)
     return np.minimum(X, c), np.maximum(X, c)
 
 
@@ -347,7 +435,7 @@ def sample_hypercube_walk_batch(
 ) -> np.ndarray:
     """Vectorized in-cube lazy walks from vertices X of the cubes (A, B)."""
     N, d = X.shape
-    selected = _select_coordinates(d, np.broadcast_to(lengths, N), rng)
+    selected = select_coordinates(d, np.broadcast_to(lengths, N), rng)
     if direction == "up":
         move = selected & (X == A)
         return np.where(move, B, X)

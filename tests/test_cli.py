@@ -146,6 +146,33 @@ def test_config_file_merging(capsys, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_config_keys_are_derived_from_the_flags(capsys, tmp_path):
+    # The table the converters replaced, less t, outer_reps and inner_trials,
+    # which no flag has: a config file could set them and nothing read them.
+    on_off = ("full", "single_shot", "fit_slope")
+    table = {
+        **dict.fromkeys(("n", "d", "k", "trials", "seed", "samples", "reps", "dim",
+                         "threshold", "family_seed", "ell", "tau", "budget"), int),
+        **dict.fromkeys(("eps", "c"), float),
+        **dict.fromkeys(("family", "path", "out", "mode", "cells", "tau_schedule"), str),
+        **dict.fromkeys(on_off, cli._parse_bool),
+    }
+    assert cli._config_converters(cli.build_parser()) == table
+    for key in on_off:
+        assert [table[key](v) for v in ("1", "true", "YES", "0", "no")] == [
+            True, True, True, False, False,
+        ]
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("family=constant0\nn=4\nd=2\nouter_reps=3\n")
+    code, _, err = run_cli(capsys, "test", "--config", str(unknown))
+    assert code == cli.EXIT_USAGE and "outer_reps" in err
+    full = tmp_path / "full.cfg"
+    full.write_text("family=dictator\nn=4\nd=2\neps=0.5\nfull=yes\n")
+    code, out, _ = run_cli(capsys, "test", "--config", str(full))
+    assert code == cli.EXIT_OK
+    assert rows_of(out)[0]["tau"] == "full" and comments_of(out)["full"] == "True"
+
+
 def test_surface_regime_warning(capsys):
     _, _, err = run_cli(
         capsys, "test", "--family", "surface", "--n", "16", "--d", "2",

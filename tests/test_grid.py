@@ -264,6 +264,21 @@ def test_truth_table_constant1_bit_count(tmp_path):
     assert int(g.bits.sum()) == 8
 
 
+@pytest.mark.parametrize("bad", [2, -1, 256])
+def test_explicit_function_rejects_values_outside_0_1(bad):
+    # 256 would wrap to 0 and -1 to 255 in the uint8 table, and saving packs
+    # any nonzero value as 1.
+    with pytest.raises(DomainError):
+        ExplicitFunction(GridShape(2, 1), np.array([bad, 0]))
+
+
+def test_explicit_function_roundtrip_keeps_bits(tmp_path):
+    f = ExplicitFunction(GridShape(2, 2), np.array([0, 1, 1, 0]))
+    path = tmp_path / "f.hgf"
+    save_truth_table(f, path)
+    assert load_truth_table(path).bits.tolist() == [0, 1, 1, 0]
+
+
 def test_truth_table_format_errors(tmp_path):
     path = tmp_path / "bad.hgf"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, so a broken import or CLI call shows."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +33,17 @@ def test_script_runs_to_completion(script, args, last_line_start):
     assert "Traceback" not in proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert proc.stdout.splitlines()[-1].startswith(last_line_start), proc.stdout
+
+
+def test_bench_compare_summary_counts_wins_by_direction():
+    path = ROOT / "scripts" / "bench_compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    bench_compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_compare)
+    base, change = [10.0, 20.0, 30.0, 40.0], [12.0, 20.0, 25.0, 50.0]
+    up = bench_compare.summarize(base, change, "higher")
+    assert (up["change_wins"], up["change_losses"]) == (2, 1)  # the tie counts for neither
+    assert up["base"] == {"median": 25.0, "q1": 17.5, "q3": 32.5}
+    assert up["median_ratio"] == up["change"]["median"] / 25.0
+    down = bench_compare.summarize(base, change, "lower")
+    assert (down["change_wins"], down["change_losses"]) == (1, 2)

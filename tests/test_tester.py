@@ -114,9 +114,46 @@ def test_batch_rate_within_ci_of_exact(n, d, fam_seed):
     assert lo <= p <= hi
 
 
+@pytest.mark.parametrize("n,d,fam_seed", [(2, 3, 31), (4, 2, 32), (4, 3, 33)])
+def test_per_step_attribution_matches_exact(n, d, fam_seed):
+    # A swapped shift direction or anchor role in the fused batch can keep the
+    # trial's rejection rate in its interval; it moves which step rejects
+    # first. The exact first-rejecting-step probability of step s is the mean
+    # over tau of sum over s's pairs i of prod_{j<i} (1 - p_j) * p_i.
+    shape = GridShape(n, d)
+    f = ExplicitFunction(shape, random_bits(shape.num_points, fam_seed))
+    schedule = (1, 2, 4)
+    expected = dict.fromkeys(tester.STEPS, 0.0)
+    for tau in schedule:
+        survive = 1.0
+        probs = tester._subtest_probs(f, tau, walks.DEFAULT_PMF_BUDGET)
+        for (step, _), p in zip(tester.PAIRS, probs):
+            expected[step] += survive * p / len(schedule)
+            survive *= 1.0 - p
+    rep = run_tester(f, Config(shape=shape, trials=200_000, seed=19, tau_schedule=schedule))
+    for step in tester.STEPS:
+        lo, hi = wilson_interval(rep.per_step[step], rep.trials, z=Z_99)
+        assert lo <= expected[step] <= hi, (step, rep.per_step[step] / rep.trials, expected[step])
+
+
 # ---------------------------------------------------------------------------
 # Batch driver
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [64, 128, 2**15])
+def test_witnesses_at_point_dtype_boundaries(n):
+    # Anchors are int8 up to n = 64, int16 up to 2^14, then int32; n = 2^15
+    # also takes the kernel's three-draw branch.
+    f = anti_dictator(n, 3)
+    rep = run_tester(f, Config(shape=f.shape, trials=4000, seed=3))
+    assert rep.total_queries == 16 * rep.trials
+    assert rep.witnesses
+    for _, _, _, u, v in rep.witnesses:
+        for point in (u, v):
+            assert all(type(c) is int and 1 <= c <= n for c in point)
+        assert all(a <= b for a, b in zip(u, v))
+        assert f.peek(u) == 1 and f.peek(v) == 0
 
 
 def test_report_accounting_and_witnesses():

@@ -57,6 +57,54 @@ def test_n2_selected_coordinate_always_moves():
     assert walks.lazy_up_prob(2, 2) == 1.0
 
 
+def _gap_law(n):
+    """Exact law of the gap G = (c - u) mod n as Fractions, from window counts."""
+    sizes = [2**q for q in range(1, n.bit_length())]
+    return [Fraction(0)] + [
+        Fraction(1, len(sizes))
+        * sum(Fraction(walks._count_windows_covering(n, s, g), s * (s - 1)) for s in sizes)
+        for g in range(1, n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2**q for q in range(1, 11)])
+def test_gap_alias_table_is_exact(n):
+    den, thr, alias = walks.gap_alias_table(n)
+    assert n * den < 2**63
+    pmf = [Fraction(int(t), n * den) for t in thr]
+    for j in range(n):
+        pmf[int(alias[j])] += Fraction(den - int(thr[j]), n * den)
+    assert pmf == _gap_law(n)
+    assert pmf[0] == 0
+
+
+def test_gap_alias_table_gives_way_to_three_draws_from_2048():
+    assert walks.gap_alias_table(2048) is None
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_three_draw_moves_match_gap_law_at_2048(direction):
+    # n = 2048 is past the alias table (n * den >= 2^63); computed vectorized,
+    # because line_kernel's loop is O(n^2 log n).
+    n, u, N = 2048, 700, 200_000
+    g = np.arange(n)
+    gap = np.zeros(n)
+    for q in range(1, n.bit_length()):
+        s = 2**q
+        gap += (np.maximum(0, s - g) + np.maximum(0, s - (n - g))) / (s * (s - 1))
+    gap[0] = 0.0
+    gap /= n.bit_length() - 1
+    c = (u - 1 + g) % n + 1  # the value at each gap
+    ahead = c > u if direction == "up" else c < u
+    expected = {int(v): float(p) for v, p in zip(c[ahead], gap[ahead])}
+    expected[u] = float(gap[~ahead].sum())
+    shape = GridShape(n, 1)
+    X = np.full((N, 1), u)
+    Y = walks.sample_walk_batch(shape, X, 1, direction, substream(2048, "three-draw", direction))
+    _, p, _ = chi_square_gof(_tally(Y), expected, N)
+    assert p > ALPHA, (direction, p)
+
+
 def test_lazy_probs_complement_move_mass():
     for n in (4, 8, 16):
         K = walks.line_kernel(n)
