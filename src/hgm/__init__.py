@@ -30,6 +30,7 @@ from .tester import (
     TesterConfig,
     TesterReport,
     exact_reject_prob,
+    exact_reject_prob_junta,
     line_tester_fallback,
     run_full_tester,
     run_tester,

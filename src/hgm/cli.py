@@ -3,8 +3,10 @@
 Commands: test, distance, equiv, reversibility, sweep, domain-reduce.
 Every CSV starts with ``# key=value`` lines holding the full effective
 configuration, so re-running the file's own header reproduces it
-byte-identically. Exit codes: 0 success, 1 partial failure, 2 rejection in
---single-shot mode, 64 usage error, 65 enumeration budget exceeded.
+byte-identically. Exit codes: 0 success, 1 partial failure (a failed sweep
+cell or a failed equivalence check), 2 rejection in --single-shot mode, 64
+usage error (including an unreadable --config or unwritable --out), 65
+enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -251,6 +253,8 @@ def cmd_equiv(args) -> int:
     writer = CsvWriter("equiv", cfg, cfg["out"])
     writer.header("n", "d", "tau", "mode", "subject", "statistic", "value", "passed")
     mode = cfg["mode"]
+    if mode not in ("exact", "statistical"):
+        raise UsageError(f"--mode must be exact or statistical, got {mode!r}")
     if mode == "exact":
         # Cost guard: fall through to sampling when enumeration is infeasible.
         est = shape.num_points * (shape.n ** min(cfg["tau"], shape.d)) ** shape.d
@@ -267,7 +271,9 @@ def cmd_equiv(args) -> int:
             )
         passed = res.passed
     else:
-        res = validate.equivalence_statistical(shape, cfg["tau"], cfg["samples"], cfg["seed"])
+        res = validate.equivalence_statistical(
+            shape, cfg["tau"], cfg["samples"], cfg["seed"], budget=cfg["budget"]
+        )
         for name, (stat, p, dof) in sorted(res.per_formulation.items()):
             writer.row(
                 shape.n, shape.d, cfg["tau"], "statistical", name,
@@ -284,8 +290,9 @@ def cmd_reversibility(args) -> int:
     cfg = _merge_config(args, defaults)
     _require(cfg, "d")
     d, ell = cfg["d"], cfg["ell"]
-    if d > 64:
-        raise UsageError("cube reversibility scans support d <= 64")
+    if not 1 <= d <= 64:
+        raise UsageError("cube reversibility scans support 1 <= d <= 64")
+    walks.middle_band_halfwidth(d, cfg["c"], cfg["eps"])  # DomainError on a bad eps or c
     # Asymptotic validity cap, relaxed to always admit single-step walks at
     # desk scale (the verbatim cap is below 1 for every d <= 64).
     cap = max(1, math.floor(math.sqrt(d) / math.log2(max(2.0, d / cfg["eps"])) ** 5))
@@ -363,6 +370,8 @@ def cmd_domain_reduce(args) -> int:
     )
     cfg = _merge_config(args, defaults)
     _require(cfg, "family", "n", "d", "k")
+    if cfg["reps"] < 1:
+        raise UsageError(f"--reps must be at least 1, got {cfg['reps']}")
     shape = GridShape(cfg["n"], cfg["d"])
     f = _family_from(cfg, shape)
     eps = cfg["eps"]
@@ -466,7 +475,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.command:
             raise UsageError("no command given")
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError, DomainError, FormatError) as e:
+    except (UsageError, ConfigError, DomainError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as e:

@@ -339,9 +339,14 @@ def distance_to_monotonicity(
     f, budget: int = DEFAULT_GRAPH_BUDGET, force_method: Optional[str] = None
 ) -> DistanceResult:
     """Exact distance = (max matching of the comparability violation graph)/n^d,
-    with one optimal repair set."""
-    box, bits = box_and_bits(f)
+    with one optimal repair set. budget bounds the comparable violations
+    (hopcroft_karp) or the n^d (d + 1) covering-DAG edges (dag_flow), checked
+    before f is tabulated."""
+    box = f.shape if isinstance(f, FunctionOracle) else f[0]
     method = force_method or ("hopcroft_karp" if box.num_points <= 512 else "dag_flow")
+    if method == "dag_flow" and box.num_points * (box.d + 1) > budget:
+        raise BudgetError(f"covering DAG of {box} exceeds budget ({budget} edges)")
+    box, bits = box_and_bits(f)
     if method == "hopcroft_karp":
         return _distance_small(box, bits, budget)
     if method == "dag_flow":

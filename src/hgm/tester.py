@@ -17,6 +17,16 @@ one-sided because every rejection carries such a witness.
 The multi-trial driver is vectorized in fixed-size batches whose randomness
 is keyed by (seed, batch index), so reports are bit-identical regardless of
 how many worker threads process the batches.
+
+The exact per-trial rejection probability (``exact_reject_prob``) integrates
+a trial over all its randomness by a tensor contraction: once its subsets
+are fixed, a pair is a product over coordinates, so each sub-test is one
+pass of per-coordinate n x n matrices over the truth table, in
+O(d m m' n^(d+1)) time for walk and shift lengths m, m'. Its junta form
+(``exact_reject_prob_junta``) contracts over the k coordinates f depends on
+and weights the rest in closed form, so it reaches any d. Both read the
+sub-tests from ``SUBTESTS``, as the driver does; the tests check them
+against an independent anchor-by-anchor enumeration of the walk pmfs.
 """
 
 from __future__ import annotations
@@ -24,19 +34,22 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import walks
-from .errors import BudgetError, ConfigError, DomainError
+from .errors import BudgetError, ConfigError
 from .grid import (
     FunctionOracle,
     GridShape,
     Point,
     restrict_to_subgrid,
     sample_subgrid,
+    tabulate,
 )
 from .rng import substream
 from .stats import wilson_interval
@@ -52,8 +65,7 @@ class SubTest(NamedTuple):
     shift: Optional[str]
 
 
-# _run_batch reads this table; _subtest_probs does not, so the exact oracle
-# stays an independent check of it.
+# _run_batch and the exact contraction (_pair_laws) both read this table.
 SUBTESTS = {
     "up_path": SubTest("up", None),
     "down_path": SubTest("down", None),
@@ -87,6 +99,14 @@ def default_tau_schedule(d: int) -> Tuple[int, ...]:
     return tuple(2**p for p in range(p_max + 1))
 
 
+def _check_schedule(schedule: Sequence[int]) -> None:
+    if not schedule:
+        raise ConfigError("tau schedule must not be empty")
+    for t in schedule:
+        if t < 1 or t & (t - 1):
+            raise ConfigError(f"tau schedule entry {t} is not a power of two")
+
+
 def worker_count() -> int:
     env = os.environ.get("HGM_THREADS")
     if env:
@@ -112,11 +132,7 @@ class TesterConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.tau_schedule is not None:
-            if not self.tau_schedule:
-                raise ConfigError("tau schedule must not be empty")
-            for t in self.tau_schedule:
-                if t < 1 or t & (t - 1):
-                    raise ConfigError(f"tau schedule entry {t} is not a power of two")
+            _check_schedule(self.tau_schedule)
 
     @property
     def schedule(self) -> Tuple[int, ...]:
@@ -274,83 +290,151 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact per-trial rejection probability (small domains)
+# Exact per-trial rejection probability, by per-coordinate tensor contraction
 # ---------------------------------------------------------------------------
 
 
-def _subtest_probs(f: FunctionOracle, tau: int, budget: int) -> List[float]:
-    """Rejection probability of each of the eight sub-tests at walk length
-    tau-1 and tau. All sub-tests draw fresh randomness, so the trial's
-    rejection probability is 1 - prod(1 - p_i)."""
-    shape = f.shape
-    N = shape.num_points
-    probs = []
-    fvals = {x: f.peek(x) for x in shape.points()}
+def _one_step(n: int, direction: str) -> np.ndarray:
+    """P[u, v] = Pr[a selected coordinate at u moves to v], 0-based, with the
+    lazy mass (draws against the walk direction) on the diagonal."""
+    K = walks.line_kernel(n)[1:, 1:]
+    up = direction == "up"
+    move, stay = (np.triu(K, 1), np.tril(K, -1)) if up else (np.tril(K, -1), np.triu(K, 1))
+    return move + np.diag(stay.sum(axis=1))
+
+
+@lru_cache(maxsize=None)
+def _pair_laws(n: int, step: str) -> np.ndarray:
+    """laws[a, b, low, high]: the joint law of one coordinate of the step's
+    tested pair (low, high), for a uniform anchor coordinate, where a says
+    whether the coordinate is in the path's subset and b whether it is in
+    the shift's.
+
+    With path endpoint p and shift endpoint w of anchor x, the pair is
+    (w, p - x + w) under an up path and (p - x + w, w) under a down path; a
+    coordinate outside a subset keeps the anchor's value. So
+    laws[a, b][w, h] = sum_x Pa[x, x + h - w] Sb[x, w] / n, where Pa is the
+    path's one-step matrix or the identity, and Sb the shift's.
+    """
+    sub = SUBTESTS[step]
+    idx = np.arange(n)
+    # shear[x, y] is the column of y - x in an (n, 2n - 1) offset table.
+    shear = (n - 1) + idx[None, :] - idx[:, None]
+    eye = np.eye(n)
+    path = (eye, _one_step(n, sub.path))
+    shift = (eye, _one_step(n, sub.shift) if sub.shift else eye)
+    laws = np.empty((2, 2, n, n))
+    for a in (0, 1):
+        by_offset = np.zeros((n, 2 * n - 1))
+        by_offset[idx[:, None], shear] = path[a]
+        for b in (0, 1):
+            law = (shift[b].T @ by_offset)[idx[:, None], shear] / n
+            laws[a, b] = law if sub.path == "up" else law.T
+    laws.flags.writeable = False
+    return laws
+
+
+def exact_pair_probs(
+    core: FunctionOracle,
+    d: int,
+    schedule: Sequence[int],
+    budget: int = walks.DEFAULT_PMF_BUDGET,
+) -> Dict[int, Tuple[float, ...]]:
+    """tau -> rejection probability of each of a trial's eight pairs, in PAIRS
+    order, for f(x) = core(x_1, ..., x_k) on [n]^d (k = core.shape.d <= d).
+
+    Once its two coordinate subsets are fixed, a pair is a product over
+    coordinates, so a step's rejection probability at path length l and shift
+    length l' is F . W[m, m'] G / (C(d, m) C(d, m')), with F the truth table,
+    G = 1 - F, m = min(l, d), m' = min(l', d) (0 without a shift) and
+    W[j, j'] the coefficient of t^j s^j' of
+    prod_i (M00 + t M10 + s M01 + t s M11), Mab = _pair_laws acting on axis
+    i. One pass per step applies the product to G axis by axis and keeps
+    every coefficient the schedule needs. Every Mab sums to 1, so the d - k
+    coordinates f ignores contribute (1 + t)^(d-k) (1 + s)^(d-k): the pass
+    runs over the core's k axes only, and coefficient (j, j') is weighted by
+    C(d-k, m-j) C(d-k, m'-j') / (C(d, m) C(d, m')), taken as an exact
+    ratio because the binomials overflow a float near d = 1024.
+
+    Cost O(k m m' n^(k+1)) time and n^k (m+1) (m'+1) floats, m and m'
+    capped at k; BudgetError when that count exceeds budget. Reads core
+    through an uncharged truth table.
+    """
+    _check_schedule(schedule)
+    n, k = core.shape.n, core.shape.d
+    if d < k:
+        raise ConfigError(f"dimension {d} is below the core's {k}")
+    top = min(max(schedule), d)
+    top_shift = min(max(schedule) - 1, d)
+    tops = {step: (min(top, k), min(top_shift, k) if SUBTESTS[step].shift else 0) for step in STEPS}
+    size = core.shape.num_points * max((j + 1) * (jp + 1) for j, jp in tops.values())
+    if size > budget:
+        raise BudgetError(f"exact contraction needs {size} floats, over the budget of {budget}")
+    F = tabulate(core).bits.astype(np.float64).reshape(-1)
+    W = {}
     for step in STEPS:
-        for ell in (tau - 1, tau):
-            acc = []
-            for anchor in shape.points():
-                if step == "up_path":
-                    pmf = walks.exact_pmf(
-                        shape, anchor, walks.WalkSpec("up", ell, shape), budget=budget
-                    )
-                    p = sum(
-                        pr for y, pr in pmf.table.items() if fvals[anchor] > fvals[y]
-                    )
-                elif step == "down_path":
-                    pmf = walks.exact_pmf(
-                        shape, anchor, walks.WalkSpec("down", ell, shape), budget=budget
-                    )
-                    p = sum(
-                        pr for x, pr in pmf.table.items() if fvals[x] > fvals[anchor]
-                    )
-                elif step == "up_path_down_shift":
-                    pmf = walks.exact_pmf(
-                        shape, anchor, walks.WalkSpec("up", ell, shape), budget=budget
-                    )
-                    spmf = walks.exact_shift_pmf(shape, anchor, tau - 1, "down", budget)
-                    p = 0.0
-                    for y, py in pmf.table.items():
-                        for s, ps in spmf.items():
-                            u = tuple(a - b for a, b in zip(anchor, s))
-                            v = tuple(a - b for a, b in zip(y, s))
-                            if fvals[u] > fvals[v]:
-                                p += py * ps
-                else:
-                    pmf = walks.exact_pmf(
-                        shape, anchor, walks.WalkSpec("down", ell, shape), budget=budget
-                    )
-                    spmf = walks.exact_shift_pmf(shape, anchor, tau - 1, "up", budget)
-                    p = 0.0
-                    for x, px in pmf.table.items():
-                        for s, ps in spmf.items():
-                            u = tuple(a + b for a, b in zip(x, s))
-                            v = tuple(a + b for a, b in zip(anchor, s))
-                            if fvals[u] > fvals[v]:
-                                p += px * ps
-                acc.append(p)
-            probs.append(math.fsum(acc) / N)
-    return probs
+        laws = _pair_laws(n, step)
+        J, Jp = (t + 1 for t in tops[step])
+        A = np.zeros((J, Jp, F.size))
+        A[0, 0] = 1.0 - F
+        for axis in range(k):
+            # Contract the last axis, then rotate it to the front, so after k
+            # passes the axes are back in order. Descending j updates A in
+            # place: coefficient j reads only the old j and j - 1.
+            for j in range(min(axis + 1, J - 1), -1, -1):
+                old = A[j].reshape(Jp, -1, n)
+                new = old @ laws[0, 0].T
+                new[1:] += old[:-1] @ laws[0, 1].T
+                if j:
+                    below = A[j - 1].reshape(Jp, -1, n)
+                    new += below @ laws[1, 0].T
+                    new[1:] += below[:-1] @ laws[1, 1].T
+                A[j].reshape(Jp, n, -1)[...] = new.swapaxes(1, 2)
+        W[step] = A @ F
+
+    def weighted(step: str, m: int, mp: int) -> float:
+        denom = math.comb(d, m) * math.comb(d, mp)
+        J, Jp = W[step].shape
+        return math.fsum(
+            float(W[step][j, jp])
+            * float(Fraction(math.comb(d - k, m - j) * math.comb(d - k, mp - jp), denom))
+            for j in range(max(0, m - (d - k)), min(m, J - 1) + 1)
+            for jp in range(max(0, mp - (d - k)), min(mp, Jp - 1) + 1)
+        )
+
+    return {
+        tau: tuple(
+            weighted(
+                step,
+                min(tau - 1 + kind, d),
+                min(tau - 1, d) if SUBTESTS[step].shift else 0,
+            )
+            for step, kind in PAIRS
+        )
+        for tau in schedule
+    }
+
+
+def exact_reject_prob_junta(
+    core: FunctionOracle,
+    d: int,
+    schedule: Sequence[int],
+    budget: int = walks.DEFAULT_PMF_BUDGET,
+) -> float:
+    """Exact per-trial rejection probability of f(x) = core(x_1, ..., x_k) on
+    [n]^d: the mean over the schedule's entries of 1 - prod over the eight
+    pairs of (1 - p_pair), from :func:`exact_pair_probs`."""
+    probs = exact_pair_probs(core, d, schedule, budget)
+    per_tau = [1.0 - math.prod(1.0 - p for p in probs[tau]) for tau in schedule]
+    return math.fsum(per_tau) / len(schedule)
 
 
 def exact_reject_prob(
     f: FunctionOracle, cfg: TesterConfig, budget: int = walks.DEFAULT_PMF_BUDGET
 ) -> float:
-    """Exact per-trial rejection probability by integrating the trial over its
-    full randomness. Feasible for tiny domains only."""
-    if f.shape.num_points > 64:
-        raise BudgetError("exact trial integration supports at most 64 points")
-    schedule = cfg.schedule
-    if max(schedule) > 4:
-        raise BudgetError("exact trial integration supports walk lengths up to 4")
-    per_tau = []
-    for tau in schedule:
-        probs = _subtest_probs(f, tau, budget)
-        survive = 1.0
-        for p in probs:
-            survive *= 1.0 - p
-        per_tau.append(1.0 - survive)
-    return math.fsum(per_tau) / len(schedule)
+    """Exact per-trial rejection probability: :func:`exact_reject_prob_junta`
+    with f as its own d-coordinate core."""
+    return exact_reject_prob_junta(f, f.shape.d, cfg.schedule, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,20 @@ from .stats import chi_square_gof
 FORMULATIONS = ("direct", "cube_first", "cube_at_x")
 
 
-def joint_exact_pmf(shape: GridShape, tau: int, direction: str = "up") -> Dict:
+def joint_exact_pmf(
+    shape: GridShape, tau: int, direction: str = "up", budget: int = walks.DEFAULT_PMF_BUDGET
+) -> Dict:
     """Exact law of (x, y) with x uniform and y a tau-step walk endpoint,
-    keyed by (x_index, y_index)."""
+    keyed by (x_index, y_index). BudgetError when the bound
+    n^d C(d, m) n^m on its support, m = min(tau, d), exceeds budget."""
     N = shape.num_points
+    spec = walks.WalkSpec(direction, tau, shape)
+    m = spec.effective_coords
+    if N * math.comb(shape.d, m) * shape.n**m > budget:
+        raise BudgetError(f"joint walk pmf on {shape} exceeds budget ({budget} terms)")
     out: Dict[Tuple[int, int], float] = {}
     for x in shape.points():
-        pmf = walks.exact_pmf(shape, x, walks.WalkSpec(direction, tau, shape))
+        pmf = walks.exact_pmf(shape, x, spec)
         xi = shape.index_of(x)
         for y, p in pmf.table.items():
             out[(xi, shape.index_of(y))] = p / N
@@ -91,11 +98,13 @@ def equivalence_statistical(
     seed: int,
     alpha: float = 0.001,
     sampler: Optional[Callable] = None,
+    budget: int = walks.DEFAULT_PMF_BUDGET,
 ) -> EquivStatResult:
     """Chi-square goodness of fit of sampled (x, y) pairs from each
-    formulation against the exact joint pmf. ``sampler`` may replace the
-    default pair sampler (used by harness-sensitivity fixtures)."""
-    expected = joint_exact_pmf(shape, tau)
+    formulation against the exact joint pmf (budget as in
+    :func:`joint_exact_pmf`). ``sampler`` may replace the default pair
+    sampler (used by harness-sensitivity fixtures)."""
+    expected = joint_exact_pmf(shape, tau, budget=budget)
     draw = sampler or _sample_pairs
     results = {}
     ok = True

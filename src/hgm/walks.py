@@ -587,9 +587,12 @@ def exact_shift_pmf(
 
 
 def middle_band_halfwidth(d: int, c: float, eps: float) -> float:
-    """Half-width of the c-middle Hamming-weight band: sqrt(4 c d log(d/eps))."""
-    if not 0 < eps:
-        raise DomainError("eps must be positive")
+    """Half-width of the c-middle Hamming-weight band: sqrt(4 c d log(d/eps)),
+    defined for 0 < eps <= d and finite c >= 0."""
+    if not 0 < eps <= d:
+        raise DomainError(f"eps must be in (0, d] = (0, {d}], got {eps}")
+    if not (math.isfinite(c) and c >= 0):
+        raise DomainError(f"c must be finite and non-negative, got {c}")
     return math.sqrt(4.0 * c * d * math.log(d / eps))
 
 

@@ -1,7 +1,12 @@
 """CLI harness: commands, config merging, CSV headers, exit codes."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgm import cli
 from hgm.grid import FamilySpec, GridShape, make_family, save_truth_table
@@ -86,8 +91,17 @@ def test_cmd_test_usage_errors(capsys):
         ["test", "--family", "surface", "--n", "4", "--d", "2", "--family-seed", "-1"],
         ["sweep", "--cells", "8:4:anti_dictator:x"],
         ["sweep", "--cells", "x:4:anti_dictator:0.5"],
+        ["reversibility", "--d", "4", "--eps", "0"],
+        ["reversibility", "--d", "4", "--eps", "8"],
+        ["reversibility", "--d", "4", "--c", "-1"],
+        ["domain-reduce", "--family", "dictator", "--n", "4", "--d", "2", "--k", "2",
+         "--reps", "0"],
+        ["equiv", "--n", "2", "--d", "1", "--mode", "x"],
+        ["test", "--config", "/nonexistent/run.cfg"],
     ],
-    ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n"],
+    ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n",
+         "reversibility-eps-0", "reversibility-eps-over-d", "reversibility-c-negative",
+         "domain-reduce-reps-0", "equiv-mode", "config-missing"],
 )
 def test_bad_inputs_exit_64_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -234,12 +248,18 @@ def test_cmd_equiv_statistical(capsys):
 
 
 def test_cmd_equiv_auto_switch_on_budget(capsys):
+    # The exact mode's estimate is 16^3 * (16^2)^3 > 5e6; sampling still needs
+    # the exact joint pmf, bounded by 16^3 * C(3, 2) * 16^2 <= 5e6.
     code, out, _ = run_cli(
         capsys, "equiv", "--n", "16", "--d", "3", "--tau", "2",
-        "--budget", "1000", "--samples", "20000", "--seed", "3",
+        "--budget", "5000000", "--samples", "20000", "--seed", "3",
     )
     assert "switched_to_statistical" in comments_of(out)
     assert rows_of(out)[0]["mode"] == "statistical"
+    code, out, err = run_cli(
+        capsys, "equiv", "--n", "16", "--d", "3", "--tau", "2", "--budget", "1000",
+    )
+    assert code == cli.EXIT_BUDGET and out == "" and "joint walk pmf" in err
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +363,76 @@ def test_out_flag_writes_file_and_header_excludes_destination(tmp_path, capsys):
     text = out_path.read_text()
     assert "out=" not in text
     assert rows_of(text)[0]["rejections"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract over generated argv
+# ---------------------------------------------------------------------------
+
+# Small values, and bad ones, per flag: every generated run stays cheap.
+_FLAG_VALUES = {
+    "n": ["-2", "0", "1", "2", "3", "4", "x"],
+    "d": ["-1", "0", "1", "2", "3", "16", "65"],
+    "family": ["constant0", "dictator", "anti_dictator", "majority_threshold",
+               "surface", "random_balanced", "explicit", "nope"],
+    "eps": ["-1", "0", "0.05", "0.3", "0.9", "1", "8", "nan", "inf", "x"],
+    "trials": ["-1", "0", "1", "40"],
+    "seed": ["-1", "0", "7"],
+    "budget": ["-1", "0", "100000000"],
+    "dim": ["-1", "0", "1", "2", "5"],
+    "threshold": ["-1", "0", "1", "3", "9"],
+    "family_seed": ["-1", "0", "3"],
+    "path": ["/nonexistent/table.npz"],
+    "k": ["-1", "0", "1", "2", "3", "4"],
+    "reps": ["-1", "0", "1", "2"],
+    "samples": ["-1", "0", "2000"],
+    "tau": ["-1", "0", "1", "2"],
+    "ell": ["-1", "0", "1", "2", "9"],
+    "c": ["-1", "0", "1", "100", "nan", "inf"],
+    "mode": ["exact", "x"],
+    "cells": ["", ";", "2:2:anti_dictator:0.5", "2:2:anti_dictator", "3:2:dictator:0.5",
+              "2:1:nope:0.5;2:2:constant0:x", "x:1:dictator:0.5"],
+    "tau_schedule": ["1", "1|2", "3", "|", "a", "0"],
+    "out": ["/nonexistent/out.csv"],
+    "config": ["/nonexistent/run.cfg"],
+}
+
+
+def _flags_of(command):
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction)
+    ).choices[command]
+    return [(a.option_strings[0], a.dest, a.nargs == 0)
+            for a in sub._actions if a.dest != "help"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["nope"]))
+    if command == "nope":
+        return [command]
+    argv = [command]
+    for option, dest, is_switch in draw(
+        st.lists(st.sampled_from(_flags_of(command)), max_size=8, unique=True)
+    ):
+        argv.append(option)
+        if not is_switch:
+            argv.append(draw(st.sampled_from(_FLAG_VALUES[dest])))
+    if command == "equiv" and "--samples" not in argv:
+        argv += ["--samples", "2000"]  # a switch to sampling keeps its default 10^6
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=150)
+def test_every_argv_exits_with_a_documented_code(argv):
+    # An exception escaping main would be a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 64, 65), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert argv[0] == "sweep", argv
+    if code == 64:
+        assert err.getvalue().startswith("error: ")

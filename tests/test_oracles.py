@@ -77,6 +77,18 @@ def test_graph_budget_enforced():
         oracles.build_violation_graph(f, "full_comparable", budget=3)
 
 
+def test_dag_flow_budget_checked_before_tabulating():
+    # 4^16 points: tabulating first would try to allocate 32 GiB.
+    big = make_family(FamilySpec("dictator"), GridShape(4, 16))
+    with pytest.raises(BudgetError):
+        oracles.distance_to_monotonicity(big)
+    f = ExplicitFunction(GridShape(4, 2), random_bits(16, 0))
+    with pytest.raises(BudgetError):
+        oracles.distance_to_monotonicity(f, budget=16 * 3 - 1, force_method="dag_flow")
+    res = oracles.distance_to_monotonicity(f, budget=16 * 3, force_method="dag_flow")
+    assert res.distance == oracles.distance_to_monotonicity(f).distance
+
+
 # ---------------------------------------------------------------------------
 # Distance
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from hgm import tester, walks
+from hgm import tester
 from hgm.errors import BudgetError, ConfigError
 from hgm.grid import ExplicitFunction, FamilySpec, GridShape, make_family
 from hgm.rng import substream
 from hgm.stats import Z_99, wilson_interval
-from hgm.tester import exact_reject_prob, run_tester
+from hgm.tester import exact_reject_prob, exact_reject_prob_junta, run_tester
 
 # Aliased so pytest does not try to collect the config dataclass as a test.
 Config = tester.TesterConfig
 
 from conftest import random_bits
+from exact_enumeration import subtest_probs
 
 
 def anti_dictator(n, d):
@@ -86,18 +87,89 @@ def test_exact_reject_prob_two_point_line_is_15_16():
     assert exact_reject_prob(f, cfg) == pytest.approx(15 / 16, abs=1e-12)
 
 
+def _enumerated_rate(f, schedule):
+    """Trial rejection probability from the enumerated pair probabilities."""
+    per_tau = [1.0 - math.prod(1.0 - p for p in subtest_probs(f, tau)) for tau in schedule]
+    return math.fsum(per_tau) / len(schedule)
+
+
 def test_exact_reject_prob_budget_limits():
-    f = make_family(FamilySpec("anti_dictator"), GridShape(8, 3))
+    # The budget counts the floats the contraction holds, n^d (m+1) (m'+1);
+    # nothing else bounds the grid or the walk length.
+    f = anti_dictator(8, 3)
+    cfg = Config(shape=f.shape, trials=1)
     with pytest.raises(BudgetError):
-        exact_reject_prob(f, Config(shape=f.shape, trials=1))
+        exact_reject_prob(f, cfg, budget=8**3 * 4 * 4 - 1)
+    assert exact_reject_prob(f, cfg, budget=8**3 * 4 * 4) == pytest.approx(
+        _enumerated_rate(f, cfg.schedule), abs=1e-12
+    )
     f2 = anti_dictator(2, 2)
-    with pytest.raises(BudgetError):
-        exact_reject_prob(f2, Config(shape=f2.shape, trials=1, tau_schedule=(8,)))
+    cfg2 = Config(shape=f2.shape, trials=1, tau_schedule=(8,))
+    assert exact_reject_prob(f2, cfg2) == pytest.approx(_enumerated_rate(f2, (8,)), abs=1e-12)
+
+
+def _grids_up_to_64_points():
+    return [(n, d) for n in (2, 4, 8, 16, 32, 64) for d in range(1, 7) if n**d <= 64]
+
+
+@pytest.mark.parametrize("n,d", _grids_up_to_64_points())
+def test_contraction_matches_enumeration(n, d):
+    shape = GridShape(n, d)
+    f = ExplicitFunction(shape, random_bits(shape.num_points, 100 * n + d))
+    taus = sorted(set(tester.default_tau_schedule(d)) | {1, 2, 4, 8})
+    enumerated = {tau: subtest_probs(f, tau) for tau in taus}
+    contracted = tester.exact_pair_probs(f, d, taus)
+    for tau in taus:
+        assert contracted[tau] == pytest.approx(enumerated[tau], abs=1e-12), tau
+    for schedule in (None, (1, 2, 4), (1, 2, 4, 8), (1, 1, 2)):
+        cfg = Config(shape=shape, trials=1, tau_schedule=schedule)
+        assert exact_reject_prob(f, cfg) == pytest.approx(
+            _enumerated_rate(f, cfg.schedule), abs=1e-12
+        ), schedule
+    # The exact oracles read f without charging it.
+    assert f.query_count == 0
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (4, 2), (2, 4), (8, 1)])
+def test_junta_form_equals_full_contraction(n, d):
+    for k in range(1, d + 1):
+        core = ExplicitFunction(GridShape(n, k), random_bits(n**k, 7 * k + d))
+        full_shape = GridShape(n, d)
+        full = ExplicitFunction(
+            full_shape, core.peek_many(full_shape.all_points_array()[:, :k])
+        )
+        for schedule in (tester.default_tau_schedule(d), (1, 2, 4, 8)):
+            expected = exact_reject_prob(full, Config(shape=full_shape, trials=1, tau_schedule=schedule))
+            assert exact_reject_prob_junta(core, d, schedule) == pytest.approx(expected, abs=1e-12)
+        assert core.query_count == full.query_count == 0
+
+
+def test_junta_anti_dictator_values_to_d_1024():
+    # The exact values behind criterion 8: p * log2(2d) levels off, so the
+    # rate decays like 1/log d, not d^(-1/2).
+    core = anti_dictator(8, 1)
+    for d, p in [(4, 0.48834), (16, 0.37870), (64, 0.29536), (1024, 0.19541)]:
+        got = exact_reject_prob_junta(core, d, tester.default_tau_schedule(d))
+        assert got == pytest.approx(p, abs=5e-6), d
+    with pytest.raises(ConfigError):
+        exact_reject_prob_junta(anti_dictator(8, 2), 1, (1,))
+    with pytest.raises(ConfigError):
+        exact_reject_prob_junta(core, 4, (3,))
+
+
+def test_mc_rate_within_ci_of_junta_form_at_8_256():
+    f = anti_dictator(8, 256)
+    cfg = Config(shape=f.shape, trials=40_000, seed=22)
+    p = exact_reject_prob_junta(anti_dictator(8, 1), 256, cfg.schedule)
+    rep = run_tester(f, cfg)
+    lo, hi = wilson_interval(rep.rejections, rep.trials, z=Z_99)
+    assert lo <= p <= hi, (rep.reject_rate, p)
 
 
 @pytest.mark.parametrize(
     "n,d,fam_seed",
-    [(2, 2, None), (4, 2, None), (4, 2, 4)],
+    # (4, 8): 65,536 points and tau up to 8, by the full contraction.
+    [(2, 2, None), (4, 2, None), (4, 2, 4), (4, 8, 0)],
 )
 def test_batch_rate_within_ci_of_exact(n, d, fam_seed):
     shape = GridShape(n, d)
@@ -126,7 +198,7 @@ def test_per_step_attribution_matches_exact(n, d, fam_seed):
     expected = dict.fromkeys(tester.STEPS, 0.0)
     for tau in schedule:
         survive = 1.0
-        probs = tester._subtest_probs(f, tau, walks.DEFAULT_PMF_BUDGET)
+        probs = subtest_probs(f, tau)
         for (step, _), p in zip(tester.PAIRS, probs):
             expected[step] += survive * p / len(schedule)
             survive *= 1.0 - p
