@@ -23,7 +23,7 @@ def main() -> int:
     args = ap.parse_args()
 
     dims = [int(v) for v in args.dims.split(",") if v]
-    cells = ";".join(f"{args.n}:{d}:{args.family}:0.5" for d in dims)
+    cells = ";".join(f"{args.n}:{d}:{args.family}" for d in dims)
     argv = [
         "sweep", "--cells", cells, "--trials", str(args.trials),
         "--seed", str(args.seed), "--fit-slope",

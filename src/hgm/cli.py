@@ -256,14 +256,7 @@ def cmd_equiv(args) -> int:
     if mode not in ("exact", "statistical"):
         raise UsageError(f"--mode must be exact or statistical, got {mode!r}")
     if mode == "exact":
-        # Cost guard: fall through to sampling when enumeration is infeasible.
-        est = shape.num_points * (shape.n ** min(cfg["tau"], shape.d)) ** shape.d
-        if est > cfg["budget"]:
-            writer.comment("switched_to_statistical", True)
-            mode = "statistical"
-    passed = True
-    if mode == "exact":
-        res = validate.equivalence_exact(shape, cfg["tau"])
+        res = validate.equivalence_exact(shape, cfg["tau"], budget=cfg["budget"])
         for (a, b), diff in sorted(res.max_diffs.items()):
             writer.row(
                 shape.n, shape.d, cfg["tau"], mode, f"{a}_vs_{b}",
@@ -317,19 +310,22 @@ def cmd_sweep(args) -> int:
     defaults = dict(cells=None, trials=10000, seed=0, out=None, fit_slope=False)
     cfg = _merge_config(args, defaults)
     if not cfg["cells"]:
-        raise UsageError("sweep needs a non-empty --cells list (n:d:family:eps;...)")
+        raise UsageError("sweep needs a non-empty --cells list (n:d:family;...)")
     cells = []
     for chunk in str(cfg["cells"]).split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
-            n, d, family, eps = chunk.split(":")
-            cells.append((int(n), int(d), family, float(eps)))
+            n, d, family = chunk.split(":")
+            cells.append((int(n), int(d), family))
         except ValueError:
-            raise UsageError(f"bad cell {chunk!r}; expected n:d:family:eps") from None
+            raise UsageError(
+                f"bad cell {chunk!r}; expected n:d:family (the eps field is gone: "
+                "the path tester never used it)"
+            ) from None
     if not cells:
-        raise UsageError("sweep needs a non-empty --cells list (n:d:family:eps;...)")
+        raise UsageError("sweep needs a non-empty --cells list (n:d:family;...)")
     writer = CsvWriter("sweep", cfg, cfg["out"])
     writer.header(
         "family", "n", "d", "tau", "trials", "rejections", "reject_rate",
@@ -337,7 +333,7 @@ def cmd_sweep(args) -> int:
     )
     any_failed = False
     fit_points = []
-    for idx, (n, d, family, _eps) in enumerate(cells):
+    for idx, (n, d, family) in enumerate(cells):
         cell_seed = int(substream(cfg["seed"], "cell", idx).integers(0, 2**63))
         try:
             shape = GridShape(n, d)
@@ -445,8 +441,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "sweep",
         description="Run the path tester on each cell of --cells, given as "
-        "n:d:family:eps;... The eps field is parsed, but run_tester does not "
-        "use it.",
+        "n:d:family;...",
     )
     common(p, "cells", "trials", "seed", "out")
     p.add_argument("--fit-slope", dest="fit_slope", action="store_const",

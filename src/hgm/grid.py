@@ -282,7 +282,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def _hash_bit(seed: int, idx: np.ndarray) -> np.ndarray:
-    mixed = _splitmix64(np.asarray(idx, dtype=np.uint64) ^ _splitmix64(np.full_like(np.asarray(idx, dtype=np.uint64), seed, dtype=np.uint64)))
+    # The seed is mixed once, as a one-element array: numpy scalar uint64
+    # arithmetic warns on overflow.
+    key = _splitmix64(np.array([seed], dtype=np.uint64))
+    mixed = _splitmix64(np.asarray(idx, dtype=np.uint64) ^ key)
     return (mixed & np.uint64(1)).astype(np.int8)
 
 

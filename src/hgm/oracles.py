@@ -255,11 +255,8 @@ def _upset_repair(box: Box, bits: np.ndarray, cover: set) -> np.ndarray:
     """Monotone repair from a vertex cover of the comparability violation
     graph: g = indicator of the up-closure of uncovered 1-points. g differs
     from f only on the cover."""
-    seeds = bits.astype(bool).copy()
-    if cover:
-        seeds[np.fromiter(cover, dtype=np.int64)] = np.where(
-            bits[np.fromiter(cover, dtype=np.int64)] == 1, False, seeds[np.fromiter(cover, dtype=np.int64)]
-        )
+    seeds = bits.astype(bool)
+    seeds[np.fromiter(cover, dtype=np.int64, count=len(cover))] = False
     shaped = seeds.reshape((box.n,) * box.d)
     for axis in range(box.d):
         shaped = np.maximum.accumulate(shaped, axis=axis)
@@ -565,28 +562,18 @@ def influence_tilde(f: FunctionOracle) -> InfluenceResult:
     """Exact walk influences: total = E_x[d Pr_{y~1-step up}[f(x) != f(y)]],
     negative = same with f(x) > f(y). Needs an explicit truth table."""
     shape = f.shape
-    table = tabulate(f)
-    bits = table.bits
-    K = walks.line_kernel(shape.n)
-    pts = shape.all_points_array()
-    idx = shape.indices_of_points(pts)
-    total_terms, neg_terms = [], []
-    strides = shape.strides
-    for i in range(shape.d):
-        for u in range(1, shape.n):
-            at_u = pts[:, i] == u
-            for v in range(u + 1, shape.n + 1):
-                w = float(K[u, v])
-                if w == 0:
-                    continue
-                src = idx[at_u]
-                dst = src + (v - u) * strides[i]
-                fx = bits[src].astype(np.int64)
-                fy = bits[dst].astype(np.int64)
-                total_terms.append(w * int((fx != fy).sum()))
-                neg_terms.append(w * int((fx > fy).sum()))
+    n = shape.n
+    bits = tabulate(f).bits.astype(np.float64).reshape((n,) * shape.d)
+    moves = np.triu(walks.one_step(n, "up"), 1)  # off the diagonal: the moves
+    total = negative = 0.0
+    for axis in range(shape.d):
+        lines = np.moveaxis(bits, axis, 0).reshape(n, -1)
+        # down[u, v]: lines along the axis with f = 1 at u and f = 0 at v.
+        down = lines @ (1.0 - lines).T
+        negative += float((moves * down).sum())
+        total += float((moves * (down + down.T)).sum())
     N = shape.num_points
-    return InfluenceResult(math.fsum(total_terms) / N, math.fsum(neg_terms) / N, True)
+    return InfluenceResult(total / N, negative / N, True)
 
 
 def influence_via_hypercubes(

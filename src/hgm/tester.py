@@ -294,15 +294,6 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
 # ---------------------------------------------------------------------------
 
 
-def _one_step(n: int, direction: str) -> np.ndarray:
-    """P[u, v] = Pr[a selected coordinate at u moves to v], 0-based, with the
-    lazy mass (draws against the walk direction) on the diagonal."""
-    K = walks.line_kernel(n)[1:, 1:]
-    up = direction == "up"
-    move, stay = (np.triu(K, 1), np.tril(K, -1)) if up else (np.tril(K, -1), np.triu(K, 1))
-    return move + np.diag(stay.sum(axis=1))
-
-
 @lru_cache(maxsize=None)
 def _pair_laws(n: int, step: str) -> np.ndarray:
     """laws[a, b, low, high]: the joint law of one coordinate of the step's
@@ -321,8 +312,8 @@ def _pair_laws(n: int, step: str) -> np.ndarray:
     # shear[x, y] is the column of y - x in an (n, 2n - 1) offset table.
     shear = (n - 1) + idx[None, :] - idx[:, None]
     eye = np.eye(n)
-    path = (eye, _one_step(n, sub.path))
-    shift = (eye, _one_step(n, sub.shift) if sub.shift else eye)
+    path = (eye, walks.one_step(n, sub.path))
+    shift = (eye, walks.one_step(n, sub.shift) if sub.shift else eye)
     laws = np.empty((2, 2, n, n))
     for a in (0, 1):
         by_offset = np.zeros((n, 2 * n - 1))

@@ -18,20 +18,26 @@ from .stats import chi_square_gof
 FORMULATIONS = ("direct", "cube_first", "cube_at_x")
 
 
+def check_joint_budget(shape: GridShape, tau: int, budget: int) -> None:
+    """BudgetError when the bound n^d C(d, m) n^m on the support of the joint
+    walk pmf, m = min(tau, d), exceeds budget: the enumeration bound of every
+    equivalence check."""
+    m = min(tau, shape.d)
+    if shape.num_points * math.comb(shape.d, m) * shape.n**m > budget:
+        raise BudgetError(f"joint walk pmf on {shape} exceeds budget ({budget} terms)")
+
+
 def joint_exact_pmf(
     shape: GridShape, tau: int, direction: str = "up", budget: int = walks.DEFAULT_PMF_BUDGET
 ) -> Dict:
     """Exact law of (x, y) with x uniform and y a tau-step walk endpoint,
-    keyed by (x_index, y_index). BudgetError when the bound
-    n^d C(d, m) n^m on its support, m = min(tau, d), exceeds budget."""
+    keyed by (x_index, y_index); budget as in :func:`check_joint_budget`."""
+    check_joint_budget(shape, tau, budget)
     N = shape.num_points
     spec = walks.WalkSpec(direction, tau, shape)
-    m = spec.effective_coords
-    if N * math.comb(shape.d, m) * shape.n**m > budget:
-        raise BudgetError(f"joint walk pmf on {shape} exceeds budget ({budget} terms)")
     out: Dict[Tuple[int, int], float] = {}
     for x in shape.points():
-        pmf = walks.exact_pmf(shape, x, spec)
+        pmf = walks.exact_pmf(shape, x, spec, budget=budget)
         xi = shape.index_of(x)
         for y, p in pmf.table.items():
             out[(xi, shape.index_of(y))] = p / N
@@ -46,10 +52,12 @@ class EquivExactResult:
 
 
 def equivalence_exact(
-    shape: GridShape, tau: int, direction: str = "up", tol: float = 1e-12
+    shape: GridShape, tau: int, direction: str = "up", tol: float = 1e-12,
+    budget: int = walks.DEFAULT_PMF_BUDGET,
 ) -> EquivExactResult:
     """Pointwise comparison of the three exact pmf formulations over every
-    anchor."""
+    anchor; budget as in :func:`check_joint_budget`."""
+    check_joint_budget(shape, tau, budget)
     diffs = {
         ("direct", "cube_first"): 0.0,
         ("direct", "cube_at_x"): 0.0,
@@ -57,7 +65,7 @@ def equivalence_exact(
     }
     spec = walks.WalkSpec(direction, tau, shape)
     for x in shape.points():
-        pmfs = {f: walks.exact_pmf(shape, x, spec, f) for f in FORMULATIONS}
+        pmfs = {f: walks.exact_pmf(shape, x, spec, f, budget) for f in FORMULATIONS}
         for a, b in diffs:
             diffs[(a, b)] = max(diffs[(a, b)], pmfs[a].max_abs_diff(pmfs[b]))
     return EquivExactResult(diffs, all(v < tol for v in diffs.values()), tol)

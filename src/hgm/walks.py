@@ -11,22 +11,26 @@ Every sampler draws a batch: one row per walk, shift or sub-hypercube
 ``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). The exact
 pmfs are its independent reference.
 
-A selected coordinate's draw depends on its value u only through a shift:
-the gap G = (c - u) mod n has one law for every u. ``sample_line_kernel``,
-which the walk and conditioned-cube samplers (and the tester's fused batch)
-share, draws G from an integer alias table (Vose's method) whose weights
-have the common denominator den = log n * lcm_q 2^q (2^q - 1), so one
-scalar-bounded draw x from [0, n * den) per move is exact: its low log n
-bits pick a column i and the rest accept i against the column's integer
-threshold or take its alias. For n >= 2048, n * den no longer fits in 63
-bits, and each move draws (q, window offset, element) as three exact
-integer draws instead.
+One per-coordinate move law: a selected coordinate's draw depends on its
+value u only through a shift, the gap G = (c - u) mod n, whose law is kept
+once as exact integer masses over the common denominator
+den = log n * lcm_q 2^q (2^q - 1). The float ``gap_law``, the circulant
+``line_kernel``, the alias table and the up/down matrices of ``one_step``
+all derive from it. ``_split_by_direction``, through which ``one_step``
+and the cube formulations' pair kernels pass, is the only place that splits
+a kernel into moves and lazy mass. ``sample_line_kernel``, which the walk and
+conditioned-cube samplers (and the tester's fused batch) share, draws G
+from the alias table (Vose's method), so one scalar-bounded draw x from
+[0, n * den) per move is exact: its low log n bits pick a column i and the
+rest accept i against the column's integer threshold or take its alias.
+For n >= 2048, n * den no longer fits in 63 bits, and each move draws
+(q, window offset, element) as three exact integer draws instead.
 
 Three equivalent formulations of the same endpoint distribution are
-implemented via genuinely different enumerations, so their pointwise
-agreement is a meaningful cross-check:
+implemented via genuinely different enumerations of the per-coordinate
+kernel, so their pointwise agreement is a meaningful cross-check:
 
-  * ``direct``     -- per-coordinate kernel from arithmetic interval counts
+  * ``direct``     -- the circulant of the gap masses from interval counts
   * ``cube_first`` -- sub-hypercube drawn unconditionally, anchor uniform in it
   * ``cube_at_x``  -- sub-hypercube drawn conditioned to contain the anchor
 
@@ -155,27 +159,42 @@ def _count_windows_covering(n: int, size: int, gap: int) -> int:
     return max(0, size - gap) + max(0, size - (n - gap))
 
 
+def _gap_denominator(n: int) -> int:
+    """den = log n * lcm_q 2^q (2^q - 1), the common denominator of the gap law."""
+    q_max = n.bit_length() - 1
+    return q_max * math.lcm(*(2**q * (2**q - 1) for q in range(1, q_max + 1)))
+
+
+@lru_cache(maxsize=None)
+def _gap_masses(n: int) -> tuple:
+    """Exact integers w, Pr[G = g] = w[g] / den, of the gap law
+    Pr[G = g] = (1/log n) sum_q cnt_q(g) / (2^q (2^q - 1)), cnt_q being
+    :func:`_count_windows_covering`; G = 0 has mass 0."""
+    den, q_max = _gap_denominator(n), n.bit_length() - 1
+    sizes = [(s, den // (q_max * s * (s - 1))) for s in (2**q for q in range(1, q_max + 1))]
+    return (0,) + tuple(
+        sum(_count_windows_covering(n, s, g) * w for s, w in sizes) for g in range(1, n)
+    )
+
+
+@lru_cache(maxsize=None)
+def gap_law(n: int) -> np.ndarray:
+    """Pr[G = g] for g in range(n), each exact mass correctly rounded."""
+    den = _gap_denominator(n)
+    p = np.array([w / den for w in _gap_masses(n)])
+    p.flags.writeable = False
+    return p
+
+
 @lru_cache(maxsize=None)
 def line_kernel(n: int) -> np.ndarray:
-    """K[u, v] = Pr[c = v] for a selected coordinate at value u (1-based).
-
-    Computed arithmetically from window counts; K[u, u] = 0 and each row
-    sums to 1.
-    """
-    q_max = n.bit_length() - 1
+    """K[u, v] = Pr[c = v] for a selected coordinate at value u (1-based):
+    the circulant K[u, v] = gap_law(n)[(v - u) mod n]. K[u, u] = 0 and each
+    row sums to 1."""
+    i = np.arange(n)
     K = np.zeros((n + 1, n + 1))
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            if v == u:
-                continue
-            gap = (v - u) % n
-            acc = 0.0
-            for q in range(1, q_max + 1):
-                size = 2**q
-                cnt = _count_windows_covering(n, size, gap)
-                # size windows contain u; given one, c is uniform on size-1 values
-                acc += cnt / size / (size - 1)
-            K[u, v] = acc / q_max
+    K[1:, 1:] = gap_law(n)[(i[None, :] - i[:, None]) % n]
+    K.flags.writeable = False
     return K
 
 
@@ -196,28 +215,42 @@ def line_kernel_enumerated(n: int) -> np.ndarray:
     return K
 
 
+def _split_by_direction(K: np.ndarray, direction: str) -> np.ndarray:
+    """The one-step matrix of a 0-based kernel K with K[u, u] = 0: the draws
+    in the walk direction are moves, and the rest is lazy mass on the
+    diagonal. The one place where a kernel is split by direction."""
+    ahead, behind = np.triu(K, 1), np.tril(K, -1)
+    if direction == "down":
+        ahead, behind = behind, ahead
+    P = ahead + np.diag(behind.sum(axis=1))
+    P.flags.writeable = False
+    return P
+
+
+@lru_cache(maxsize=None)
+def one_step(n: int, direction: str) -> np.ndarray:
+    """P[u, v] = Pr[a selected coordinate at u ends at v] under a walk in
+    direction, 0-based: :func:`line_kernel` with the lazy mass on the
+    diagonal. Rows sum to 1."""
+    if direction not in ("up", "down"):
+        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+    return _split_by_direction(line_kernel(n)[1:, 1:], direction)
+
+
 @lru_cache(maxsize=None)
 def gap_alias_table(n: int):
-    """Exact integer alias table for the gap G = (c - u) mod n of a selected
-    coordinate, or None when n * den >= 2^63 (n >= 2048).
+    """Exact integer alias table for the gap law of :func:`_gap_masses`, or
+    None when n * den >= 2^63 (n >= 2048).
 
     Returns (den, thr, alias): G = i with probability
-    (thr[i] + sum over j with alias[j] = i of (den - thr[j])) / (n * den),
-    which equals (1/log n) sum_q cnt_q(i) / (2^q (2^q - 1)), cnt_q being
-    :func:`_count_windows_covering`; G = 0 has mass 0. Built in Python
-    integers by Vose's method.
+    (thr[i] + sum over j with alias[j] = i of (den - thr[j])) / (n * den).
+    Built in Python integers by Vose's method.
     """
-    q_max = n.bit_length() - 1
-    sizes = [2**q for q in range(1, q_max + 1)]
-    lcm = math.lcm(*(s * (s - 1) for s in sizes))
-    den = q_max * lcm
+    den = _gap_denominator(n)
     if n * den >= 2**63:
         return None
-    # Column capacity is den; gap g carries n * weight(g), summing to n * den.
-    mass = [0] + [
-        n * sum(_count_windows_covering(n, s, g) * (lcm // (s * (s - 1))) for s in sizes)
-        for g in range(1, n)
-    ]
+    # Column capacity is den; gap g carries n * w[g], summing to n * den.
+    mass = [n * w for w in _gap_masses(n)]
     thr, alias = [den] * n, list(range(n))
     small = [g for g in range(n) if mass[g] < den]
     large = [g for g in range(n) if mass[g] >= den]
@@ -233,13 +266,11 @@ def gap_alias_table(n: int):
 
 def lazy_up_prob(n: int, u: int) -> float:
     """Probability a selected coordinate at value u does not move upward."""
-    K = line_kernel(n)
-    return float(K[u, 1:u].sum())
+    return float(one_step(n, "up")[u - 1, u - 1])
 
 
 def lazy_down_prob(n: int, u: int) -> float:
-    K = line_kernel(n)
-    return float(K[u, u + 1 :].sum())
+    return float(one_step(n, "down")[u - 1, u - 1])
 
 
 @lru_cache(maxsize=None)
@@ -457,62 +488,31 @@ def _esp(values: Sequence[float], k: int) -> float:
     return coeffs[k]
 
 
-def _kernels_direct(shape: GridShape, x: Point, up: bool):
-    K = line_kernel(shape.n)
-    moves, lazies = [], []
-    for u in x:
-        if up:
-            mv = {v: float(K[u, v]) for v in range(u + 1, shape.n + 1) if K[u, v] > 0}
-            lz = float(K[u, 1:u].sum())
-        else:
-            mv = {v: float(K[u, v]) for v in range(1, u) if K[u, v] > 0}
-            lz = float(K[u, u + 1 :].sum())
-        moves.append(mv)
-        lazies.append(lz)
-    return moves, lazies
-
-
-def _kernels_from_pairs(shape: GridShape, x: Point, up: bool, conditioned: bool):
-    moves, lazies = [], []
-    for u in x:
+@lru_cache(maxsize=None)
+def _pair_kernel(n: int, conditioned: bool) -> np.ndarray:
+    """K[u, c], 0-based: the law of a cube's other endpoint c at a coordinate
+    where the anchor is u, from the conditioned or unconditional pair law."""
+    raw = pair_distribution(n)
+    K = np.zeros((n, n))
+    for u in range(1, n + 1):
         if conditioned:
-            dist = pair_distribution_at(shape.n, u)
+            dist = pair_distribution_at(n, u)
         else:
-            raw = pair_distribution(shape.n)
             # Bayes: condition the unconditional cube on the uniform anchor
             # landing at u (anchor marginal is uniform on [n]).
-            dist = {
-                p: w * 0.5 * shape.n
-                for p, w in raw.items()
-                if u in p
-            }
-        mv: Dict[int, float] = {}
-        lz = 0.0
+            dist = {p: w * 0.5 * n for p, w in raw.items() if u in p}
         for (a, b), w in dist.items():
-            other = b if u == a else a
-            if up:
-                if other > u:
-                    mv[other] = mv.get(other, 0.0) + w
-                else:
-                    lz += w
-            else:
-                if other < u:
-                    mv[other] = mv.get(other, 0.0) + w
-                else:
-                    lz += w
-        moves.append(mv)
-        lazies.append(lz)
-    return moves, lazies
+            K[u - 1, (b if u == a else a) - 1] += w
+    K.flags.writeable = False
+    return K
 
 
-def _pmf_from_kernels(
-    shape: GridShape,
-    x: Point,
-    spec: WalkSpec,
-    moves,
-    lazies,
-    budget: int,
+def _pmf_from_one_step(
+    shape: GridShape, x: Point, spec: WalkSpec, P: np.ndarray, budget: int
 ) -> WalkPmf:
+    # Off the diagonal, P holds the moves; on it, the lazy mass.
+    moves = [{v + 1: float(p) for v, p in enumerate(P[u - 1]) if p > 0 and v != u - 1} for u in x]
+    lazies = [float(P[u - 1, u - 1]) for u in x]
     d = shape.d
     m = spec.effective_coords
     denom = math.comb(d, m)
@@ -552,16 +552,14 @@ def exact_pmf(
     x = shape.check_point(x)
     if spec.shape != shape:
         raise DomainError("walk spec shape mismatch")
-    up = spec.direction == "up"
     if formulation == "direct":
-        moves, lazies = _kernels_direct(shape, x, up)
-    elif formulation == "cube_first":
-        moves, lazies = _kernels_from_pairs(shape, x, up, conditioned=False)
-    elif formulation == "cube_at_x":
-        moves, lazies = _kernels_from_pairs(shape, x, up, conditioned=True)
+        P = one_step(shape.n, spec.direction)
+    elif formulation in ("cube_first", "cube_at_x"):
+        K = _pair_kernel(shape.n, conditioned=formulation == "cube_at_x")
+        P = _split_by_direction(K, spec.direction)
     else:
         raise DomainError(f"unknown formulation {formulation!r}")
-    return _pmf_from_kernels(shape, x, spec, moves, lazies, budget)
+    return _pmf_from_one_step(shape, x, spec, P, budget)
 
 
 def exact_shift_pmf(
@@ -614,6 +612,14 @@ def middle_layer_fraction_exact(d: int, c: float, eps: float) -> Fraction:
     return Fraction(total, 2**d)
 
 
+def _bernoulli_sum_law(probs) -> np.ndarray:
+    """Law of a sum of independent Bernoulli(p), p in probs, indexed by count."""
+    dist = np.array([1.0])
+    for p in probs:
+        dist = np.convolve(dist, [1.0 - p, p])
+    return dist
+
+
 def weight_distribution_at(shape: GridShape, x: Sequence[int]) -> np.ndarray:
     """Exact law of x's weight in a conditioned sub-hypercube draw.
 
@@ -621,11 +627,7 @@ def weight_distribution_at(shape: GridShape, x: Sequence[int]) -> np.ndarray:
     so the weight is a sum of independent Bernoullis.
     """
     x = shape.check_point(x)
-    probs = [lazy_up_prob(shape.n, u) for u in x]
-    dist = np.array([1.0])
-    for p in probs:
-        dist = np.convolve(dist, [1.0 - p, p])
-    return dist
+    return _bernoulli_sum_law(np.diag(one_step(shape.n, "up"))[np.subtract(x, 1)])
 
 
 def typical_probability_exact(
@@ -718,16 +720,12 @@ def restricted_walk_pdf(
     t = len(S)
     if t > ell:
         return 0.0
-    K = line_kernel(shape.n)
-    pinned = 1.0
-    for i in S:
-        pinned *= float(K[x[i], xp[i]])
+    P = one_step(shape.n, "up" if up else "down")
+    pinned = math.prod(float(P[x[i] - 1, xp[i] - 1]) for i in S)
     if pinned == 0.0:
         return 0.0
-    free_probs = [lazy_up_prob(shape.n, x[i]) for i in range(shape.d) if i not in S]
-    dist = np.array([1.0])
-    for p in free_probs:
-        dist = np.convolve(dist, [1.0 - p, p])
+    lazy = np.diag(one_step(shape.n, "up"))
+    dist = _bernoulli_sum_law(lazy[x[i] - 1] for i in range(shape.d) if i not in S)
     d = shape.d
     base = 0 if up else t  # pinned coordinates' contribution to x's weight
     total = 0.0

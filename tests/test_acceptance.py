@@ -322,7 +322,7 @@ def _rerun_from_header(text, command, tmp_path, tag):
             if key in ("passed", "loglog_slope", "fallback", "witness",
                        "full_distance", "mean", "mean_ci_low", "mean_ci_high",
                        "frac_ge_quarter_eps", "frac_ci_low", "frac_ci_high",
-                       "switched_to_statistical", "k", "k_formula"):
+                       "k", "k_formula"):
                 continue  # result footers, not configuration
             if value in ("True", "False"):
                 if value == "True":
@@ -344,7 +344,7 @@ def test_criterion_11_csv_reproducible_across_thread_counts(tmp_path):
         ),
         (
             "sweep",
-            ["sweep", "--cells", "2:2:anti_dictator:0.5;4:2:surface:0.5",
+            ["sweep", "--cells", "2:2:anti_dictator;4:2:surface",
              "--trials", "5000", "--seed", "4"],
         ),
     ]

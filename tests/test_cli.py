@@ -89,8 +89,9 @@ def test_cmd_test_usage_errors(capsys):
         ["test", "--family", "constant0", "--n", "4", "--d", "2", "--tau-schedule", "a"],
         ["test", "--family", "constant0", "--n", "4", "--d", "2", "--tau-schedule", "|"],
         ["test", "--family", "surface", "--n", "4", "--d", "2", "--family-seed", "-1"],
-        ["sweep", "--cells", "8:4:anti_dictator:x"],
-        ["sweep", "--cells", "x:4:anti_dictator:0.5"],
+        ["sweep", "--cells", "8:4:anti_dictator:0.5"],
+        ["sweep", "--cells", "x:4:anti_dictator"],
+        ["sweep", "--cells", "8:4"],
         ["reversibility", "--d", "4", "--eps", "0"],
         ["reversibility", "--d", "4", "--eps", "8"],
         ["reversibility", "--d", "4", "--c", "-1"],
@@ -100,7 +101,7 @@ def test_cmd_test_usage_errors(capsys):
         ["test", "--config", "/nonexistent/run.cfg"],
     ],
     ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n",
-         "reversibility-eps-0", "reversibility-eps-over-d", "reversibility-c-negative",
+         "cell-short", "reversibility-eps-0", "reversibility-eps-over-d", "reversibility-c-negative",
          "domain-reduce-reps-0", "equiv-mode", "config-missing"],
 )
 def test_bad_inputs_exit_64_without_traceback(capsys, argv):
@@ -247,19 +248,23 @@ def test_cmd_equiv_statistical(capsys):
     assert all(float(r["value"]) > 0.001 for r in rows)
 
 
-def test_cmd_equiv_auto_switch_on_budget(capsys):
-    # The exact mode's estimate is 16^3 * (16^2)^3 > 5e6; sampling still needs
-    # the exact joint pmf, bounded by 16^3 * C(3, 2) * 16^2 <= 5e6.
+def test_cmd_equiv_one_budget_bound(capsys):
+    # Both modes check one bound, the joint pmf's support
+    # 16^3 * C(3, 2) * 16^2 <= 5e6: exact mode runs in exact mode under it,
+    # and either mode exits 65 over it.
     code, out, _ = run_cli(
-        capsys, "equiv", "--n", "16", "--d", "3", "--tau", "2",
-        "--budget", "5000000", "--samples", "20000", "--seed", "3",
+        capsys, "equiv", "--n", "16", "--d", "3", "--tau", "2", "--budget", "5000000",
     )
-    assert "switched_to_statistical" in comments_of(out)
-    assert rows_of(out)[0]["mode"] == "statistical"
-    code, out, err = run_cli(
-        capsys, "equiv", "--n", "16", "--d", "3", "--tau", "2", "--budget", "1000",
-    )
-    assert code == cli.EXIT_BUDGET and out == "" and "joint walk pmf" in err
+    assert code == cli.EXIT_OK
+    rows = rows_of(out)
+    assert {r["mode"] for r in rows} == {"exact"} and len(rows) == 3
+    assert all(r["passed"] == "True" for r in rows)
+    for mode in ("exact", "statistical"):
+        code, out, err = run_cli(
+            capsys, "equiv", "--n", "16", "--d", "3", "--tau", "2", "--budget", "1000",
+            "--mode", mode,
+        )
+        assert code == cli.EXIT_BUDGET and out == "" and "joint walk pmf" in err
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ def test_cmd_reversibility_caps(capsys):
 def test_cmd_sweep(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--cells",
-        "2:2:anti_dictator:0.5;2:4:anti_dictator:0.5", "--trials", "4000",
+        "2:2:anti_dictator;2:4:anti_dictator", "--trials", "4000",
         "--seed", "9",
     )
     assert code == cli.EXIT_OK
@@ -305,7 +310,7 @@ def test_cmd_sweep(capsys):
 def test_cmd_sweep_failed_cell_and_slope(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--cells",
-        "2:2:anti_dictator:0.5;3:2:anti_dictator:0.5;2:8:anti_dictator:0.5",
+        "2:2:anti_dictator;3:2:anti_dictator;2:8:anti_dictator",
         "--trials", "3000", "--fit-slope",
     )
     assert code == cli.EXIT_PARTIAL
@@ -317,8 +322,10 @@ def test_cmd_sweep_failed_cell_and_slope(capsys):
 def test_cmd_sweep_empty_cells(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--cells", ";")
     assert code == cli.EXIT_USAGE
-    code, _, _ = run_cli(capsys, "sweep", "--cells", "2:2:anti_dictator")
-    assert code == cli.EXIT_USAGE
+    # The eps field is gone; a four-field cell is refused with a message
+    # that names the change.
+    code, _, err = run_cli(capsys, "sweep", "--cells", "2:2:anti_dictator:0.5")
+    assert code == cli.EXIT_USAGE and "n:d:family" in err and "eps" in err
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +397,8 @@ _FLAG_VALUES = {
     "ell": ["-1", "0", "1", "2", "9"],
     "c": ["-1", "0", "1", "100", "nan", "inf"],
     "mode": ["exact", "x"],
-    "cells": ["", ";", "2:2:anti_dictator:0.5", "2:2:anti_dictator", "3:2:dictator:0.5",
-              "2:1:nope:0.5;2:2:constant0:x", "x:1:dictator:0.5"],
+    "cells": ["", ";", "2:2:anti_dictator", "2:2:anti_dictator:0.5", "3:2:dictator",
+              "2:1:nope;2:2:constant0", "x:1:dictator", "2:2"],
     "tau_schedule": ["1", "1|2", "3", "|", "a", "0"],
     "out": ["/nonexistent/out.csv"],
     "config": ["/nonexistent/run.cfg"],

@@ -68,6 +68,17 @@ def _gap_law(n):
 
 
 @pytest.mark.parametrize("n", [2**q for q in range(1, 11)])
+def test_kernel_matches_fraction_gap_law(n):
+    # Past n = 16, where the enumerated kernel is too slow, the kernel is
+    # checked against the exact law of the gap it is the circulant of.
+    law = np.array([float(p) for p in _gap_law(n)])
+    v = np.arange(n)
+    K = walks.line_kernel(n)
+    assert np.abs(K[1:, 1:] - law[(v[None, :] - v[:, None]) % n]).max() < 1e-15
+    assert not K[0].any() and not K[:, 0].any()
+
+
+@pytest.mark.parametrize("n", [2**q for q in range(1, 11)])
 def test_gap_alias_table_is_exact(n):
     den, thr, alias = walks.gap_alias_table(n)
     assert n * den < 2**63
@@ -84,16 +95,11 @@ def test_gap_alias_table_gives_way_to_three_draws_from_2048():
 
 @pytest.mark.parametrize("direction", ["up", "down"])
 def test_three_draw_moves_match_gap_law_at_2048(direction):
-    # n = 2048 is past the alias table (n * den >= 2^63); computed vectorized,
-    # because line_kernel's loop is O(n^2 log n).
+    # n = 2048 is past the alias table (n * den >= 2^63). The three draws
+    # never read the gap masses, so the masses are an independent reference.
     n, u, N = 2048, 700, 200_000
     g = np.arange(n)
-    gap = np.zeros(n)
-    for q in range(1, n.bit_length()):
-        s = 2**q
-        gap += (np.maximum(0, s - g) + np.maximum(0, s - (n - g))) / (s * (s - 1))
-    gap[0] = 0.0
-    gap /= n.bit_length() - 1
+    gap = walks.gap_law(n)
     c = (u - 1 + g) % n + 1  # the value at each gap
     ahead = c > u if direction == "up" else c < u
     expected = {int(v): float(p) for v, p in zip(c[ahead], gap[ahead])}
@@ -108,6 +114,15 @@ def test_three_draw_moves_match_gap_law_at_2048(direction):
 def test_lazy_probs_complement_move_mass():
     for n in (4, 8, 16):
         K = walks.line_kernel(n)
+        lazy = {"up": walks.lazy_up_prob, "down": walks.lazy_down_prob}
+        for direction, lazy_prob in lazy.items():
+            P = walks.one_step(n, direction)
+            assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+            for u in range(1, n + 1):
+                assert P[u - 1, u - 1] == lazy_prob(n, u)
+            # Off the diagonal, P is the kernel's draws in the walk direction.
+            moves = np.triu(K[1:, 1:], 1) if direction == "up" else np.tril(K[1:, 1:], -1)
+            assert (P - np.diag(np.diag(P)) == moves).all()
         for u in range(1, n + 1):
             up_mass = K[u, u + 1 :].sum()
             assert abs(walks.lazy_up_prob(n, u) + up_mass - 1.0) < 1e-12
