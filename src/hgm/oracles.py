@@ -5,6 +5,12 @@ persistence, and the mostly-zero-below / red / blue edge classifiers.
 Everything here is an *oracle*: slow, exact (or explicitly labeled
 otherwise), and independent of the sampling code it validates.
 
+The exact distance is one minimum cut (source -> 1-points -> 0-points ->
+sink) over either of two graphs: the explicit comparable violations
+("hopcroft_karp", for small boxes) or the covering DAG ("dag_flow", whose
+paths reach every comparable pair). The two graphs cross-check each other,
+and :func:`distance_bruteforce` checks both by up-set enumeration.
+
 The walk machinery requires power-of-two side lengths, but the purely
 order-theoretic quantities (distance, matchings, Talagrand) are defined for
 any box [n]^d. They take a FunctionOracle (whose GridShape is a Box) or a
@@ -18,9 +24,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -164,82 +170,8 @@ def _comparable_violations(box: Box, bits: np.ndarray, budget: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Maximum matching (Hopcroft-Karp) and the flow formulation
+# Distance: one minimum cut over either violation-closing graph
 # ---------------------------------------------------------------------------
-
-_INF = float("inf")
-
-
-def hopcroft_karp(adj: Dict[int, list], left: Sequence[int]) -> Dict[int, int]:
-    """Maximum matching of a bipartite graph given as left -> sorted right lists.
-
-    Returns the left-to-right matching map. Deterministic: vertices are
-    processed in sorted order and adjacency lists must be pre-sorted.
-    """
-    match_l: Dict[int, int] = {}
-    match_r: Dict[int, int] = {}
-    left = sorted(left)
-    dist: Dict[int, float] = {}
-
-    def bfs() -> bool:
-        queue = []
-        for u in left:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj.get(u, ()):
-                w = match_r.get(v)
-                if w is None:
-                    found = True
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj.get(u, ()):
-            w = match_r.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
-    while bfs():
-        for u in left:
-            if u not in match_l:
-                dfs(u)
-    return match_l
-
-
-def koenig_cover(
-    adj: Dict[int, list], left: Sequence[int], match_l: Dict[int, int]
-) -> Tuple[set, set]:
-    """Minimum vertex cover from a maximum matching via alternating reachability."""
-    match_r = {v: u for u, v in match_l.items()}
-    visited_l, visited_r = set(), set()
-    stack = [u for u in left if u not in match_l]
-    visited_l.update(stack)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v in visited_r:
-                continue
-            visited_r.add(v)
-            w = match_r.get(v)
-            if w is not None and w not in visited_l:
-                visited_l.add(w)
-                stack.append(w)
-    cover_l = {u for u in left if u not in visited_l}
-    return cover_l, visited_r
 
 
 @dataclass
@@ -251,12 +183,12 @@ class DistanceResult:
     method: str
 
 
-def _upset_repair(box: Box, bits: np.ndarray, cover: set) -> np.ndarray:
+def _upset_repair(box: Box, bits: np.ndarray, cover: np.ndarray) -> np.ndarray:
     """Monotone repair from a vertex cover of the comparability violation
     graph: g = indicator of the up-closure of uncovered 1-points. g differs
     from f only on the cover."""
     seeds = bits.astype(bool)
-    seeds[np.fromiter(cover, dtype=np.int64, count=len(cover))] = False
+    seeds[cover] = False
     shaped = seeds.reshape((box.n,) * box.d)
     for axis in range(box.d):
         shaped = np.maximum.accumulate(shaped, axis=axis)
@@ -264,72 +196,69 @@ def _upset_repair(box: Box, bits: np.ndarray, cover: set) -> np.ndarray:
     return np.nonzero(g != bits.astype(bool))[0]
 
 
-def _distance_small(box: Box, bits: np.ndarray, budget: int) -> DistanceResult:
-    edges = _comparable_violations(box, bits, budget)
-    adj: Dict[int, list] = {}
-    for xi, yi, _ in edges:
-        adj.setdefault(int(xi), []).append(int(yi))
-    for v in adj.values():
-        v.sort()
-    left = sorted(adj)
-    match_l = hopcroft_karp(adj, left)
-    cover_l, cover_r = koenig_cover(adj, left, match_l)
-    cover = cover_l | cover_r
-    repair = _upset_repair(box, bits, cover)
-    assert len(repair) == len(match_l), "repair size must equal matching size"
-    return DistanceResult(
-        Fraction(len(match_l), box.num_points),
-        len(match_l),
-        repair,
-        box.num_points,
-        "hopcroft_karp",
-    )
+def _covering_edges(box: Box) -> np.ndarray:
+    """(m, 2) edges x -> x + e_i of the covering DAG, by point index."""
+    idx = np.arange(box.num_points)
+    tails = [idx[idx // s % box.n < box.n - 1] for s in box.strides]
+    return np.concatenate([np.column_stack([t, t + s]) for t, s in zip(tails, box.strides)])
 
 
-def _distance_flow(box: Box, bits: np.ndarray) -> DistanceResult:
-    """Matching via max flow on the covering DAG; avoids materializing the
-    quadratically many comparable pairs."""
+def _min_cut_distance(
+    box: Box, bits: np.ndarray, edges: np.ndarray, method: str
+) -> DistanceResult:
+    """Maximum matching of the comparability violation graph as a minimum
+    cut: source -> every 1-point (capacity 1), edges[:, 0] -> edges[:, 1]
+    uncapped, every 0-point -> sink (capacity 1). Any edge set on which a
+    1-point reaches a 0-point exactly when it lies below it gives the same
+    cut. Koenig's minimum vertex cover is the unreached 1-points and the
+    reached 0-points of the residual graph; the repair keeps the rest."""
     N = box.num_points
     source, sink = N, N + 1
-    idx = np.arange(N)
-    pts = box.all_points_array()
-    strides = box.strides
-    big = N + 1
-    rows, cols, caps = [], [], []
-    for i in range(box.d):
-        ok = pts[:, i] < box.n
-        rows.append(idx[ok])
-        cols.append(idx[ok] + strides[i])
-        caps.append(np.full(ok.sum(), big))
-    ones = idx[bits == 1]
-    zeros = idx[bits == 0]
-    rows.append(np.full(len(ones), source))
-    cols.append(ones)
-    caps.append(np.ones(len(ones), dtype=np.int64))
-    rows.append(zeros)
-    cols.append(np.full(len(zeros), sink))
-    caps.append(np.ones(len(zeros), dtype=np.int64))
+    ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+    # Built in one expression, with edges released before the flow, so no
+    # coordinate array stays alive next to the flow's own graph copies.
     cap = sp.csr_matrix(
-        (np.concatenate(caps), (np.concatenate(rows), np.concatenate(cols))),
+        (
+            np.concatenate([
+                np.ones(len(ones), np.int32),
+                np.full(len(edges), N + 1, np.int32),
+                np.ones(len(zeros), np.int32),
+            ]),
+            (
+                np.concatenate([np.full(len(ones), source), edges[:, 0], zeros]),
+                np.concatenate([ones, edges[:, 1], np.full(len(zeros), sink)]),
+            ),
+        ),
         shape=(N + 2, N + 2),
         dtype=np.int32,
     )
+    del edges
     res = maximum_flow(cap, source, sink)
     residual = cap - res.flow
     residual.data = (residual.data > 0).astype(np.int32)
     residual.eliminate_zeros()
-    order = breadth_first_order(residual, source, directed=True, return_predecessors=False)
     reach = np.zeros(N + 2, dtype=bool)
-    reach[order] = True
-    cover = set(int(x) for x in ones[~reach[ones]]) | set(
-        int(y) for y in zeros[reach[zeros]]
-    )
-    assert len(cover) == res.flow_value
+    reach[breadth_first_order(residual, source, directed=True, return_predecessors=False)] = True
+    cover = np.concatenate([ones[~reach[ones]], zeros[reach[zeros]]])
+    size = int(res.flow_value)
+    assert len(cover) == size, "cover size must equal the flow value"
     repair = _upset_repair(box, bits, cover)
-    assert len(repair) == res.flow_value
-    return DistanceResult(
-        Fraction(int(res.flow_value), N), int(res.flow_value), repair, N, "dag_flow"
+    assert len(repair) == size, "repair size must equal the flow value"
+    return DistanceResult(Fraction(size, N), size, repair, N, method)
+
+
+def _distance_small(box: Box, bits: np.ndarray, budget: int) -> DistanceResult:
+    """The cut over the explicit comparable violations. It is a unit
+    bipartite network, on which Dinic's algorithm is Hopcroft-Karp."""
+    return _min_cut_distance(
+        box, bits, _comparable_violations(box, bits, budget), "hopcroft_karp"
     )
+
+
+def _distance_flow(box: Box, bits: np.ndarray) -> DistanceResult:
+    """The cut over the covering DAG; avoids materializing the
+    quadratically many comparable pairs."""
+    return _min_cut_distance(box, bits, _covering_edges(box), "dag_flow")
 
 
 def distance_to_monotonicity(
@@ -653,6 +582,23 @@ def _walk_endpoint_values(
     return f.peek_many(walks.sample_walk_batch(f.shape, X, tau, direction, rng))
 
 
+def _check_mode(mode: str, rng) -> None:
+    if mode not in ("exact", "mc"):
+        raise DomainError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if mode == "mc" and rng is None:
+        raise DomainError("mode 'mc' needs an rng")
+
+
+def _decide(lo: float, hi: float, threshold: float) -> Trivalent:
+    """YES if the probability is surely at least threshold, NO if surely
+    below it. An exact probability p is the interval lo = hi = p."""
+    if lo >= threshold:
+        return Trivalent.YES
+    if hi < threshold:
+        return Trivalent.NO
+    return Trivalent.UNDECIDED
+
+
 def persistence_classify(
     f: FunctionOracle,
     tau: int,
@@ -664,6 +610,7 @@ def persistence_classify(
     rng=None,
 ) -> Trivalent:
     """Is Pr[f(walk endpoint) != f(x)] <= beta for the tau-step walk from x?"""
+    _check_mode(mode, rng)
     x = f.shape.check_point(x)
     fx = f.peek(x)
     if mode == "exact":
@@ -697,18 +644,14 @@ def mzb_classify(
     rng=None,
 ) -> Trivalent:
     """Mostly-zero-below: down-walk hits a 0 with probability >= 0.9."""
+    _check_mode(mode, rng)
     z = f.shape.check_point(z)
     if mode == "exact":
         p = mzb_prob(f, ell, z)
-        return Trivalent.YES if p >= MZB_THRESHOLD else Trivalent.NO
+        return _decide(p, p, MZB_THRESHOLD)
     ends = _walk_endpoint_values(f, np.tile(z, (samples, 1)), ell, "down", rng)
     hits = int((ends == 0).sum())
-    lo, hi = wilson_interval(hits, samples)
-    if lo >= MZB_THRESHOLD:
-        return Trivalent.YES
-    if hi < MZB_THRESHOLD:
-        return Trivalent.NO
-    return Trivalent.UNDECIDED
+    return _decide(*wilson_interval(hits, samples), MZB_THRESHOLD)
 
 
 def _interval_points(shape: GridShape, edge) -> list:
@@ -730,6 +673,7 @@ def red_classify(
 ) -> Trivalent:
     """Red edge: a uniform interior point's ell-step up-walk lands on an
     ell-mostly-zero-below point with probability >= 0.01."""
+    _check_mode(mode, rng)
     interior = _interval_points(f.shape, edge)
     if mode == "exact":
         cache: Dict[Point, bool] = {}
@@ -743,7 +687,7 @@ def red_classify(
             _exact_walk_event_prob(f, z, ell, "up", lambda y: is_mzb(y))
             for z in interior
         ) / len(interior)
-        return Trivalent.YES if avg >= REDBLUE_THRESHOLD else Trivalent.NO
+        return _decide(avg, avg, REDBLUE_THRESHOLD)
     # MC mode: per-sample mostly-zero-below classification is itself
     # three-valued; undecided inner samples propagate to the decision bounds.
     # One batch of outer walks, then one batch of inner walks per endpoint,
@@ -755,11 +699,7 @@ def red_classify(
     und = verdicts.count(Trivalent.UNDECIDED)
     lo, _ = wilson_interval(yes, samples)
     _, hi = wilson_interval(yes + und, samples)
-    if lo >= REDBLUE_THRESHOLD:
-        return Trivalent.YES
-    if hi < REDBLUE_THRESHOLD:
-        return Trivalent.NO
-    return Trivalent.UNDECIDED
+    return _decide(lo, hi, REDBLUE_THRESHOLD)
 
 
 def blue_classify(
@@ -772,21 +712,17 @@ def blue_classify(
 ) -> Trivalent:
     """Blue edge: a uniform interior point's ell-step down-walk lands on a
     1-valued point with probability >= 0.01."""
+    _check_mode(mode, rng)
     interior = _interval_points(f.shape, edge)
     if mode == "exact":
         avg = math.fsum(
             _exact_walk_event_prob(f, z, ell, "down", lambda y: f.peek(y) == 1)
             for z in interior
         ) / len(interior)
-        return Trivalent.YES if avg >= REDBLUE_THRESHOLD else Trivalent.NO
+        return _decide(avg, avg, REDBLUE_THRESHOLD)
     Z = np.asarray(interior)[rng.integers(0, len(interior), size=samples)]
     hits = int((_walk_endpoint_values(f, Z, ell, "down", rng) == 1).sum())
-    lo, hi = wilson_interval(hits, samples)
-    if lo >= REDBLUE_THRESHOLD:
-        return Trivalent.YES
-    if hi < REDBLUE_THRESHOLD:
-        return Trivalent.NO
-    return Trivalent.UNDECIDED
+    return _decide(*wilson_interval(hits, samples), REDBLUE_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,15 @@ def _check_schedule(schedule: Sequence[int]) -> None:
 
 def worker_count() -> int:
     env = os.environ.get("HGM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise ConfigError(f"HGM_THREADS must be an integer, got {env!r}") from e
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError as e:
+        raise ConfigError(f"HGM_THREADS must be an integer, got {env!r}") from e
+    if threads < 1:
+        raise ConfigError(f"HGM_THREADS must be at least 1, got {env!r}")
+    return threads
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,11 @@ from .grid import GridShape, Point
 DEFAULT_PMF_BUDGET = 10**8
 
 
+def _check_direction(direction: str) -> None:
+    if direction not in ("up", "down"):
+        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+
+
 @dataclass(frozen=True)
 class WalkSpec:
     """Direction and length of a lazy directed walk on a grid."""
@@ -66,8 +71,7 @@ class WalkSpec:
     shape: GridShape
 
     def __post_init__(self):
-        if self.direction not in ("up", "down"):
-            raise DomainError(f"direction must be 'up' or 'down', got {self.direction!r}")
+        _check_direction(self.direction)
         if self.length < 0:
             raise DomainError("walk length must be non-negative")
 
@@ -232,8 +236,7 @@ def one_step(n: int, direction: str) -> np.ndarray:
     """P[u, v] = Pr[a selected coordinate at u ends at v] under a walk in
     direction, 0-based: :func:`line_kernel` with the lazy mass on the
     diagonal. Rows sum to 1."""
-    if direction not in ("up", "down"):
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+    _check_direction(direction)
     return _split_by_direction(line_kernel(n)[1:, 1:], direction)
 
 
@@ -424,6 +427,7 @@ def sample_walk_batch(
     randomness a call consumes, and in what order, depends on the lengths:
     rows are grouped by subset size, then the selected entries draw together.
     """
+    _check_direction(direction)
     Y = np.array(X, dtype=np.int64, order="C")
     flat = Y.reshape(-1)  # a view: moves are written into Y
     idx = np.flatnonzero(select_coordinates(shape.d, np.broadcast_to(lengths, len(Y)), rng))
@@ -465,6 +469,7 @@ def sample_hypercube_walk_batch(
     A: np.ndarray, B: np.ndarray, X: np.ndarray, lengths, direction: str, rng
 ) -> np.ndarray:
     """Vectorized in-cube lazy walks from vertices X of the cubes (A, B)."""
+    _check_direction(direction)
     N, d = X.shape
     selected = select_coordinates(d, np.broadcast_to(lengths, N), rng)
     if direction == "up":
@@ -646,8 +651,7 @@ def cube_walk_closed_form(
 ) -> Fraction:
     """Probability that an ell-step lazy cube walk from a weight-w vertex lands
     on a fixed target at Hamming distance t, as an exact binomial ratio."""
-    if direction not in ("up", "down"):
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+    _check_direction(direction)
     if not (0 <= t <= ell <= d):
         raise DomainError(f"need 0 <= t <= ell <= d, got t={t}, ell={ell}, d={d}")
     if not 0 <= weight_x <= d:

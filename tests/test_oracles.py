@@ -105,18 +105,37 @@ def test_distance_examples():
 
 
 def test_distance_methods_agree_and_repairs_are_valid():
-    shape = GridShape(4, 2)
-    for seed in range(12):
-        bits = random_bits(16, seed)
-        f = ExplicitFunction(shape, bits)
-        small = oracles.distance_to_monotonicity(f, force_method="hopcroft_karp")
-        flow = oracles.distance_to_monotonicity(f, force_method="dag_flow")
+    # Random inputs on even and odd sides, small enough for the up-set
+    # enumeration, and at 512 points, the largest auto-selected matching;
+    # plus inputs with an empty matching and an empty cover.
+    cases = [
+        (box, random_bits(box.num_points, seed))
+        for box, seeds in (
+            (Box(4, 2), range(12)), (Box(3, 3), range(6)), (Box(5, 2), range(6)),
+            (Box(3, 2), range(6)), (Box(2, 3), range(6)), (Box(12, 1), range(6)),
+            (GridShape(8, 3), range(3)),
+        )
+        for seed in seeds
+    ]
+    for box in (Box(3, 2), Box(5, 2), GridShape(8, 3)):
+        weight = box.all_points_array().sum(axis=1)
+        # Constant 0, constant 1, and a monotone threshold.
+        for bits in (weight < 0, weight > 0, weight > box.d * (box.n + 1) // 2):
+            cases.append((box, bits.astype(np.uint8)))
+    assert oracles.distance_to_monotonicity(cases[-1]).method == "hopcroft_karp"
+    for box, bits in cases:
+        small = oracles.distance_to_monotonicity((box, bits), force_method="hopcroft_karp")
+        flow = oracles.distance_to_monotonicity((box, bits), force_method="dag_flow")
         assert small.distance == flow.distance
+        if box.num_points <= 12:
+            assert small.distance == oracles.distance_bruteforce((box, bits))
         for res in (small, flow):
             repaired = bits.copy()
             repaired[res.repair_indices] ^= 1
-            assert oracles.bits_monotone(Box(4, 2), repaired)
+            assert oracles.bits_monotone(box, repaired)
             assert len(res.repair_indices) == res.matching_size
+        if oracles.bits_monotone(box, bits):
+            assert small.matching_size == flow.matching_size == 0
 
 
 @given(st.integers(0, 2**9 - 1))
@@ -390,6 +409,30 @@ def test_mc_classifiers_match_exact_far_from_threshold():
                     )
     names = ("persistence-up", "persistence-down", "mzb", "blue")
     assert seen == {(name, v) for name in names for v in (Trivalent.YES, Trivalent.NO)}
+
+
+@pytest.mark.parametrize("mode, has_rng", [("exct", True), ("Exact", True), ("MC", True), ("mc", False)])
+def test_classifiers_reject_an_unknown_mode_and_mc_without_rng(mode, has_rng):
+    # An unknown mode once ran Monte Carlo, and "mc" without an rng died
+    # inside the sampler with an AttributeError.
+    f = ExplicitFunction(GridShape(4, 2), random_bits(16, 1))
+    rng = substream(0, "mode") if has_rng else None
+    edge = ((1, 1), (2, 1))
+    for call in (
+        lambda: oracles.persistence_classify(f, 1, 0.1, (2, 2), "up", mode=mode, samples=50, rng=rng),
+        lambda: oracles.mzb_classify(f, 1, (2, 2), mode=mode, samples=50, rng=rng),
+        lambda: oracles.red_classify(f, 1, edge, mode=mode, samples=50, rng=rng),
+        lambda: oracles.blue_classify(f, 1, edge, mode=mode, samples=50, rng=rng),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_mc_persistence_rejects_a_bad_direction(rng):
+    # Exact mode always raised here; MC mode walked down and answered NO.
+    f = ExplicitFunction(GridShape(4, 2), random_bits(16, 1))
+    with pytest.raises(DomainError):
+        oracles.persistence_classify(f, 1, 0.1, (2, 2), "Up", mode="mc", samples=50, rng=rng)
 
 
 _EDGE = ((1, 1), (2, 1))

@@ -63,9 +63,10 @@ def test_worker_count_env(monkeypatch):
     assert tester.worker_count() == 1
     monkeypatch.setenv("HGM_THREADS", "3")
     assert tester.worker_count() == 3
-    monkeypatch.setenv("HGM_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        tester.worker_count()
+    for bad in ("zero", "0", "-3"):
+        monkeypatch.setenv("HGM_THREADS", bad)
+        with pytest.raises(ConfigError):
+            tester.worker_count()
 
 
 # ---------------------------------------------------------------------------

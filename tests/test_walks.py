@@ -180,6 +180,23 @@ def test_extreme_points_absorb_and_tau_zero_is_identity(rng):
         assert (walks.sample_walk_batch(shape, X, 0, direction, rng) == X).all()
 
 
+def test_every_walk_entry_point_rejects_a_bad_direction(rng):
+    # The batch samplers once walked down for any direction but "up".
+    shape = GridShape(4, 2)
+    X = np.full((5, 2), 2)
+    A, B = np.ones_like(X), np.full_like(X, 4)
+    for direction in ("sideways", "Up", ""):
+        for call in (
+            lambda: walks.sample_walk_batch(shape, X, 2, direction, rng),
+            lambda: walks.sample_hypercube_walk_batch(A, B, X, 1, direction, rng),
+            lambda: walks.WalkSpec(direction, 1, shape),
+            lambda: walks.one_step(4, direction),
+            lambda: walks.cube_walk_closed_form(4, 2, 1, 1, direction),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+
 def test_shift_vectors_restore_walk_endpoints(rng):
     # The tester's shift sub-tests: a shift drawn at an anchor moves the
     # anchor to its own walk endpoint, and moves the coupled walk's other
