@@ -8,7 +8,8 @@ length d. The linear index uses mixed radix with coordinate 1 least
 significant: index(x) = sum_i (x_i - 1) * n^(i-1).
 
 Every value read from a :class:`FunctionOracle`, charged or not, is
-checked to lie in {0, 1}; ``peek_many`` is the one uncharged batch read.
+checked to lie in {0, 1}, and every batch of points to lie in [1, n]^d;
+``peek_many`` is the one uncharged batch read.
 """
 
 from __future__ import annotations
@@ -176,12 +177,11 @@ class FunctionOracle:
         return self.peek(x)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate an (N, d) array of points; counts N queries."""
-        pts = np.asarray(pts, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != self.shape.d:
-            raise DomainError(f"expected (N, {self.shape.d}) points, got {pts.shape}")
-        self.query_count += pts.shape[0]
-        return self.peek_many(pts)
+        """Evaluate an (N, d) array of points, checked as in ``peek_many``;
+        counts N queries."""
+        vals = self.peek_many(pts)
+        self.query_count += len(vals)
+        return vals
 
     def peek(self, x: Sequence[int]) -> int:
         """Evaluate without counting a query (for oracles validating oracles)."""
@@ -192,8 +192,23 @@ class FunctionOracle:
         return int(v)
 
     def peek_many(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate an (N, d) array of points without counting queries."""
-        pts = np.asarray(pts, dtype=np.int64)
+        """Evaluate an (N, d) array of points without counting queries.
+
+        The points must be integers in [1, n]^d (DomainError otherwise). The
+        range is checked on the caller's own dtype, before the int64 copy
+        that the function reads.
+        """
+        pts = np.asarray(pts)
+        n, d = self.shape.n, self.shape.d
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise DomainError(f"expected (N, {d}) points, got {pts.shape}")
+        if pts.dtype.kind not in "iu":
+            raise DomainError(f"points must be integers, got dtype {pts.dtype}")
+        if pts.size and (pts.min() < 1 or pts.max() > n):
+            raise DomainError(
+                f"coordinates span [{pts.min()}, {pts.max()}], outside [1, {n}]"
+            )
+        pts = pts.astype(np.int64, copy=False)
         if self._fn_many is not None:
             vals = np.asarray(self._fn_many(pts))
         else:
@@ -406,34 +421,54 @@ def doubly_flip(f: FunctionOracle) -> FunctionOracle:
 def restrict_to_subgrid(
     f: FunctionOracle, subsets: Sequence[Sequence[int]]
 ) -> FunctionOracle:
-    """Restrict f to the product of d sorted coordinate multisets of size k."""
-    d = f.shape.d
+    """Restrict f to the product of d sorted coordinate multisets of size k.
+
+    The multisets are held as one (d, k) int64 table. A batch of points maps
+    back to f by one gather: coordinate z_i is entry i*k + z_i - 1 of the
+    flattened table, and the values are gathered in place into that index
+    array, which is new on every call, so concurrent batches share no buffer.
+    """
+    n, d = f.shape.n, f.shape.d
     if len(subsets) != d:
         raise DomainError(f"expected {d} coordinate multisets, got {len(subsets)}")
-    k = len(subsets[0])
-    tables = []
-    for i, sub in enumerate(subsets):
-        if len(sub) != k:
-            raise DomainError("all coordinate multisets must have equal size")
-        if any(not 1 <= v <= f.shape.n for v in sub):
-            raise DomainError(f"subset {i + 1} has values outside [1, {f.shape.n}]")
-        if any(sub[j] > sub[j + 1] for j in range(k - 1)):
-            raise DomainError(f"subset {i + 1} is not sorted non-decreasing")
-        tables.append(np.asarray(sub, dtype=np.int64))
+    try:
+        table = np.asarray(subsets)
+    except ValueError:  # ragged rows
+        table = np.empty(0)
+    if table.ndim != 2:
+        raise DomainError("all coordinate multisets must have equal size")
+    if table.dtype.kind not in "iu":
+        raise DomainError(f"coordinate multisets must hold integers, got dtype {table.dtype}")
+    k = table.shape[1]
     sub_shape = GridShape(k, d)
+    outside = np.flatnonzero(((table < 1) | (table > n)).any(axis=1))
+    if outside.size:
+        raise DomainError(f"subset {outside[0] + 1} has values outside [1, {n}]")
+    unsorted = np.flatnonzero((np.diff(table, axis=1) < 0).any(axis=1))
+    if unsorted.size:
+        raise DomainError(f"subset {unsorted[0] + 1} is not sorted non-decreasing")
+    flat = table.astype(np.int64).reshape(-1)
+    offsets = np.arange(d, dtype=np.int64) * k - 1
 
     def g(z: Point) -> int:
-        return f.peek(tuple(int(tables[i][z[i] - 1]) for i in range(d)))
+        return f.peek(tuple(flat[np.add(z, offsets)].tolist()))
 
     def g_many(pts: np.ndarray) -> np.ndarray:
-        return f.peek_many(np.column_stack([tables[i][pts[:, i] - 1] for i in range(d)]))
+        # peek_many has checked pts against [1, k]^d, so no index is clipped;
+        # a mode other than "raise" lets take write into its own index array.
+        idx = pts + offsets
+        return f.peek_many(np.take(flat, idx, out=idx, mode="clip"))
 
     return FunctionOracle(sub_shape, g, g_many, f"restrict({f.name},k={k})")
 
 
 def sample_subgrid(shape: GridShape, k: int, rng) -> list[list[int]]:
-    """Draw d sorted multisets of k independent uniform samples from [n]."""
-    return [sorted(int(v) for v in rng.integers(1, shape.n + 1, size=k)) for _ in range(shape.d)]
+    """Draw d sorted multisets of k independent uniform samples from [n].
+
+    One (d, k) draw sorted along its rows: the same lists, and the same
+    generator state after, as d draws of k samples, one per axis in order.
+    """
+    return np.sort(rng.integers(1, shape.n + 1, size=(shape.d, k)), axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -265,19 +265,22 @@ def distance_to_monotonicity(
     f, budget: int = DEFAULT_GRAPH_BUDGET, force_method: Optional[str] = None
 ) -> DistanceResult:
     """Exact distance = (max matching of the comparability violation graph)/n^d,
-    with one optimal repair set. budget bounds the comparable violations
-    (hopcroft_karp) or the n^d (d + 1) covering-DAG edges (dag_flow), checked
-    before f is tabulated."""
+    with one optimal repair set. budget bounds the candidate violating pairs,
+    at most (n^d)^2 / 4 (hopcroft_karp), or the n^d (d + 1) covering-DAG edges
+    (dag_flow); both bounds are checked before f is tabulated."""
     box = f.shape if isinstance(f, FunctionOracle) else f[0]
-    method = force_method or ("hopcroft_karp" if box.num_points <= 512 else "dag_flow")
-    if method == "dag_flow" and box.num_points * (box.d + 1) > budget:
+    N = box.num_points
+    method = force_method or ("hopcroft_karp" if N <= 512 else "dag_flow")
+    if method not in ("hopcroft_karp", "dag_flow"):
+        raise DomainError(f"unknown distance method {method!r}")
+    if method == "hopcroft_karp" and N * N // 4 > budget:
+        raise BudgetError(f"up to {N * N // 4} candidate pairs on {box} exceed budget {budget}")
+    if method == "dag_flow" and N * (box.d + 1) > budget:
         raise BudgetError(f"covering DAG of {box} exceeds budget ({budget} edges)")
     box, bits = box_and_bits(f)
     if method == "hopcroft_karp":
         return _distance_small(box, bits, budget)
-    if method == "dag_flow":
-        return _distance_flow(box, bits)
-    raise DomainError(f"unknown distance method {method!r}")
+    return _distance_flow(box, bits)
 
 
 def distance_bruteforce(f) -> Fraction:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgm import walks
 from hgm.errors import ConfigError, DomainError, FormatError
 from hgm.grid import (
     Box,
@@ -241,6 +242,88 @@ def test_sample_subgrid_shape(rng):
         assert len(sub) == 4
         assert sub == sorted(sub)
         assert all(1 <= v <= 8 for v in sub)
+
+
+@pytest.mark.parametrize("n,d,k", [(8, 64, 8), (2**20, 3, 7), (64, 5, 2), (16, 7, 16)])
+def test_sample_subgrid_is_the_per_axis_stream(n, d, k):
+    # One (d, k) draw must give the lists, and leave the generator state,
+    # of one size-k draw per axis, so seeded results do not change.
+    for seed in range(4):
+        per_axis_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        per_axis = [sorted(int(v) for v in per_axis_rng.integers(1, n + 1, size=k))
+                    for _ in range(d)]
+        T = sample_subgrid(GridShape(n, d), k, rng)
+        assert T == per_axis
+        assert all(type(v) is int for sub in T for v in sub)
+        assert rng.bit_generator.state == per_axis_rng.bit_generator.state
+
+
+def recording_oracle(shape):
+    """An oracle answering 0 that keeps every point it is asked to read."""
+    seen = []
+
+    def fn(x):
+        seen.append(np.array([x]))
+        return 0
+
+    def fn_many(pts):
+        seen.append(pts.copy())
+        return np.zeros(len(pts), np.int8)
+
+    return FunctionOracle(shape, fn, fn_many, "recorder"), seen
+
+
+@pytest.mark.parametrize("n,d,k", [(8, 64, 8), (2**20, 3, 4), (64, 5, 2), (16, 7, 16)])
+def test_restricted_reads_match_a_per_axis_gather(n, d, k):
+    rng = np.random.default_rng(n * d + k)
+    T = sample_subgrid(GridShape(n, d), k, rng)
+    f, seen = recording_oracle(GridShape(n, d))
+    g = restrict_to_subgrid(f, T)
+    z = walks.sample_points_batch(g.shape, 500, rng)  # narrow dtype, as the tester draws
+    z_before = z.copy()
+    wide = z.astype(np.int64)
+    expected = np.column_stack([np.asarray(T[i])[wide[:, i] - 1] for i in range(d)])
+    g.eval_many(z)
+    g.peek_many(wide)
+    g.peek_many(z.tolist())
+    for row in z[:3]:
+        g(tuple(int(c) for c in row))
+    assert len(seen) == 6
+    for pts in seen[:3]:
+        assert pts.dtype == np.int64 and np.array_equal(pts, expected)
+    for i, pts in enumerate(seen[3:]):
+        assert np.array_equal(pts[0], expected[i])
+    # The gather works in its own buffer, never in the caller's points.
+    assert np.array_equal(z, z_before) and np.array_equal(wide, z_before)
+    assert g.query_count == len(z) + 3 and f.query_count == 0
+
+
+def test_batch_reads_reject_points_outside_the_box():
+    dictator = make_family(FamilySpec("dictator"), GridShape(4, 2))
+    restricted = restrict_to_subgrid(dictator, [[1, 2, 3, 4], [1, 1, 2, 4]])
+    explicit = ExplicitFunction(GridShape(2, 2), np.array([0, 1, 1, 1]))
+    cases = [
+        (restricted, [[0, 1]]),  # would read the axis's top sample
+        (restricted, [[5, 1]]),  # would read past the table
+        (explicit, [[0, 1]]),  # would read bits[-1]
+        (dictator, [[9, 1]]),
+        (dictator, np.array([[1, 255]], np.uint8)),
+        (dictator, np.array([[1, -1]], np.int8)),
+        (dictator, np.array([[1.0, 2.0]])),
+        (dictator, np.array([[True, True]])),
+        (dictator, [[1, 2, 3]]),
+    ]
+    for f, pts in cases:
+        with pytest.raises(DomainError):
+            f.eval_many(pts)
+        with pytest.raises(DomainError):
+            f.peek_many(pts)
+        assert f.query_count == 0
+    # Lists of ints and narrow dtypes inside the box still read.
+    assert dictator.eval_many([[3, 1], [1, 4]]).tolist() == [1, 0]
+    assert dictator.peek_many(np.array([[4, 4]], np.uint8)).tolist() == [1]
+    assert restricted.eval_many([[4, 1], [2, 4]]).tolist() == [1, 0]
+    assert explicit.eval_many(np.array([[2, 1]], np.int16)).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

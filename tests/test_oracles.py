@@ -89,6 +89,24 @@ def test_dag_flow_budget_checked_before_tabulating():
     assert res.distance == oracles.distance_to_monotonicity(f).distance
 
 
+def test_matching_budget_checked_before_tabulating(monkeypatch):
+    tabulated = []
+    real_tabulate = oracles.tabulate
+    monkeypatch.setattr(oracles, "tabulate", lambda f: tabulated.append(f) or real_tabulate(f))
+    big = make_family(FamilySpec("dictator"), GridShape(4, 8))
+    with pytest.raises(BudgetError):
+        oracles.distance_to_monotonicity(big, budget=10, force_method="hopcroft_karp")
+    with pytest.raises(DomainError):
+        oracles.distance_to_monotonicity(big, force_method="no_such_method")
+    assert tabulated == []
+    # The bound is the most candidate pairs N points can hold, N^2 / 4.
+    f = explicit(2, 2, [1, 0, 1, 0])
+    with pytest.raises(BudgetError):
+        oracles.distance_to_monotonicity(f, budget=3, force_method="hopcroft_karp")
+    res = oracles.distance_to_monotonicity(f, budget=4, force_method="hopcroft_karp")
+    assert res.distance == Fraction(1, 2) and tabulated == [f]
+
+
 # ---------------------------------------------------------------------------
 # Distance
 # ---------------------------------------------------------------------------

@@ -316,6 +316,25 @@ def test_full_tester_rejects_surface_with_mapped_witness():
     assert res.total_queries > 0
 
 
+def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
+    # Restricted batches run concurrently; each gather needs its own buffer.
+    monotone = make_family(FamilySpec("majority_threshold"), GridShape(16, 16))
+    for f, k in ((monotone, 8), (anti_dictator(8, 16), 4)):
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HGM_THREADS", threads)
+            worker = f.spawn_worker()
+            res = tester.run_full_tester(
+                worker, 0.9, seed=5, outer_reps=3, inner_trials=4096, k=k, batch_size=512
+            )
+            results.append((res, worker.query_count))
+        assert results[0] == results[1]
+        assert results[0][0].accepted == (f is monotone)
+    u, v = results[0][0].witness
+    assert all(a <= b for a, b in zip(u, v)) and f.peek(u) == 1 and f.peek(v) == 0
+    assert monotone.query_count == 0
+
+
 def test_full_tester_falls_back_below_sqrt_d_threshold():
     f = make_family(FamilySpec("dictator"), GridShape(4, 16))
     # Above the 1/sqrt(d) = 1/4 threshold: the subgrid route runs.
