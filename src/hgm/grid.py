@@ -7,9 +7,11 @@ power of two, the domain the walks need. Points are 1-based tuples of
 length d. The linear index uses mixed radix with coordinate 1 least
 significant: index(x) = sum_i (x_i - 1) * n^(i-1).
 
-Every value read from a :class:`FunctionOracle`, charged or not, is
-checked to lie in {0, 1}, and every batch of points to lie in [1, n]^d;
-``peek_many`` is the one uncharged batch read.
+Every read from a :class:`FunctionOracle`, charged or not, checks its
+points against [1, n]^d and its values to lie in {0, 1}; ``peek`` and
+``peek_many`` are the uncharged scalar and batch reads. A batch reaches the
+function in the caller's integer dtype, so a batch function must not
+assume int64 (see :class:`FunctionOracle`).
 """
 
 from __future__ import annotations
@@ -156,6 +158,13 @@ class FunctionOracle:
     evaluation of N points adds N). ``spawn_worker`` returns an oracle
     sharing the same function but with a fresh counter, so parallel workers
     can count queries independently and sum them on join.
+
+    ``fn`` receives a point as a tuple of ints in [1, n]^d. ``fn_many``
+    receives an (N, d) integer array whose entries are checked to lie in
+    [1, n], in whatever integer dtype the caller passed (int8 from the
+    tester's narrow batches, int64 from a list), so it must widen before
+    arithmetic that can leave that dtype's range, such as a coordinate sum
+    or a linear index.
     """
 
     def __init__(
@@ -172,9 +181,9 @@ class FunctionOracle:
         self.query_count = 0
 
     def __call__(self, x: Sequence[int]) -> int:
-        x = self.shape.check_point(x)
+        v = self.peek(x)
         self.query_count += 1
-        return self.peek(x)
+        return v
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) array of points, checked as in ``peek_many``;
@@ -184,8 +193,10 @@ class FunctionOracle:
         return vals
 
     def peek(self, x: Sequence[int]) -> int:
-        """Evaluate without counting a query (for oracles validating oracles)."""
-        x = tuple(x)
+        """Evaluate without counting a query (for oracles validating oracles).
+
+        The point must lie in [1, n]^d (DomainError otherwise)."""
+        x = self.shape.check_point(x)
         v = self._fn(x)
         if v not in (0, 1):
             raise DomainError(f"{self.name} returned {v!r} at {x}, not 0 or 1")
@@ -195,8 +206,8 @@ class FunctionOracle:
         """Evaluate an (N, d) array of points without counting queries.
 
         The points must be integers in [1, n]^d (DomainError otherwise). The
-        range is checked on the caller's own dtype, before the int64 copy
-        that the function reads.
+        range is checked on the caller's own dtype, and the function reads
+        the caller's array as it is, with no widened copy.
         """
         pts = np.asarray(pts)
         n, d = self.shape.n, self.shape.d
@@ -208,7 +219,6 @@ class FunctionOracle:
             raise DomainError(
                 f"coordinates span [{pts.min()}, {pts.max()}], outside [1, {n}]"
             )
-        pts = pts.astype(np.int64, copy=False)
         if self._fn_many is not None:
             vals = np.asarray(self._fn_many(pts))
         else:
@@ -456,7 +466,8 @@ def restrict_to_subgrid(
     def g_many(pts: np.ndarray) -> np.ndarray:
         # peek_many has checked pts against [1, k]^d, so no index is clipped;
         # a mode other than "raise" lets take write into its own index array.
-        idx = pts + offsets
+        # The sum is int64 for any caller's dtype (uint64 + int64 is float).
+        idx = np.add(pts, offsets, dtype=np.int64)
         return f.peek_many(np.take(flat, idx, out=idx, mode="clip"))
 
     return FunctionOracle(sub_shape, g, g_many, f"restrict({f.name},k={k})")

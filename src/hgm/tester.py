@@ -172,7 +172,9 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     the sorted selected-entry index) and one move-kernel call. Shifts are
     applied sparsely: X0 - S = W and Y0 - S = W + (Y0 - X0), where W is the
     shift walk's endpoint, so the shift endpoint is written into the anchor
-    in place and the path's moves are added to one copy.
+    in place and the path's moves are added to one copy. Every point stays
+    in the anchors' narrow dtype (int8 up to n = 64), from the draw through
+    the move kernel to the oracle reads.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
@@ -309,21 +311,35 @@ def _pair_laws(n: int, step: str) -> np.ndarray:
     coordinate outside a subset keeps the anchor's value. So
     laws[a, b][w, h] = sum_x Pa[x, x + h - w] Sb[x, w] / n, where Pa is the
     path's one-step matrix or the identity, and Sb the shift's.
+
+    Off its diagonal the path's one-step matrix P is Toeplitz (P[x, x + e]
+    = gap_law[e mod n] for every x that keeps x + e in [0, n)), so the sum
+    over x of a move by e = h - w != 0 is P[w, h] times the column sum of
+    Sb over those x: x < n - e for an up move, x >= -e for a down move, read
+    from Sb's cumulative column sums. The diagonal carries the lazy mass,
+    sum_x Sb[x, w] P[x, x]. O(n^2) time and memory.
     """
     sub = SUBTESTS[step]
-    idx = np.arange(n)
-    # shear[x, y] is the column of y - x in an (n, 2n - 1) offset table.
-    shear = (n - 1) + idx[None, :] - idx[:, None]
+    up = sub.path == "up"
+    P = walks.one_step(n, sub.path)
+    lazy = np.diag(P)
+    moves = P - np.diag(lazy)
+    w = np.arange(n)[:, None]
+    e = np.arange(n)[None, :] - w  # e[w, h] = h - w
+    # The x that a move by e keeps in [0, n) are [lo, hi). Where moves is 0
+    # (on the diagonal and against the walk) any in-range column will do.
+    lo, hi = (0, np.clip(n - e, 0, n)) if up else (np.clip(-e, 0, n), n)
     eye = np.eye(n)
-    path = (eye, walks.one_step(n, sub.path))
-    shift = (eye, walks.one_step(n, sub.shift) if sub.shift else eye)
     laws = np.empty((2, 2, n, n))
-    for a in (0, 1):
-        by_offset = np.zeros((n, 2 * n - 1))
-        by_offset[idx[:, None], shear] = path[a]
-        for b in (0, 1):
-            law = (shift[b].T @ by_offset)[idx[:, None], shear] / n
-            laws[a, b] = law if sub.path == "up" else law.T
+    for b, shift in enumerate((eye, walks.one_step(n, sub.shift) if sub.shift else eye)):
+        # cum[m, w] = sum over x < m of shift[x, w].
+        cum = np.zeros((n + 1, n))
+        np.cumsum(shift, axis=0, out=cum[1:])
+        law = moves * (cum[hi, w] - cum[lo, w])
+        law.flat[:: n + 1] = shift.T @ lazy
+        laws[0, b] = np.diag(cum[n])  # no path move: h = w
+        laws[1, b] = law if up else law.T
+    laws /= n
     laws.flags.writeable = False
     return laws
 

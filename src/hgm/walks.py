@@ -23,8 +23,13 @@ conditioned-cube samplers (and the tester's fused batch) share, draws G
 from the alias table (Vose's method), so one scalar-bounded draw x from
 [0, n * den) per move is exact: its low log n bits pick a column i and the
 rest accept i against the column's integer threshold or take its alias.
+While n * den <= 2^20 (n <= 16; 105 KB at n = 16) that decision is
+tabulated once for every x (``_alias_lookup``), and a move reads its gap
+from the table: the same draw and the same gap, so the same random stream.
 For n >= 2048, n * den no longer fits in 63 bits, and each move draws
-(q, window offset, element) as three exact integer draws instead.
+(q, window offset, element) as three exact integer draws instead. The move
+kernel returns its values in the caller's integer dtype whenever that
+dtype holds 2n - 1, so a batch drawn narrow stays narrow.
 
 Three equivalent formulations of the same endpoint distribution are
 implemented via genuinely different enumerations of the per-coordinate
@@ -267,6 +272,32 @@ def gap_alias_table(n: int):
     return den, thr, alias
 
 
+# Largest draw range n * den whose alias decisions are tabulated: 2^20
+# entries, which covers n <= 16 (107,520 entries at n = 16).
+ALIAS_LOOKUP_MAX = 1 << 20
+
+
+def _alias_gap(n: int, x: np.ndarray) -> np.ndarray:
+    """The gap that :func:`gap_alias_table` assigns to each draw x in
+    [0, n * den): column i = x & (n - 1) when x >> log n falls below the
+    column's threshold, else the column's alias."""
+    _, thr, alias = gap_alias_table(n)
+    i = x & (n - 1)
+    return np.where((x >> (n.bit_length() - 1)) < thr[i], i, alias[i])
+
+
+@lru_cache(maxsize=None)
+def _alias_lookup(n: int):
+    """:func:`_alias_gap` of every draw in [0, n * den), as a read-only int8
+    array, or None when n * den exceeds ALIAS_LOOKUP_MAX (from n = 32)."""
+    table = gap_alias_table(n)
+    if table is None or n * table[0] > ALIAS_LOOKUP_MAX:
+        return None
+    lookup = _alias_gap(n, np.arange(n * table[0])).astype(np.int8)
+    lookup.flags.writeable = False
+    return lookup
+
+
 def lazy_up_prob(n: int, u: int) -> float:
     """Probability a selected coordinate at value u does not move upward."""
     return float(one_step(n, "up")[u - 1, u - 1])
@@ -323,14 +354,20 @@ def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
     """c ~ line_kernel(n)[u, :] for every entry of u (values in 1..n).
 
     The move kernel every walk sampler shares: one scalar-bounded draw per
-    entry through :func:`gap_alias_table`, or, for n >= 2048, three exact
-    integer draws (q, window offset, element). A walk moves up to max(c, u)
-    or down to min(c, u).
+    entry through :func:`gap_alias_table`, whose decision is read from
+    :func:`_alias_lookup` up to n = 16, or, for n >= 2048, three exact
+    integer draws (q, window offset, element). The draws, chunk by chunk, do
+    not depend on the path taken or on u's dtype, so neither does the random
+    stream. c has u's integer dtype when that dtype holds 2n - 1 (int8 up to
+    n = 64), else int64. A walk moves up to max(c, u) or down to min(c, u).
     """
     u = np.asarray(u)
     flat_u = u.reshape(-1)
-    c = np.empty(flat_u.size, dtype=np.int64)
+    # c is computed as u + gap - 1 (mod n) + 1, and u + gap reaches 2n - 1.
+    narrow = u.dtype.kind in "iu" and np.iinfo(u.dtype).max >= 2 * n - 1
+    c = np.empty(flat_u.size, dtype=u.dtype if narrow else np.int64)
     table = gap_alias_table(n)
+    lookup = _alias_lookup(n)
     log_n = n.bit_length() - 1
     for start in range(0, flat_u.size, MOVE_CHUNK):
         v = flat_u[start : start + MOVE_CHUNK]
@@ -345,11 +382,14 @@ def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
             j += j >= offset
             gap = j - offset
         else:
-            den, thr, alias = table
-            x = rng.integers(0, n * den, size=v.size)
-            i = x & (n - 1)
-            gap = np.where((x >> log_n) < thr[i], i, alias[i])
-        c[start : start + MOVE_CHUNK] = ((v - 1 + gap) & (n - 1)) + 1
+            x = rng.integers(0, n * table[0], size=v.size)
+            gap = _alias_gap(n, x) if lookup is None else lookup[x]
+        out = c[start : start + MOVE_CHUNK]
+        # An int64 gap is cast down: v + gap <= 2n - 1 fits c's dtype.
+        np.add(v, gap, out=out, casting="unsafe")
+        out -= 1
+        out &= n - 1
+        out += 1
     return c.reshape(u.shape)
 
 

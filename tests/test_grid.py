@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hgm import walks
 from hgm.errors import ConfigError, DomainError, FormatError
 from hgm.grid import (
+    FAMILY_NAMES,
     Box,
     Comparability,
     ExplicitFunction,
@@ -289,6 +290,7 @@ def test_restricted_reads_match_a_per_axis_gather(n, d, k):
     for row in z[:3]:
         g(tuple(int(c) for c in row))
     assert len(seen) == 6
+    # The gather is int64 whatever the caller's dtype.
     for pts in seen[:3]:
         assert pts.dtype == np.int64 and np.array_equal(pts, expected)
     for i, pts in enumerate(seen[3:]):
@@ -296,6 +298,12 @@ def test_restricted_reads_match_a_per_axis_gather(n, d, k):
     # The gather works in its own buffer, never in the caller's points.
     assert np.array_equal(z, z_before) and np.array_equal(wide, z_before)
     assert g.query_count == len(z) + 3 and f.query_count == 0
+    # A batch read hands fn_many the caller's own points, in their own
+    # dtype: no widened copy.
+    x = walks.sample_points_batch(f.shape, 50, rng)
+    f.eval_many(x)
+    assert seen[-1].dtype == x.dtype == np.min_scalar_type(-n)
+    assert np.array_equal(seen[-1], x)
 
 
 def test_batch_reads_reject_points_outside_the_box():
@@ -324,6 +332,59 @@ def test_batch_reads_reject_points_outside_the_box():
     assert dictator.peek_many(np.array([[4, 4]], np.uint8)).tolist() == [1]
     assert restricted.eval_many([[4, 1], [2, 4]]).tolist() == [1, 0]
     assert explicit.eval_many(np.array([[2, 1]], np.int16)).tolist() == [1]
+
+
+def test_scalar_reads_reject_points_outside_the_box():
+    dictator = make_family(FamilySpec("dictator"), GridShape(4, 2))
+    restricted = restrict_to_subgrid(dictator, [[1, 2, 3, 4], [1, 1, 2, 4]])
+    cases = [
+        (dictator, (9, 1)),
+        (restricted, (0, 1)),  # would read the axis's top sample
+        (restricted, (5, 1)),  # would read the next axis's first sample
+    ]
+    for f, x in cases:
+        with pytest.raises(DomainError):
+            f.peek(x)
+        with pytest.raises(DomainError):
+            f(x)
+        assert f.query_count == 0
+    assert (dictator.peek((3, 1)), restricted.peek((4, 1)), restricted((2, 4))) == (1, 1, 0)
+    assert restricted.query_count == 1
+
+
+def test_fn_many_gives_the_same_values_on_every_integer_dtype(tmp_path):
+    # Every built-in family on a grid whose side fits int8, plus a flip, a
+    # restriction and an explicit table; majority_threshold at (64, 256),
+    # where the coordinate sum leaves int8.
+    path = tmp_path / "f.hgf"
+    save_truth_table(make_family(FamilySpec("surface", seed=3), GridShape(4, 3)), path)
+    small = GridShape(8, 3)
+    oracles = [make_family(FamilySpec(name, seed=5), small)
+               for name in FAMILY_NAMES if name != "explicit"]
+    oracles += [
+        make_family(FamilySpec("majority_threshold"), GridShape(64, 256)),
+        make_family(FamilySpec("dictator", dim=2, threshold=60), GridShape(64, 2)),
+        make_family(FamilySpec("explicit", path=str(path)), GridShape(4, 3)),
+        doubly_flip(make_family(FamilySpec("surface", seed=7), small)),
+        restrict_to_subgrid(make_family(FamilySpec("random_balanced", seed=2), GridShape(64, 3)),
+                            [[1, 9, 30, 64], [2, 2, 40, 63], [5, 6, 7, 8]]),
+        ExplicitFunction(small, random_bits(small.num_points, 11)),
+    ]
+    rng = np.random.default_rng(2)
+    for f in oracles:
+        n, d = f.shape.n, f.shape.d
+        pts = rng.integers(1, n + 1, size=(400, d))
+        pts[:2] = [[1] * d, [n] * d]
+        wide = f.peek_many(pts)
+        assert [f.peek(tuple(int(c) for c in p)) for p in pts[:50]] == wide[:50].tolist(), f.name
+        for dtype in (np.int8, np.int16, np.uint8, np.uint64):
+            assert np.array_equal(f.peek_many(pts.astype(dtype)), wide), (f.name, dtype)
+    majority = make_family(FamilySpec("majority_threshold"), GridShape(64, 256))
+    # Coordinate sums of 64 * 256 = 16384 and 40 * 256 = 10240 wrap in int8.
+    top = np.full((2, 256), 64, np.int8)
+    top[1] = 40
+    assert majority.peek_many(top).tolist() == [1, 1]
+    assert majority.peek_many(np.ones((1, 256), np.int8)).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

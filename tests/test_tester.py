@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hgm import tester
+from hgm import tester, walks
 from hgm.errors import BudgetError, ConfigError
 from hgm.grid import ExplicitFunction, FamilySpec, GridShape, make_family
 from hgm.rng import substream
@@ -145,6 +145,34 @@ def test_junta_form_equals_full_contraction(n, d):
         assert core.query_count == full.query_count == 0
 
 
+def _pair_laws_by_offset_table(n, step):
+    """The pair laws through a dense (n, 2n - 1) offset table: row x of the
+    path's matrix is shifted to column (n - 1) + y - x, one matrix product
+    sums over x, and the pair (w, h) is read back at offset h - w."""
+    sub = tester.SUBTESTS[step]
+    idx = np.arange(n)
+    shear = (n - 1) + idx[None, :] - idx[:, None]
+    eye = np.eye(n)
+    path = (eye, walks.one_step(n, sub.path))
+    shift = (eye, walks.one_step(n, sub.shift) if sub.shift else eye)
+    laws = np.empty((2, 2, n, n))
+    for a in (0, 1):
+        by_offset = np.zeros((n, 2 * n - 1))
+        by_offset[idx[:, None], shear] = path[a]
+        for b in (0, 1):
+            law = (shift[b].T @ by_offset)[idx[:, None], shear] / n
+            laws[a, b] = law if sub.path == "up" else law.T
+    return laws
+
+
+@pytest.mark.parametrize("n", [2**q for q in range(1, 9)])
+def test_pair_laws_match_the_offset_table(n):
+    for step in tester.STEPS:
+        laws = tester._pair_laws(n, step)
+        assert np.abs(laws - _pair_laws_by_offset_table(n, step)).max() < 1e-15, step
+        assert np.abs(laws.sum(axis=(2, 3)) - 1).max() < 1e-12
+
+
 def test_junta_anti_dictator_values_to_d_1024():
     # The exact values behind criterion 8: p * log2(2d) levels off, so the
     # rate decays like 1/log d, not d^(-1/2).
@@ -272,6 +300,54 @@ def test_reports_identical_across_seeds_and_threads(monkeypatch):
         assert a.witnesses == other.witnesses
     d = run_tester(f.spawn_worker(), Config(shape=f.shape, trials=25_000, seed=12))
     assert d.rejections != a.rejections  # different seed, different draw
+
+
+def _digits(x):
+    return tuple(int(c) for c in x)
+
+
+# run_tester reports recorded before the move kernel's lookup table and the
+# narrow trial batch: (rejections, per_tau, per_step, witnesses). At (8, 64)
+# a witness's points are written as their 64 one-digit coordinates.
+TESTER_STREAM = {
+    (8, 64, "anti_dictator", 3000, 5): (
+        884,
+        {1: (429, 9), 2: (469, 19), 4: (418, 37), 8: (414, 77), 16: (410, 130),
+         32: (426, 249), 64: (434, 363)},
+        {"up_path": 339, "down_path": 225, "up_path_down_shift": 189, "down_path_up_shift": 131},
+        [
+            (1, "up_path", 32,
+             _digits("4624155834573148187735228813718628568251541782585176877526648732"),
+             _digits("5644155835573858187735328875818638868458548782585277877536658732")),
+            (10, "up_path", 63,
+             _digits("1621741864388887646664618127442866388854534287882325335648116658"),
+             _digits("6768848864488887646784828337452866388864544887883326435658387658")),
+            (15, "up_path", 4,
+             _digits("4861385447326577441572541428326688518316454478328165752484454521"),
+             _digits("7861385447326577441572541428326688518316554478328165752484454521")),
+        ],
+    ),
+    (64, 4, "random_balanced", 2000, 3): (
+        1358,
+        {1: (655, 266), 2: (681, 499), 4: (664, 593)},
+        {"up_path": 547, "down_path": 358, "up_path_down_shift": 272, "down_path_up_shift": 181},
+        [
+            (1, "up_path", 3, (56, 16, 48, 53), (56, 19, 48, 54)),
+            (5, "up_path", 4, (58, 30, 26, 10), (58, 30, 26, 18)),
+            (6, "up_path_down_shift", 3, (1, 1, 48, 36), (56, 1, 48, 37)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(TESTER_STREAM))
+def test_reports_are_pinned_to_the_recorded_stream(cell):
+    n, d, family, trials, seed = cell
+    f = make_family(FamilySpec(family), GridShape(n, d))
+    rep = run_tester(f, Config(shape=f.shape, trials=trials, seed=seed, batch_size=1024,
+                               max_witnesses=3))
+    assert (rep.rejections, rep.per_tau, rep.per_step, rep.witnesses) == TESTER_STREAM[cell]
+    assert rep.total_queries == 16 * trials
 
 
 def test_mismatched_shape_rejected():

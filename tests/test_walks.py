@@ -1,5 +1,6 @@
 """Walk kernels, samplers, exact pmfs, middle layers, cube closed forms."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -91,6 +92,51 @@ def test_gap_alias_table_is_exact(n):
 
 def test_gap_alias_table_gives_way_to_three_draws_from_2048():
     assert walks.gap_alias_table(2048) is None
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_alias_lookup_is_the_alias_decision_for_every_draw(n):
+    den, thr, alias = walks.gap_alias_table(n)
+    lookup = walks._alias_lookup(n)
+    assert lookup.shape == (n * den,) and n * den <= 2**20
+    assert lookup.dtype == np.int8 and not lookup.flags.writeable
+    x = np.arange(n * den)
+    column, rest = x % n, x // n
+    assert np.array_equal(lookup, np.where(rest < thr[column], column, alias[column]))
+    assert np.bincount(lookup, minlength=n).tolist() == [n * w for w in walks._gap_masses(n)]
+
+
+def test_alias_lookup_stops_at_32():
+    for n in (32, 64, 1024, 2048):
+        assert walks._alias_lookup(n) is None
+
+
+# sample_line_kernel(n, u, substream(n, "pin")) for the 40,000 values
+# u = 7919 i mod n + 1: its first ten values and the first 16 hex digits of
+# the sha256 of all of them as little-endian int64. Recorded before the
+# lookup table and the narrow output existed; the chunks cross MOVE_CHUNK.
+KERNEL_STREAM = {
+    2: ([2, 1, 2, 1, 2, 1, 2, 1, 2, 1], "b1b8204ccc8b6df4"),
+    8: ([3, 1, 6, 5, 8, 2, 4, 1, 7, 6], "8672e3e36bb31d2a"),
+    16: ([6, 4, 11, 6, 1, 14, 12, 13, 10, 5], "b5c69ea2b5bad8f0"),
+    64: ([2, 45, 32, 11, 27, 45, 26, 8, 48, 49], "c78523366479e996"),
+    1024: ([1024, 744, 482, 201, 405, 688, 361, 139, 433, 572], "155fdd3bf68d8a21"),
+    2048: ([257, 1777, 1505, 1448, 446, 852, 393, 135, 1922, 1625], "6c23d6d513c340f2"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(KERNEL_STREAM))
+def test_move_kernel_stream_is_pinned_for_every_path_and_dtype(n):
+    head, digest = KERNEL_STREAM[n]
+    u = np.arange(40_000, dtype=np.int64) * 7919 % n + 1
+    for dtype in (np.int8 if n <= 64 else np.int16, np.int64):
+        c = walks.sample_line_kernel(n, u.astype(dtype), substream(n, "pin"))
+        assert c.dtype == dtype  # every dtype here holds 2n - 1
+        wide = c.astype("<i8")
+        assert wide[:10].tolist() == head, dtype
+        assert hashlib.sha256(wide.tobytes()).hexdigest()[:16] == digest, dtype
+    # int8 cannot hold 2n - 1 = 255 at n = 128: the moves come back as int64.
+    assert walks.sample_line_kernel(128, np.full(3, 127, np.int8), substream(0)).dtype == np.int64
 
 
 @pytest.mark.parametrize("direction", ["up", "down"])
