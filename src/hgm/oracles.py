@@ -2,8 +2,10 @@
 monotonicity, degree profiles, the Talagrand objective, influence,
 persistence, and the mostly-zero-below / red / blue edge classifiers.
 
-Everything here is an *oracle*: slow, exact (or explicitly labeled
-otherwise), and independent of the sampling code it validates.
+Everything here is an exact *oracle*, independent of the sampling code it
+validates. The one exception is labelled: the Talagrand objective of a
+graph with more than ``exact_cap`` edges (TAL_EXACT_CAP by default) is a
+local search (``TalResult.exact`` is False), not the minimum.
 
 The exact distance is one minimum cut (source -> 1-points -> 0-points ->
 sink) over either of two graphs: the explicit comparable violations
@@ -11,17 +13,20 @@ sink) over either of two graphs: the explicit comparable violations
 paths reach every comparable pair). The two graphs cross-check each other,
 and :func:`distance_bruteforce` checks both by up-set enumeration.
 
-The walk machinery requires power-of-two side lengths, but the purely
-order-theoretic quantities (distance, matchings, Talagrand) are defined for
-any box [n]^d. They take a FunctionOracle (whose GridShape is a Box) or a
-(:class:`~hgm.grid.Box`, bits) pair, so odd side lengths (used heavily in
-cross-validation) are supported. Every value they read goes through the
-oracle's checked ``peek``/``peek_many``.
+Persistence and the edge classifiers read whole-grid walk-event fields
+(:func:`hgm.walks.walk_field`): Pr[event at the walk's endpoint] from every
+start at once, one product pass over the axes of the tabulated truth table.
+The walk machinery requires power-of-two side lengths and raises
+DomainError otherwise, but the purely order-theoretic quantities (distance,
+matchings, Talagrand) are defined for any box [n]^d. They take a
+FunctionOracle (whose GridShape is a Box) or a (:class:`~hgm.grid.Box`,
+bits) pair, so odd side lengths (used heavily in cross-validation) are
+supported. Every value they read goes through the oracle's checked
+``peek``/``peek_many``.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,20 +40,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from . import walks
 from .errors import BudgetError, DomainError
 # Box and bits_monotone are re-exported: callers build (Box, bits) pairs here.
-from .grid import Box, FunctionOracle, GridShape, Point, bits_monotone, tabulate
-from .stats import wilson_interval
-
-
-class Trivalent(enum.Enum):
-    """Outcome of a threshold classifier that may refuse to decide."""
-
-    YES = "yes"
-    NO = "no"
-    UNDECIDED = "undecided"
-
-    @property
-    def decided(self) -> bool:
-        return self is not Trivalent.UNDECIDED
+from .grid import Box, FunctionOracle, GridShape, bits_monotone, tabulate
 
 
 def box_and_bits(f) -> Tuple[Box, np.ndarray]:
@@ -545,88 +537,29 @@ def influence_via_hypercubes(
     return InfluenceResult(math.fsum(total_acc), math.fsum(neg_acc), True)
 
 
-def influence_mc(f: FunctionOracle, samples: int, rng) -> InfluenceResult:
-    """Monte Carlo influence estimate with Wilson 95% intervals (scaled by d)."""
-    shape = f.shape
-    X = walks.sample_points_batch(shape, samples, rng)
-    Y = walks.sample_walk_batch(shape, X, np.ones(samples, dtype=np.int64), "up", rng)
-    fx = f.eval_many(X)
-    fy = f.eval_many(Y)
-    diff = int((fx != fy).sum())
-    neg = int((fx > fy).sum())
-    d = shape.d
-    lo_t, hi_t = wilson_interval(diff, samples)
-    lo_n, hi_n = wilson_interval(neg, samples)
-    return InfluenceResult(
-        d * diff / samples,
-        d * neg / samples,
-        False,
-        (d * lo_t, d * hi_t),
-        (d * lo_n, d * hi_n),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Persistence and the section-4 classifiers
 # ---------------------------------------------------------------------------
 
 
-def _exact_walk_event_prob(f: FunctionOracle, x: Point, tau: int, direction: str, event) -> float:
-    spec = walks.WalkSpec(direction, tau, f.shape)
-    pmf = walks.exact_pmf(f.shape, x, spec)
-    return math.fsum(p * event(y) for y, p in pmf.table.items())
-
-
-def _walk_endpoint_values(
-    f: FunctionOracle, X: np.ndarray, tau: int, direction: str, rng
-) -> np.ndarray:
-    """f at the endpoints of tau-step walks from the rows of X, read without
-    charging f's query count."""
-    return f.peek_many(walks.sample_walk_batch(f.shape, X, tau, direction, rng))
-
-
-def _check_mode(mode: str, rng) -> None:
-    if mode not in ("exact", "mc"):
-        raise DomainError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if mode == "mc" and rng is None:
-        raise DomainError("mode 'mc' needs an rng")
-
-
-def _decide(lo: float, hi: float, threshold: float) -> Trivalent:
-    """YES if the probability is surely at least threshold, NO if surely
-    below it. An exact probability p is the interval lo = hi = p."""
-    if lo >= threshold:
-        return Trivalent.YES
-    if hi < threshold:
-        return Trivalent.NO
-    return Trivalent.UNDECIDED
+def _event_field(f: FunctionOracle, ell: int, direction: str, event) -> np.ndarray:
+    """Pr[Y(x) is in event] for the ell-step walk from every start x at once
+    (:func:`hgm.walks.walk_field`), where event maps f's truth table to the
+    event's 0/1 indicator. f is read, uncharged, only once the field fits
+    the budget."""
+    spec = walks.WalkSpec(direction, ell, f.shape)
+    walks.check_field_budget(spec)
+    return walks.walk_field(spec, event(tabulate(f).bits))
 
 
 def persistence_classify(
-    f: FunctionOracle,
-    tau: int,
-    beta: float,
-    x: Sequence[int],
-    direction: str,
-    mode: str = "exact",
-    samples: int = 10000,
-    rng=None,
-) -> Trivalent:
-    """Is Pr[f(walk endpoint) != f(x)] <= beta for the tau-step walk from x?"""
-    _check_mode(mode, rng)
-    x = f.shape.check_point(x)
-    fx = f.peek(x)
-    if mode == "exact":
-        p = _exact_walk_event_prob(f, x, tau, direction, lambda y: f.peek(y) != fx)
-        return Trivalent.YES if p <= beta else Trivalent.NO
-    ends = _walk_endpoint_values(f, np.tile(x, (samples, 1)), tau, direction, rng)
-    hits = int((ends != fx).sum())
-    lo, hi = wilson_interval(hits, samples)
-    if hi <= beta:
-        return Trivalent.YES
-    if lo > beta:
-        return Trivalent.NO
-    return Trivalent.UNDECIDED
+    f: FunctionOracle, tau: int, beta: float, x: Sequence[int], direction: str
+) -> bool:
+    """Is Pr[f(walk endpoint) != f(x)] <= beta for the tau-step walk from x?
+    The field is of the indicator [f = 1 - f(x)] itself, so it is exactly 0
+    when no disagreeing point is reachable."""
+    i = f.shape.index_of(f.shape.check_point(x))
+    return bool(_event_field(f, tau, direction, lambda bits: bits != bits[i])[i] <= beta)
 
 
 MZB_THRESHOLD = 0.9
@@ -635,116 +568,46 @@ REDBLUE_THRESHOLD = 0.01
 
 def mzb_prob(f: FunctionOracle, ell: int, z: Sequence[int]) -> float:
     """Exact probability that the ell-step down-walk from z lands on a 0."""
-    return _exact_walk_event_prob(f, tuple(z), ell, "down", lambda y: f.peek(y) == 0)
+    i = f.shape.index_of(f.shape.check_point(z))
+    return float(_event_field(f, ell, "down", lambda bits: bits == 0)[i])
 
 
-def mzb_classify(
-    f: FunctionOracle,
-    ell: int,
-    z: Sequence[int],
-    mode: str = "exact",
-    samples: int = 10000,
-    rng=None,
-) -> Trivalent:
+def mzb_classify(f: FunctionOracle, ell: int, z: Sequence[int]) -> bool:
     """Mostly-zero-below: down-walk hits a 0 with probability >= 0.9."""
-    _check_mode(mode, rng)
-    z = f.shape.check_point(z)
-    if mode == "exact":
-        p = mzb_prob(f, ell, z)
-        return _decide(p, p, MZB_THRESHOLD)
-    ends = _walk_endpoint_values(f, np.tile(z, (samples, 1)), ell, "down", rng)
-    hits = int((ends == 0).sum())
-    return _decide(*wilson_interval(hits, samples), MZB_THRESHOLD)
+    return mzb_prob(f, ell, z) >= MZB_THRESHOLD
 
 
-def _interval_points(shape: GridShape, edge) -> list:
+def _interval_indices(shape: GridShape, edge) -> np.ndarray:
+    """Indices of the points of an upward axis-aligned edge, both ends included."""
     x, y = shape.check_point(edge[0]), shape.check_point(edge[1])
     diffs = [i for i in range(shape.d) if x[i] != y[i]]
     if len(diffs) != 1 or x[diffs[0]] > y[diffs[0]]:
         raise DomainError("edge must be an upward axis-aligned pair")
     i = diffs[0]
-    return [x[:i] + (v,) + x[i + 1 :] for v in range(x[i], y[i] + 1)]
+    return shape.index_of(x) + np.arange(y[i] - x[i] + 1) * int(shape.strides[i])
 
 
-def red_classify(
-    f: FunctionOracle,
-    ell: int,
-    edge,
-    mode: str = "exact",
-    samples: int = 2000,
-    rng=None,
-) -> Trivalent:
+def red_classify(f: FunctionOracle, ell: int, edge) -> bool:
     """Red edge: a uniform interior point's ell-step up-walk lands on an
-    ell-mostly-zero-below point with probability >= 0.01."""
-    _check_mode(mode, rng)
-    interior = _interval_points(f.shape, edge)
-    if mode == "exact":
-        cache: Dict[Point, bool] = {}
-
-        def is_mzb(zp: Point) -> bool:
-            if zp not in cache:
-                cache[zp] = mzb_prob(f, ell, zp) >= MZB_THRESHOLD
-            return cache[zp]
-
-        avg = math.fsum(
-            _exact_walk_event_prob(f, z, ell, "up", lambda y: is_mzb(y))
-            for z in interior
-        ) / len(interior)
-        return _decide(avg, avg, REDBLUE_THRESHOLD)
-    # MC mode: per-sample mostly-zero-below classification is itself
-    # three-valued; undecided inner samples propagate to the decision bounds.
-    # One batch of outer walks, then one batch of inner walks per endpoint,
-    # so no array holds all samples x 500 inner walks at once.
-    Z = np.asarray(interior)[rng.integers(0, len(interior), size=samples)]
-    ZP = walks.sample_walk_batch(f.shape, Z, ell, "up", rng)
-    verdicts = [mzb_classify(f, ell, zp, mode="mc", samples=500, rng=rng) for zp in ZP]
-    yes = verdicts.count(Trivalent.YES)
-    und = verdicts.count(Trivalent.UNDECIDED)
-    lo, _ = wilson_interval(yes, samples)
-    _, hi = wilson_interval(yes + und, samples)
-    return _decide(lo, hi, REDBLUE_THRESHOLD)
+    ell-mostly-zero-below point with probability >= 0.01. Two fields: the
+    down-field of [f = 0], then the up-field of [that field >= 0.9]."""
+    interior = _interval_indices(f.shape, edge)
+    mzb = _event_field(f, ell, "down", lambda bits: bits == 0) >= MZB_THRESHOLD
+    up = walks.walk_field(walks.WalkSpec("up", ell, f.shape), mzb)
+    return math.fsum(up[interior]) / len(interior) >= REDBLUE_THRESHOLD
 
 
-def blue_classify(
-    f: FunctionOracle,
-    ell: int,
-    edge,
-    mode: str = "exact",
-    samples: int = 2000,
-    rng=None,
-) -> Trivalent:
+def blue_classify(f: FunctionOracle, ell: int, edge) -> bool:
     """Blue edge: a uniform interior point's ell-step down-walk lands on a
     1-valued point with probability >= 0.01."""
-    _check_mode(mode, rng)
-    interior = _interval_points(f.shape, edge)
-    if mode == "exact":
-        avg = math.fsum(
-            _exact_walk_event_prob(f, z, ell, "down", lambda y: f.peek(y) == 1)
-            for z in interior
-        ) / len(interior)
-        return _decide(avg, avg, REDBLUE_THRESHOLD)
-    Z = np.asarray(interior)[rng.integers(0, len(interior), size=samples)]
-    hits = int((_walk_endpoint_values(f, Z, ell, "down", rng) == 1).sum())
-    return _decide(*wilson_interval(hits, samples), REDBLUE_THRESHOLD)
+    interior = _interval_indices(f.shape, edge)
+    down = _event_field(f, ell, "down", lambda bits: bits == 1)
+    return math.fsum(down[interior]) / len(interior) >= REDBLUE_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
 # Typicality
 # ---------------------------------------------------------------------------
-
-
-def typicality_estimate(
-    shape: GridShape, x: Sequence[int], c: float, eps: float, samples: int, rng
-):
-    """MC estimate (with Wilson 95% CI) of the probability that a random
-    sub-hypercube through x places it in the c-middle layers. The exact value
-    is available as walks.typical_probability_exact."""
-    X = np.tile(shape.check_point(x), (samples, 1))
-    _, B = walks.sample_hypercube_at_batch(shape, X, rng)
-    weights = (X == B).sum(axis=1)  # coordinates at the cube's upper endpoint
-    hits = int(walks.weight_in_band(weights, shape.d, c, eps).sum())
-    lo, hi = wilson_interval(hits, samples)
-    return hits / samples, (lo, hi)
 
 
 def is_typical_exact(shape: GridShape, x: Sequence[int], c: float, eps: float) -> bool:

@@ -1,4 +1,4 @@
-"""Small statistical helpers: Wilson intervals, pooled chi-square, TV distance."""
+"""Small statistical helpers: Wilson intervals, pooled chi-square, log-log slopes."""
 
 from __future__ import annotations
 
@@ -69,11 +69,6 @@ def chi_square_gof(
     stat = math.fsum((o - e) ** 2 / e for e, o in pooled)
     dof = len(pooled) - 1
     return stat, float(chi2.sf(stat, dof)), dof
-
-
-def tv_distance(p: Dict, q: Dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -359,12 +359,13 @@ def exact_pair_probs(
     G = 1 - F, m = min(l, d), m' = min(l', d) (0 without a shift) and
     W[j, j'] the coefficient of t^j s^j' of
     prod_i (M00 + t M10 + s M01 + t s M11), Mab = _pair_laws acting on axis
-    i. One pass per step applies the product to G axis by axis and keeps
-    every coefficient the schedule needs. Every Mab sums to 1, so the d - k
-    coordinates f ignores contribute (1 + t)^(d-k) (1 + s)^(d-k): the pass
-    runs over the core's k axes only, and coefficient (j, j') is weighted by
-    C(d-k, m-j) C(d-k, m'-j') / (C(d, m) C(d, m')), taken as an exact
-    ratio because the binomials overflow a float near d = 1024.
+    i. One pass per step (:func:`hgm.walks.contract_axes`) applies the
+    product to G axis by axis and keeps every coefficient the schedule
+    needs. Every Mab sums to 1, so the d - k coordinates f ignores
+    contribute (1 + t)^(d-k) (1 + s)^(d-k): the pass runs over the core's k
+    axes only, and coefficient (j, j') is weighted by
+    C(d-k, m-j) C(d-k, m'-j') / (C(d, m) C(d, m')), taken as an exact ratio
+    because the binomials overflow a float near d = 1024.
 
     Cost O(k m m' n^(k+1)) time and n^k (m+1) (m'+1) floats, m and m'
     capped at k; BudgetError when that count exceeds budget. Reads core
@@ -387,19 +388,7 @@ def exact_pair_probs(
         J, Jp = (t + 1 for t in tops[step])
         A = np.zeros((J, Jp, F.size))
         A[0, 0] = 1.0 - F
-        for axis in range(k):
-            # Contract the last axis, then rotate it to the front, so after k
-            # passes the axes are back in order. Descending j updates A in
-            # place: coefficient j reads only the old j and j - 1.
-            for j in range(min(axis + 1, J - 1), -1, -1):
-                old = A[j].reshape(Jp, -1, n)
-                new = old @ laws[0, 0].T
-                new[1:] += old[:-1] @ laws[0, 1].T
-                if j:
-                    below = A[j - 1].reshape(Jp, -1, n)
-                    new += below @ laws[1, 0].T
-                    new[1:] += below[:-1] @ laws[1, 1].T
-                A[j].reshape(Jp, n, -1)[...] = new.swapaxes(1, 2)
+        walks.contract_axes(A, laws, k)
         W[step] = A @ F
 
     def weighted(step: str, m: int, mp: int) -> float:

@@ -9,7 +9,11 @@ direction (plain integer comparison after unwrapping).
 Every sampler draws a batch: one row per walk, shift or sub-hypercube
 (``sample_walk_batch``, ``sample_hypercube_batch``,
 ``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). The exact
-pmfs are its independent reference.
+pmfs are its independent reference. ``walk_field`` gives E[g(endpoint)]
+from every start at once through ``contract_axes``, the product pass that
+the exact rejection probability also runs. The walk is defined only when n
+is a power of two; the move law and the cube pair laws raise DomainError
+otherwise.
 
 One per-coordinate move law: a selected coordinate's draw depends on its
 value u only through a shift, the gap G = (c - u) mod n, whose law is kept
@@ -142,14 +146,6 @@ class WalkPmf:
             abs(self.prob(k) - counts.get(k, 0) / total) for k in keys
         )
 
-    def to_csv(self, path) -> None:
-        """Write (point_index, probability) rows in index order."""
-        shape = self.spec.shape
-        with open(path, "w") as fh:
-            fh.write("point_index,probability\n")
-            for y in sorted(self.table, key=shape.index_of):
-                fh.write(f"{shape.index_of(y)},{self.table[y]!r}\n")
-
 
 # ---------------------------------------------------------------------------
 # Per-coordinate kernels
@@ -168,8 +164,16 @@ def _count_windows_covering(n: int, size: int, gap: int) -> int:
     return max(0, size - gap) + max(0, size - (n - gap))
 
 
+def _check_dyadic(n: int) -> None:
+    # The walk's intervals are the dyadic windows of Z_n, so it is defined
+    # only when n is a power of two.
+    if n < 2 or n & (n - 1):
+        raise DomainError(f"the walk needs a side length that is a power of two >= 2, got {n}")
+
+
 def _gap_denominator(n: int) -> int:
     """den = log n * lcm_q 2^q (2^q - 1), the common denominator of the gap law."""
+    _check_dyadic(n)
     q_max = n.bit_length() - 1
     return q_max * math.lcm(*(2**q * (2**q - 1) for q in range(1, q_max + 1)))
 
@@ -310,6 +314,7 @@ def lazy_down_prob(n: int, u: int) -> float:
 @lru_cache(maxsize=None)
 def pair_distribution(n: int) -> Dict[tuple, float]:
     """Per-coordinate law of (a_i, b_i) for the unconditional hypercube draw."""
+    _check_dyadic(n)
     q_max = n.bit_length() - 1
     dist: Dict[tuple, float] = {}
     for q in range(1, q_max + 1):
@@ -325,6 +330,7 @@ def pair_distribution(n: int) -> Dict[tuple, float]:
 @lru_cache(maxsize=None)
 def pair_distribution_at(n: int, u: int) -> Dict[tuple, float]:
     """Per-coordinate law of (a_i, b_i) for the draw conditioned on containing u."""
+    _check_dyadic(n)
     q_max = n.bit_length() - 1
     dist: Dict[tuple, float] = {}
     for q in range(1, q_max + 1):
@@ -622,6 +628,70 @@ def exact_shift_pmf(
         s = tuple(abs(b - a) for a, b in zip(x, y))
         out[s] = out.get(s, 0.0) + p
     return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-grid fields: one product pass over the axes
+# ---------------------------------------------------------------------------
+
+
+def contract_axes(A: np.ndarray, laws: np.ndarray, k: int) -> None:
+    """Apply prod_i (M00 + t M10 + s M01 + t s M11) to A in place, with
+    Mab = laws[a, b] acting on axis i of an n^k grid.
+
+    A has shape (J, J', n^k): A[j, j'] holds the coefficient of t^j s^j' as
+    a grid in index order, and on entry every coefficient but A[0, :] is 0.
+    On return A holds every coefficient with j < J and j' < J'. Cost
+    O(k J J' n^(k+1)).
+    """
+    J, Jp, _ = A.shape
+    n = laws.shape[-1]
+    for axis in range(k):
+        # Contract the last axis, then rotate it to the front, so after k
+        # passes the axes are back in order. Descending j updates A in
+        # place: coefficient j reads only the old j and j - 1.
+        for j in range(min(axis + 1, J - 1), -1, -1):
+            old = A[j].reshape(Jp, -1, n)
+            new = old @ laws[0, 0].T
+            new[1:] += old[:-1] @ laws[0, 1].T
+            if j:
+                below = A[j - 1].reshape(Jp, -1, n)
+                new += below @ laws[1, 0].T
+                new[1:] += below[:-1] @ laws[1, 1].T
+            A[j].reshape(Jp, n, -1)[...] = new.swapaxes(1, 2)
+
+
+def check_field_budget(spec: WalkSpec) -> None:
+    """BudgetError when the n^d (m + 1) floats of :func:`walk_field` exceed
+    DEFAULT_PMF_BUDGET."""
+    size = spec.shape.num_points * (spec.effective_coords + 1)
+    if size > DEFAULT_PMF_BUDGET:
+        raise BudgetError(
+            f"walk field on {spec.shape} needs {size} floats, over the budget of {DEFAULT_PMF_BUDGET}"
+        )
+
+
+def walk_field(spec: WalkSpec, g: np.ndarray) -> np.ndarray:
+    """E[g(Y(x))] for the endpoint Y(x) of the walk spec from every start x at
+    once, as an array over the n^d points in index order.
+
+    The walk moves a uniform m-subset of the d coordinates, m = min(length,
+    d), each by P = :func:`one_step`, so the field is
+    [t^m] prod_i (I + t P) g / C(d, m): :func:`contract_axes` with laws
+    (M00, M10) = (I, P) and no s terms. Only non-negative terms are summed,
+    so the field is exactly 0 wherever no point with g > 0 is reachable.
+    Cost O(d m n^(d+1)) time and n^d (m + 1) floats; see
+    :func:`check_field_budget`.
+    """
+    check_field_budget(spec)
+    shape, m = spec.shape, spec.effective_coords
+    laws = np.zeros((2, 2, shape.n, shape.n))
+    laws[0, 0] = np.eye(shape.n)
+    laws[1, 0] = one_step(shape.n, spec.direction)
+    A = np.zeros((m + 1, 1, shape.num_points))
+    A[0, 0] = g
+    contract_axes(A, laws, shape.d)
+    return A[m, 0] / math.comb(shape.d, m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from hgm import oracles, walks
 from hgm.errors import BudgetError, DomainError
 from hgm.grid import ExplicitFunction, FamilySpec, FunctionOracle, GridShape, make_family
-from hgm.oracles import Box, Trivalent
-from hgm.rng import substream
-from hgm.stats import Z_99, wilson_interval
+from hgm.tester import exact_reject_prob_junta
+from hgm.oracles import Box
 
 from conftest import random_bits
 
@@ -304,26 +303,6 @@ def test_influence_routes_agree():
             assert a.negative == pytest.approx(b.negative, abs=1e-12)
 
 
-def test_influence_mc_brackets_exact():
-    shape = GridShape(4, 2)
-    f = ExplicitFunction(shape, random_bits(16, 77))
-    exact = oracles.influence_tilde(f)
-    N, d = 600_000, shape.d
-    mc = oracles.influence_mc(f, N, substream(4, "inf"))
-    # influence_mc reports 95% intervals. The seed is fixed, so a ~2-sigma
-    # fluctuation would fail forever; bracket with 99% intervals, as the
-    # tester's rate tests do, over ten times the samples, which keeps them
-    # narrower than the 95% intervals at 60k samples.
-    for est, ci, ex in (
-        (mc.total, mc.ci_total, exact.total),
-        (mc.negative, mc.ci_negative, exact.negative),
-    ):
-        hits = round(est * N / d)
-        assert ci == pytest.approx(tuple(d * v for v in wilson_interval(hits, N)))
-        lo, hi = wilson_interval(hits, N, z=Z_99)
-        assert d * lo <= ex <= d * hi
-
-
 def test_hypercube_influence_budget():
     with pytest.raises(BudgetError):
         oracles.influence_via_hypercubes(
@@ -336,16 +315,16 @@ def test_hypercube_influence_budget():
 # ---------------------------------------------------------------------------
 
 
-def test_persistence_trivial_cases(rng):
-    const = make_family(FamilySpec("constant1"), GridShape(4, 2))
-    assert oracles.persistence_classify(const, 2, 0.0, (2, 2), "up") is Trivalent.YES
+def test_persistence_trivial_cases():
+    # A field of non-negative terms is exactly 0 where no disagreeing point
+    # is reachable, so every point of a constant is persistent at beta = 0.
+    const = make_family(FamilySpec("constant1"), GridShape(8, 3))
+    for x in const.shape.points():
+        for direction in ("up", "down"):
+            assert oracles.persistence_classify(const, 3, 0.0, x, direction) is True
     f = ExplicitFunction(GridShape(4, 2), random_bits(16, 1))
     # The top point absorbs upward walks, so it is up-persistent at beta = 0.
-    assert oracles.persistence_classify(f, 3, 0.0, (4, 4), "up") is Trivalent.YES
-    verdict = oracles.persistence_classify(
-        f, 1, 0.5, (1, 1), "up", mode="mc", samples=3000, rng=rng
-    )
-    assert verdict in (Trivalent.YES, Trivalent.NO, Trivalent.UNDECIDED)
+    assert oracles.persistence_classify(f, 3, 0.0, (4, 4), "up") is True
 
 
 def test_mzb_constants():
@@ -353,133 +332,147 @@ def test_mzb_constants():
     c0 = make_family(FamilySpec("constant0"), shape)
     c1 = make_family(FamilySpec("constant1"), shape)
     for z in shape.points():
-        assert oracles.mzb_classify(c0, 1, z) is Trivalent.YES
-        assert oracles.mzb_classify(c1, 1, z) is Trivalent.NO
+        assert oracles.mzb_classify(c0, 1, z) is True
+        assert oracles.mzb_classify(c1, 1, z) is False
 
 
 def test_mzb_red_blue_on_the_two_point_line():
     f = explicit(2, 1, [1, 0])
     # Walk length 0: the down-walk stays put, so a point is mostly-zero-below
     # exactly when its own value is 0.
-    assert oracles.mzb_classify(f, 0, (2,)) is Trivalent.YES
-    assert oracles.mzb_classify(f, 0, (1,)) is Trivalent.NO
+    assert oracles.mzb_classify(f, 0, (2,)) is True
+    assert oracles.mzb_classify(f, 0, (1,)) is False
     edge = ((1,), (2,))
-    assert oracles.red_classify(f, 0, edge) is Trivalent.YES
-    assert oracles.blue_classify(f, 0, edge) is Trivalent.YES
+    assert oracles.red_classify(f, 0, edge) is True
+    assert oracles.blue_classify(f, 0, edge) is True
 
 
-def test_red_blue_mc_agrees_or_abstains(rng):
-    f = explicit(2, 1, [1, 0])
-    edge = ((1,), (2,))
-    red = oracles.red_classify(f, 0, edge, mode="mc", samples=600, rng=rng)
-    blue = oracles.blue_classify(f, 0, edge, mode="mc", samples=600, rng=rng)
-    assert red in (Trivalent.YES, Trivalent.UNDECIDED)
-    assert blue in (Trivalent.YES, Trivalent.UNDECIDED)
-
-
-def test_mc_classifiers_match_exact_far_from_threshold():
-    # Wherever the exact probability is far from the threshold, the MC verdict
-    # is decided and equals the exact one. The cases include both verdicts in
-    # each direction, so a walk drawn in the wrong direction fails here.
-    shape = GridShape(4, 2)
-    f = ExplicitFunction(shape, random_bits(16, 1))
-    rng = substream(0, "mc-vs-exact")
+def test_classifiers_match_the_enumeration():
+    # Every verdict equals the one computed from the anchor-by-anchor pmf
+    # enumeration, skipping only probabilities within 1e-9 of a nonzero
+    # threshold (at beta = 0 both sides are exactly 0 or clearly not). Both
+    # verdicts occur for every classifier, in each direction, so a walk in
+    # the wrong direction fails here.
+    ell, MZB, RB = 2, oracles.MZB_THRESHOLD, oracles.REDBLUE_THRESHOLD
     seen = set()
 
-    def agree(name, exact, mc):
-        assert mc is exact, name
-        seen.add((name, exact))
+    def agree(name, verdict, p, threshold, holds):
+        if threshold and abs(p - threshold) < 1e-9:
+            return
+        assert verdict is holds, (name, p, threshold)
+        seen.add((name, verdict))
 
-    for x in shape.points():
-        fx = f.peek(x)
-        for direction in ("up", "down"):
-            p = oracles._exact_walk_event_prob(
-                f, x, 2, direction, lambda y: f.peek(y) != fx
-            )
-            for beta in (p - 0.15, p + 0.15):
-                if 0 <= beta < 1:
-                    agree(
-                        f"persistence-{direction}",
-                        oracles.persistence_classify(f, 2, beta, x, direction),
-                        oracles.persistence_classify(
-                            f, 2, beta, x, direction, mode="mc", samples=4000, rng=rng
-                        ),
-                    )
-        if abs(oracles.mzb_prob(f, 2, x) - oracles.MZB_THRESHOLD) >= 0.05:
-            agree(
-                "mzb",
-                oracles.mzb_classify(f, 2, x),
-                oracles.mzb_classify(f, 2, x, mode="mc", rng=rng),
-            )
-        for i in range(shape.d):
-            for v in range(x[i] + 1, shape.n + 1):
-                edge = (x, x[:i] + (v,) + x[i + 1 :])
-                interior = oracles._interval_points(shape, edge)
-                p = math.fsum(
-                    oracles._exact_walk_event_prob(f, z, 2, "down", lambda y: f.peek(y) == 1)
-                    for z in interior
-                ) / len(interior)
-                if p == 0 or p >= 0.05:
-                    agree(
-                        "blue",
-                        oracles.blue_classify(f, 2, edge),
-                        oracles.blue_classify(f, 2, edge, mode="mc", rng=rng),
-                    )
-    names = ("persistence-up", "persistence-down", "mzb", "blue")
-    assert seen == {(name, v) for name in names for v in (Trivalent.YES, Trivalent.NO)}
+    for n, d in ((4, 2), (2, 4), (8, 2)):
+        shape = GridShape(n, d)
+        f = ExplicitFunction(shape, random_bits(shape.num_points, 1))
+        value = {x: int(f.peek(x)) for x in shape.points()}
+        pmfs = {
+            (x, direction): walks.exact_pmf(shape, x, walks.WalkSpec(direction, ell, shape)).table
+            for x in shape.points()
+            for direction in ("up", "down")
+        }
 
+        def prob(x, direction, event):
+            return math.fsum(p * event(y) for y, p in pmfs[x, direction].items())
 
-@pytest.mark.parametrize("mode, has_rng", [("exct", True), ("Exact", True), ("MC", True), ("mc", False)])
-def test_classifiers_reject_an_unknown_mode_and_mc_without_rng(mode, has_rng):
-    # An unknown mode once ran Monte Carlo, and "mc" without an rng died
-    # inside the sampler with an AttributeError.
-    f = ExplicitFunction(GridShape(4, 2), random_bits(16, 1))
-    rng = substream(0, "mode") if has_rng else None
-    edge = ((1, 1), (2, 1))
-    for call in (
-        lambda: oracles.persistence_classify(f, 1, 0.1, (2, 2), "up", mode=mode, samples=50, rng=rng),
-        lambda: oracles.mzb_classify(f, 1, (2, 2), mode=mode, samples=50, rng=rng),
-        lambda: oracles.red_classify(f, 1, edge, mode=mode, samples=50, rng=rng),
-        lambda: oracles.blue_classify(f, 1, edge, mode=mode, samples=50, rng=rng),
-    ):
-        with pytest.raises(DomainError):
-            call()
-
-
-def test_mc_persistence_rejects_a_bad_direction(rng):
-    # Exact mode always raised here; MC mode walked down and answered NO.
-    f = ExplicitFunction(GridShape(4, 2), random_bits(16, 1))
-    with pytest.raises(DomainError):
-        oracles.persistence_classify(f, 1, 0.1, (2, 2), "Up", mode="mc", samples=50, rng=rng)
+        mzb = {x: prob(x, "down", lambda y: value[y] == 0) for x in shape.points()}
+        for x in shape.points():
+            for direction in ("up", "down"):
+                p = prob(x, direction, lambda y: value[y] != value[x])
+                for beta in (0.0, 0.1, 0.3, 0.6):
+                    verdict = oracles.persistence_classify(f, ell, beta, x, direction)
+                    agree(f"persistence-{direction}", verdict, p, beta, p <= beta)
+            agree("mzb", oracles.mzb_classify(f, ell, x), mzb[x], MZB, mzb[x] >= MZB)
+            for i in range(d):
+                for v in range(x[i] + 1, n + 1):
+                    edge = (x, x[:i] + (v,) + x[i + 1 :])
+                    interior = [x[:i] + (u,) + x[i + 1 :] for u in range(x[i], v + 1)]
+                    red = math.fsum(
+                        prob(z, "up", lambda y: mzb[y] >= MZB) for z in interior
+                    ) / len(interior)
+                    blue = math.fsum(
+                        prob(z, "down", lambda y: value[y] == 1) for z in interior
+                    ) / len(interior)
+                    agree("red", oracles.red_classify(f, ell, edge), red, RB, red >= RB)
+                    agree("blue", oracles.blue_classify(f, ell, edge), blue, RB, blue >= RB)
+    names = ("persistence-up", "persistence-down", "mzb", "red", "blue")
+    assert seen == {(name, v) for name in names for v in (True, False)}
 
 
 _EDGE = ((1, 1), (2, 1))
 
 
+def _unreadable(shape):
+    def fail(_):
+        raise AssertionError("f was read")
+
+    return FunctionOracle(shape, fail, fn_many=fail, name="unreadable")
+
+
+# Each classifier as (f, walk length, point, edge) -> its answer.
+_CLASSIFIERS = {
+    "persistence": lambda f, ell, x, edge: oracles.persistence_classify(f, ell, 0.1, x, "up"),
+    "mzb-prob": lambda f, ell, x, edge: oracles.mzb_prob(f, ell, x),
+    "mzb": lambda f, ell, x, edge: oracles.mzb_classify(f, ell, x),
+    "red": lambda f, ell, x, edge: oracles.red_classify(f, ell, edge),
+    "blue": lambda f, ell, x, edge: oracles.blue_classify(f, ell, edge),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASSIFIERS))
+def test_classifiers_check_the_budget_before_reading_f(name):
+    # 2^27 points are over the budget at any walk length.
+    big = _unreadable(GridShape(2, 27))
+    with pytest.raises(BudgetError):
+        _CLASSIFIERS[name](big, 1, (2,) * 27, ((1,) * 27, (2,) + (1,) * 26))
+
+
+@pytest.mark.parametrize("name", list(_CLASSIFIERS))
+def test_classifiers_refuse_a_negative_length_before_reading_f(name):
+    with pytest.raises(DomainError):
+        _CLASSIFIERS[name](_unreadable(GridShape(4, 2)), -1, (2, 2), _EDGE)
+
+
+def test_persistence_refuses_a_bad_direction_before_reading_f():
+    # Only persistence takes a direction; the other classifiers fix theirs.
+    with pytest.raises(DomainError):
+        oracles.persistence_classify(_unreadable(GridShape(4, 2)), 1, 0.1, (2, 2), "Up")
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_walk_oracles_refuse_a_side_length_that_is_not_a_power_of_two(n):
+    # These once answered on a non-dyadic box, where the walk is undefined.
+    f = FunctionOracle(Box(n, 2), lambda x: int(x[0] > x[1]), name="box")
+    for call in (
+        lambda: oracles.mzb_prob(f, 1, (1, 1)),
+        lambda: oracles.persistence_classify(f, 1, 0.1, (1, 1), "up"),
+        lambda: oracles.influence_tilde(f),
+        lambda: exact_reject_prob_junta(f, 2, (1, 2)),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+
 @pytest.mark.parametrize(
     "read",
     [
-        lambda f, rng: oracles.persistence_classify(f, 1, 0.1, (2, 2), "up"),
-        lambda f, rng: oracles.persistence_classify(
-            f, 1, 0.1, (1, 1), "up", mode="mc", samples=50, rng=rng
-        ),
-        lambda f, rng: oracles.mzb_classify(f, 1, (2, 2)),
-        lambda f, rng: oracles.mzb_classify(f, 1, (2, 2), mode="mc", samples=50, rng=rng),
-        lambda f, rng: oracles.red_classify(f, 1, _EDGE),
-        lambda f, rng: oracles.blue_classify(f, 1, _EDGE),
-        lambda f, rng: oracles.blue_classify(f, 1, _EDGE, mode="mc", samples=50, rng=rng),
-        lambda f, rng: oracles.distance_to_monotonicity(f),
-        lambda f, rng: oracles.distance_to_monotonicity(f, force_method="dag_flow"),
-        lambda f, rng: oracles.distance_bruteforce(f),
-        lambda f, rng: oracles.build_violation_graph(f, "augmented_axis"),
+        lambda f: oracles.persistence_classify(f, 1, 0.1, (2, 2), "up"),
+        lambda f: oracles.mzb_classify(f, 1, (2, 2)),
+        lambda f: oracles.red_classify(f, 1, _EDGE),
+        lambda f: oracles.blue_classify(f, 1, _EDGE),
+        lambda f: oracles.distance_to_monotonicity(f),
+        lambda f: oracles.distance_to_monotonicity(f, force_method="dag_flow"),
+        lambda f: oracles.distance_bruteforce(f),
+        lambda f: oracles.build_violation_graph(f, "augmented_axis"),
     ],
     ids=[
-        "persistence", "persistence-mc", "mzb", "mzb-mc", "red", "blue", "blue-mc",
+        "persistence", "mzb", "red", "blue",
         "distance", "distance-flow", "bruteforce", "violation-graph",
     ],
 )
 @pytest.mark.parametrize("batched", [True, False])
-def test_exact_and_mc_oracles_reject_values_outside_0_1(read, batched, rng):
+def test_exact_and_mc_oracles_reject_values_outside_0_1(read, batched):
     # The tester is one-sided only for {0, 1}-valued functions, so every
     # oracle read, charged or not, must refuse any other value.
     bad = FunctionOracle(
@@ -487,7 +480,7 @@ def test_exact_and_mc_oracles_reject_values_outside_0_1(read, batched, rng):
         fn_many=(lambda p: np.full(len(p), 2)) if batched else None, name="bad",
     )
     with pytest.raises(DomainError):
-        read(bad, rng)
+        read(bad)
 
 
 def test_truth_table_pairs_reject_values_outside_0_1():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hgm.stats import chi_square_gof, loglog_slope, tv_distance, wilson_interval
+from hgm.stats import chi_square_gof, loglog_slope, wilson_interval
 
 
 def test_wilson_interval_brackets_rate():
@@ -53,11 +53,6 @@ def test_chi_square_pools_sparse_categories():
 def test_chi_square_flags_impossible_category():
     stat, p, _ = chi_square_gof({0: 10, 5: 1}, {0: 1.0}, 11)
     assert stat == float("inf") and p == 0.0
-
-
-def test_tv_distance():
-    assert tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
-    assert tv_distance({0: 1.0}, {1: 1.0}) == pytest.approx(1.0)
 
 
 def test_loglog_slope_recovers_power_law():

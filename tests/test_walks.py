@@ -15,7 +15,7 @@ from hgm import walks
 from hgm.errors import BudgetError, DomainError
 from hgm.grid import GridShape
 from hgm.rng import substream
-from hgm.stats import chi_square_gof
+from hgm.stats import chi_square_gof, wilson_interval
 from hgm import validate
 
 
@@ -434,15 +434,41 @@ def test_pmf_budget_is_enforced():
         walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 4, shape), budget=100)
 
 
-def test_pmf_csv_export(tmp_path):
-    shape = GridShape(2, 2)
-    pmf = walks.exact_pmf(shape, (1, 1), walks.WalkSpec("up", 1, shape))
-    path = tmp_path / "pmf.csv"
-    pmf.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "point_index,probability"
-    parsed = dict(line.split(",") for line in lines[1:])
-    assert float(parsed["1"]) == pytest.approx(0.5)
+@pytest.mark.parametrize("n, d", [(4, 2), (2, 4), (8, 2)])
+def test_walk_field_matches_the_enumeration(n, d):
+    # The whole-grid field against each start's own pmf enumeration.
+    shape = GridShape(n, d)
+    g = np.random.default_rng(n * 10 + d).random(shape.num_points)
+    for direction in ("up", "down"):
+        for ell in (0, 1, 2, d + 1):
+            spec = walks.WalkSpec(direction, ell, shape)
+            field = walks.walk_field(spec, g)
+            for x in shape.points():
+                pmf = walks.exact_pmf(shape, x, spec).table
+                expected = math.fsum(p * g[shape.index_of(y)] for y, p in pmf.items())
+                assert abs(field[shape.index_of(x)] - expected) <= 1e-12, (direction, ell, x)
+
+
+def test_walk_field_budget_is_checked_first():
+    # 2^24 points x 8 coefficients > 10^8 floats; g is refused unread.
+    shape = GridShape(2, 24)
+    with pytest.raises(BudgetError):
+        walks.walk_field(walks.WalkSpec("up", 7, shape), None)
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_move_law_refuses_a_side_length_that_is_not_a_power_of_two(n):
+    # The walk is defined only on dyadic grids; these once returned laws.
+    for call in (
+        walks.gap_law,
+        walks.line_kernel,
+        walks.gap_alias_table,
+        lambda n: walks.one_step(n, "up"),
+        walks.pair_distribution,
+        lambda n: walks.pair_distribution_at(n, 1),
+    ):
+        with pytest.raises(DomainError):
+            call(n)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +544,17 @@ def test_weight_distribution_and_typicality_exact():
 
 
 def test_typicality_mc_brackets_exact(rng):
-    from hgm.oracles import typicality_estimate
-
+    # The conditioned-cube sampler against the exact weight law: how often x
+    # lands in the c-middle layers of a sampled cube through it.
     shape = GridShape(4, 3)
     x = (2, 3, 1)
-    c, eps = 0.02, 0.5
+    c, eps, samples = 0.02, 0.5, 4000
     exact = walks.typical_probability_exact(shape, x, c, eps)
-    est, (lo, hi) = typicality_estimate(shape, x, c, eps, 4000, rng)
+    X = np.tile(shape.check_point(x), (samples, 1))
+    _, B = walks.sample_hypercube_at_batch(shape, X, rng)
+    weights = (X == B).sum(axis=1)  # coordinates at the cube's upper endpoint
+    hits = int(walks.weight_in_band(weights, shape.d, c, eps).sum())
+    lo, hi = wilson_interval(hits, samples)
     assert lo - 1e-9 <= exact <= hi + 1e-9
 
 
