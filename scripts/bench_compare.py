@@ -12,7 +12,9 @@ same seed and the run length that ``BENCHMARK.json`` sets, alternating which
 side runs first. The result is written to ``BENCH_<short sha of rev>.json``
 at the repository root: per workload and end-to-end metric, each side's
 median and quartiles, the change's wins (ties count for neither) and every
-run's value, plus provenance for both sides.
+run's value; per workload, each side's medians of the ``info`` lines that
+``perfbench/run.py`` prints (tester-highd's trials/s at HGM_THREADS 1 and 2);
+plus provenance for both sides.
 """
 
 from __future__ import annotations
@@ -70,12 +72,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"bench_compare: {workload} seed {seed} failed in {tree}:\n"
                          f"{proc.stderr.strip()[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """One run's record from ``perfbench/run.py``'s output: the metrics of its
+    last (JSON) line, and every ``info <key> <value>`` line as info[key]."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    info = {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) == 3 and fields[0] == "info":
+            info[fields[1]] = float(fields[2])
     return {
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "info": info,
     }
+
+
+def info_medians(runs: list) -> dict:
+    """Median of each info key over the runs that printed it."""
+    keys = sorted({k for r in runs for k in r["info"]})
+    return {k: statistics.median(r["info"][k] for r in runs if k in r["info"]) for k in keys}
 
 
 def summarize(base: list, change: list, better: str) -> dict:
@@ -148,6 +169,7 @@ def main(argv=None) -> int:
                                     [r["metrics"][name] for r in runs["change"]], direction)
                     for name, direction in better.items()
                 },
+                "info_medians": {s: info_medians(runs[s]) for s in runs},
             }
     out = ROOT / f"BENCH_{short}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
@@ -156,6 +178,10 @@ def main(argv=None) -> int:
             print(f"{workload:13s} {name:15s} {m['base']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} ({m['median_ratio']:.3f}x, "
                   f"change won {m['change_wins']}/{m['pairs']})")
+        base_info, change_info = res["info_medians"]["base"], res["info_medians"]["change"]
+        for key in sorted(base_info.keys() | change_info.keys()):
+            print(f"{workload:13s} info {key} {base_info.get(key, float('nan')):.4g} -> "
+                  f"{change_info.get(key, float('nan')):.4g} (medians)")
     print(f"wrote {out.name}")
     return 0
 

@@ -234,8 +234,8 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
                 batch_index * cfg.batch_size + int(row),
                 step,
                 int(taus[row]) - 1 + kind,
-                tuple(int(c) for c in low),
-                tuple(int(c) for c in high),
+                tuple(low.tolist()),
+                tuple(high.tolist()),
             )
         )
     return {
@@ -479,7 +479,7 @@ def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult
         violated = np.flatnonzero(worker.eval_many(X) > worker.eval_many(Y))
         if violated.size:
             row = violated[0]
-            witness = (tuple(int(c) for c in X[row]), tuple(int(c) for c in Y[row]))
+            witness = (tuple(X[row].tolist()), tuple(Y[row].tolist()))
             break
     f.query_count += worker.query_count
     return FullTesterResult(witness is None, witness, True, total_queries=worker.query_count)

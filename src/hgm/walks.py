@@ -399,19 +399,26 @@ def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
     return c.reshape(u.shape)
 
 
+def _uniform_words(rng, shape, dtype) -> np.ndarray:
+    """Integers uniform over the whole range of an integer dtype of at most
+    64 bits, in the given shape: full-range uint64 words viewed as dtype."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    words = rng.integers(0, 2**64, size=-(-size * dtype.itemsize // 8), dtype=np.uint64)
+    return words.view(dtype)[:size].reshape(shape)
+
+
 def sample_points_batch(shape: GridShape, count: int, rng) -> np.ndarray:
     """(count, d) uniform points, in the narrowest signed integer dtype that
     holds n: int8 up to n = 64, then int16, int32, int64.
 
-    n is a power of two, so it divides 2^bits, and the low bits of one
-    full-range draw are uniform on [0, n): an exact draw that is cheaper than
+    n is a power of two, so it divides 2^bits, and the low bits of a
+    full-range word are uniform on [0, n): an exact draw that is cheaper than
     a bounded one.
     """
     n = shape.n
-    info = next(
-        np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n
-    )
-    x = rng.integers(info.min, info.max + 1, size=(count, shape.d), dtype=info.dtype)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
+    x = _uniform_words(rng, (count, shape.d), dtype)
     x &= n - 1
     x += 1
     return x
@@ -431,31 +438,71 @@ def _floyd_subsets(d: int, k: int, count: int, rng) -> np.ndarray:
     return cols
 
 
+# Largest d whose threshold keys are 16 bits wide: a row's k-th and
+# (k+1)-th smallest keys tie, and the row is redrawn, with probability below
+# d / 2^16 (0.15% at d = 256, 0.8% here); a wider d draws 32-bit keys.
+KEY16_MAX_D = 1 << 10
+
+
+def _key_thresholds(keys: np.ndarray, k: np.ndarray):
+    """Each row's k-th smallest key, and whether the (k+1)-th ties with it."""
+    ranked = np.sort(keys, axis=1)
+    rows = np.arange(k.size)
+    low = ranked[rows, k - 1]
+    return low, low == ranked[rows, k]
+
+
+def _key_subsets(d: int, k: np.ndarray, rng) -> np.ndarray:
+    """(R, d) mask whose row i is a uniform subset of k[i] of range(d),
+    0 < k[i] < d: the k[i] smallest of d i.i.d. integer keys.
+
+    The keys' law is exchangeable and so is the event that the k-th and
+    (k+1)-th smallest keys differ, so given that event the k smallest are a
+    uniform k-subset. A row where they tie is redrawn whole, independently.
+    All rows draw and sort together, whatever their k.
+    """
+    dtype = np.uint16 if d <= KEY16_MAX_D else np.uint32
+    keys = _uniform_words(rng, (k.size, d), dtype)
+    low, tied = _key_thresholds(keys, k)
+    while tied.any():
+        redo = np.flatnonzero(tied)
+        keys[redo] = _uniform_words(rng, (redo.size, d), dtype)
+        low[redo], tied[redo] = _key_thresholds(keys[redo], k[redo])
+    return keys <= low[:, None]
+
+
 def select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
-    """(N, d) boolean mask whose row i is a uniform subset of
+    """(N, d) boolean mask whose row i is a uniform subset of exactly
     min(lengths[i], d) coordinates.
 
-    Rows are grouped by subset size, which takes at most ceil(log2 d) + 1
-    values under the default schedule. A subset (or its complement) of at
-    most sqrt(d) coordinates is drawn by Floyd's algorithm, any other by
-    thresholding d uniform keys at their k-th smallest (float64 ties have
-    probability about d^2 2^-53); a full-size group draws nothing.
+    A subset (or its complement) of at most sqrt(d) coordinates is drawn by
+    Floyd's algorithm, one group per size in ascending order; a full-size
+    group draws nothing. Every other row is drawn in one pass after them:
+    d integer keys per row, thresholded at its k-th smallest
+    (:func:`_key_subsets`). Raises DomainError unless every length is a
+    non-negative integer.
     """
-    m = np.minimum(lengths, d)
+    lengths = np.asarray(lengths)
+    if lengths.dtype.kind not in "iu":
+        raise DomainError(f"walk lengths must be integers, got dtype {lengths.dtype}")
+    if (lengths < 0).any():
+        raise DomainError(f"walk lengths must be non-negative, got {lengths.min()}")
+    m = np.minimum(lengths.astype(np.int64), d)
     selected = np.zeros((m.size, d), dtype=bool)
-    for k in np.unique(m[m > 0]):  # ascending, so the stream is deterministic
+    by_keys = (m * m > d) & ((d - m) ** 2 > d)
+    for k in np.unique(m[(m > 0) & ~by_keys]):  # ascending, so the stream is deterministic
         k = int(k)
         rows = np.flatnonzero(m == k)
         if k == d:
             selected[rows] = True
         elif k * k <= d:
             selected[rows[:, None], _floyd_subsets(d, k, rows.size, rng)] = True
-        elif (d - k) ** 2 <= d:
+        else:
             selected[rows] = True
             selected[rows[:, None], _floyd_subsets(d, d - k, rows.size, rng)] = False
-        else:
-            keys = rng.random((rows.size, d))
-            selected[rows] = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    rows = np.flatnonzero(by_keys)
+    if rows.size:
+        selected[rows] = _key_subsets(d, m[rows], rng)
     return selected
 
 
@@ -470,8 +517,8 @@ def sample_walk_batch(
     coordinate, or three integer draws (q, window offset, element) when
     n >= 2048. Each selected coordinate follows :func:`line_kernel`. A shift
     is the difference between a walk endpoint and its anchor. How much
-    randomness a call consumes, and in what order, depends on the lengths:
-    rows are grouped by subset size, then the selected entries draw together.
+    randomness a call consumes, and in what order, depends on the lengths
+    (see :func:`select_coordinates`); then the selected entries draw together.
     """
     _check_direction(direction)
     Y = np.array(X, dtype=np.int64, order="C")

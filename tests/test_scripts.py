@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts, so a broken import or CLI call shows."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -35,11 +36,16 @@ def test_script_runs_to_completion(script, args, last_line_start):
     assert proc.stdout.splitlines()[-1].startswith(last_line_start), proc.stdout
 
 
-def test_bench_compare_summary_counts_wins_by_direction():
+def _bench_compare():
     path = ROOT / "scripts" / "bench_compare.py"
     spec = importlib.util.spec_from_file_location("bench_compare", path)
     bench_compare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_compare)
+    return bench_compare
+
+
+def test_bench_compare_summary_counts_wins_by_direction():
+    bench_compare = _bench_compare()
     base, change = [10.0, 20.0, 30.0, 40.0], [12.0, 20.0, 25.0, 50.0]
     up = bench_compare.summarize(base, change, "higher")
     assert (up["change_wins"], up["change_losses"]) == (2, 1)  # the tie counts for neither
@@ -47,3 +53,33 @@ def test_bench_compare_summary_counts_wins_by_direction():
     assert up["median_ratio"] == up["change"]["median"] / 25.0
     down = bench_compare.summarize(base, change, "lower")
     assert (down["change_wins"], down["change_losses"]) == (1, 2)
+
+
+# The shape of perfbench/run.py's output on tester-highd, abridged.
+RUN_STDOUT = "\n".join([
+    "workload tester-highd",
+    'provenance {"HGM_THREADS": "1", "seed": 1}',
+    "trials_per_s             56713.2 trials/s (56025.3), median over rounds  [work_per_s]",
+    "peak_rss_mb              121.652 MB",
+    "info threads1_trials_per_s 130356",
+    "info threads2_trials_per_s 98183.5",
+    "error_rate               0 (0 failed of 1541 checked operations)",
+    json.dumps({"correct": True, "attempted": 1541, "failed": 0,
+                "metrics": {"work_per_s": {"value": 56713.2, "unit": "items/s"},
+                            "peak_rss_mb": {"value": 121.652, "unit": "MB"}}}),
+]) + "\n"
+
+
+def test_bench_compare_keeps_the_info_lines():
+    bench_compare = _bench_compare()
+    run = bench_compare.parse_run(RUN_STDOUT)
+    assert run == {
+        "failed": 0,
+        "attempted": 1541,
+        "metrics": {"work_per_s": 56713.2, "peak_rss_mb": 121.652},
+        "info": {"threads1_trials_per_s": 130356.0, "threads2_trials_per_s": 98183.5},
+    }
+    other = bench_compare.parse_run(RUN_STDOUT.replace("130356", "130000").replace(
+        "info threads2_trials_per_s 98183.5\n", ""))
+    assert bench_compare.info_medians([run, other]) == {
+        "threads1_trials_per_s": 130178.0, "threads2_trials_per_s": 98183.5}

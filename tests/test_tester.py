@@ -306,25 +306,28 @@ def _digits(x):
     return tuple(int(c) for c in x)
 
 
-# run_tester reports recorded before the move kernel's lookup table and the
-# narrow trial batch: (rejections, per_tau, per_step, witnesses). At (8, 64)
-# a witness's points are written as their 64 one-digit coordinates.
+# run_tester reports (rejections, per_tau, per_step, witnesses). The (64, 4)
+# cell was recorded before the move kernel's lookup table and the narrow
+# trial batch. The (8, 64) and (8, 256) cells, whose walks draw most of their
+# coordinate subsets by thresholding keys, were recorded since keys became
+# 16 bits wide and anchors came from 64-bit words. A witness's points at
+# n = 8 are written as their one-digit coordinates, 64 to a string.
 TESTER_STREAM = {
     (8, 64, "anti_dictator", 3000, 5): (
-        884,
-        {1: (429, 9), 2: (469, 19), 4: (418, 37), 8: (414, 77), 16: (410, 130),
-         32: (426, 249), 64: (434, 363)},
-        {"up_path": 339, "down_path": 225, "up_path_down_shift": 189, "down_path_up_shift": 131},
+        879,
+        {1: (429, 7), 2: (469, 15), 4: (418, 32), 8: (414, 78), 16: (410, 134),
+         32: (426, 241), 64: (434, 372)},
+        {"up_path": 308, "down_path": 248, "up_path_down_shift": 169, "down_path_up_shift": 154},
         [
-            (1, "up_path", 32,
-             _digits("4624155834573148187735228813718628568251541782585176877526648732"),
-             _digits("5644155835573858187735328875818638868458548782585277877536658732")),
-            (10, "up_path", 63,
-             _digits("1621741864388887646664618127442866388854534287882325335648116658"),
-             _digits("6768848864488887646784828337452866388864544887883326435658387658")),
-            (15, "up_path", 4,
-             _digits("4861385447326577441572541428326688518316454478328165752484454521"),
-             _digits("7861385447326577441572541428326688518316554478328165752484454521")),
+            (1, "down_path", 32,
+             _digits("2345828544615152171321136857752771185643866372265143275786316631"),
+             _digits("6545868844715152181321136857852881885658866378268753285786476631")),
+            (4, "up_path", 31,
+             _digits("4678351832856846223744232676512781266435561336183258671178834523"),
+             _digits("7678357883876856244844232776512788376535561336183258771178834523")),
+            (8, "up_path", 32,
+             _digits("1628776573215767136465548264251365445186852163126516383435566124"),
+             _digits("8628786573285767236466648474258375545286852163127786483436567134")),
         ],
     ),
     (64, 4, "random_balanced", 2000, 3): (
@@ -337,10 +340,45 @@ TESTER_STREAM = {
             (6, "up_path_down_shift", 3, (1, 1, 48, 36), (56, 1, 48, 37)),
         ],
     ),
+    (8, 256, "anti_dictator", 2000, 11): (
+        470,
+        {1: (219, 0), 2: (222, 2), 4: (208, 6), 8: (220, 10), 16: (222, 22), 32: (225, 45),
+         64: (228, 77), 128: (243, 130), 256: (213, 178)},
+        {"up_path": 174, "down_path": 121, "up_path_down_shift": 98, "down_path_up_shift": 77},
+        [
+            (0, "up_path", 128,
+             _digits("1653637811786652633651221386211346686774737658623813866285372314"
+                     "1465863415444775642445343674131872547478624857887341674138577863"
+                     "4338483154663853145133618866518476558347357273624743744147674515"
+                     "7814864885715643221526161313261352413147667853588646117851325357"),
+             _digits("6654647888786652833661221386211446686775767658623853866286372324"
+                     "1475863455444775752445443684231872557488624887888448775838577863"
+                     "4338483154663887146143678866568586558547367273624843748147684515"
+                     "7874875886815653221526161313461352445147767865588686117888325357")),
+            (4, "down_path", 15,
+             _digits("4354525583163671125437452757322412652786442468731473825232247366"
+                     "6852577286643264111551343712514361875128626375766513146645384265"
+                     "5321225556123583435764424312526552843816345212127252144456825865"
+                     "3157551245445854328452414471147314682874584413687543348614178635"),
+             _digits("8354525583163671725437452757322412652786442488731473825232247366"
+                     "6852577286643264121551343712514361875128626375766513146645385265"
+                     "5321325556123583435764424312526652843816345212127252144456825865"
+                     "3157551245445854328452414471148314682874584413687543348614178635")),
+            (5, "up_path", 256,
+             _digits("4188676728555488871532135248282773633465543383286154752772453445"
+                     "7167454137262217283454248578375324387384538842862371133141547328"
+                     "4523461563434117518584357388714145153842564243617336457642187785"
+                     "6155187548432218623623456467517136271415548853425423767726333328"),
+             _digits("7888786728555788888533636448288773673567574883786865774772457445"
+                     "7777464267474827286465358578475484887687688863867482868456657348"
+                     "6623462664534847578684567488887845284874664256627857657743387786"
+                     "8258787748747288733634466587547236275426548868547538767736453338")),
+        ],
+    ),
 }
 
 
-@pytest.mark.parametrize("cell", sorted(TESTER_STREAM))
+@pytest.mark.parametrize("cell", list(TESTER_STREAM))
 def test_reports_are_pinned_to_the_recorded_stream(cell):
     n, d, family, trials, seed = cell
     f = make_family(FamilySpec(family), GridShape(n, d))

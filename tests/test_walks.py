@@ -428,6 +428,65 @@ def test_large_d_mixed_lengths_match_per_group_behaviour():
         assert p > ALPHA, (ell, p)
 
 
+def _three_of_six_law(rng):
+    # At d = 6, k = 3 is the only size drawn by thresholding keys.
+    d, N = 6, 20_000
+    selected = walks.select_coordinates(d, np.full(N, 3), rng)
+    assert (selected.sum(axis=1) == 3).all()
+    # Each row's subset as one bit mask: 20 equally likely values.
+    codes = selected.astype(np.int64) @ (1 << np.arange(d))
+    expected = {sum(1 << i for i in S): 1 / 20 for S in itertools.combinations(range(d), 3)}
+    _, p, _ = chi_square_gof(_tally(codes), expected, N)
+    return p
+
+
+def test_key_subsets_are_uniform():
+    assert _three_of_six_law(substream(1, "key-subsets")) > ALPHA
+
+
+class _TwoBitKeys:
+    """A generator whose full-range 64-bit words keep two bits of every
+    16-bit lane, so threshold keys tie often."""
+
+    def __init__(self, rng):
+        self.rng, self.word_draws = rng, 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        out = self.rng.integers(low, high, size=size, dtype=dtype)
+        if dtype is np.uint64 and (low, high) == (0, 2**64):
+            self.word_draws += 1
+            out &= np.uint64(0x0003_0003_0003_0003)
+        return out
+
+
+def test_tied_key_rows_are_redrawn_and_stay_uniform():
+    rng = _TwoBitKeys(substream(2, "key-subsets"))
+    # Every row has exactly 3 coordinates (no over-selection at a tie) and
+    # the law is uniform, through several rounds of redraws.
+    assert _three_of_six_law(rng) > ALPHA
+    assert rng.word_draws > 3
+
+
+@pytest.mark.parametrize("d", [5, 16, 64, 256, 2048])
+def test_every_row_selects_exactly_min_length_d(d):
+    # Every length 0..d + 2, shuffled: across these d the rows take every
+    # path, full (k = d), Floyd (k^2 <= d), Floyd on the complement
+    # ((d - k)^2 <= d) and key thresholds (all d but 5; 32 bits at 2048).
+    lengths = substream(d, "exact-count").permutation(np.repeat(np.arange(d + 3), 4))
+    selected = walks.select_coordinates(d, lengths, substream(d, "exact-count", "draw"))
+    assert (selected.sum(axis=1) == np.minimum(lengths, d)).all()
+
+
+@pytest.mark.parametrize("length", [2.5, -3, np.array([1.0, 2.0]), np.array([1, -1])])
+def test_samplers_refuse_a_length_that_is_not_a_non_negative_integer(length, rng):
+    shape, X = GridShape(8, 4), np.full((2, 4), 4)
+    with pytest.raises(DomainError):
+        walks.sample_walk_batch(shape, X, length, "up", rng)
+    A, B = np.ones((2, 4), dtype=np.int64), np.full((2, 4), 8)
+    with pytest.raises(DomainError):
+        walks.sample_hypercube_walk_batch(A, B, A, length, "up", rng)
+
+
 def test_pmf_budget_is_enforced():
     shape = GridShape(16, 4)
     with pytest.raises(BudgetError):
