@@ -16,7 +16,11 @@ one-sided because every rejection carries such a witness.
 
 The multi-trial driver is vectorized in fixed-size batches whose randomness
 is keyed by (seed, batch index), so reports are bit-identical regardless of
-how many worker threads process the batches.
+how many worker threads process the batches. A batch is walk-major: the
+twelve walks of a trial (``WALKS``) are stacked, their moves land in one
+dense offset array, and the batch returns count arrays (trials and
+rejections per schedule entry, first rejections per step) that
+``run_tester`` sums.
 
 The exact per-trial rejection probability (``exact_reject_prob``) integrates
 a trial over all its randomness by a tensor contraction: once its subsets
@@ -37,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,16 +83,25 @@ STEPS = tuple(SUBTESTS)
 # then tau.
 PAIRS = tuple((step, kind) for step in STEPS for kind in (0, 1))
 
-# A trial's twelve walks in four groups, (direction, role, pairs): up paths,
-# up shifts, down paths, down shifts. A pair has one path walk and at most
-# one shift walk.
-WALK_GROUPS = tuple(
-    (direction, role, tuple(
-        p for p, (step, _) in enumerate(PAIRS) if getattr(SUBTESTS[step], role) == direction
-    ))
+# A trial's twelve walks, (direction, role, pair): up paths, up shifts, down
+# paths, down shifts, each in PAIRS order. A pair has one path walk and at
+# most one shift walk.
+WALKS = tuple(
+    (direction, role, p)
     for direction in ("up", "down")
     for role in ("path", "shift")
+    for p, (step, _) in enumerate(PAIRS)
+    if getattr(SUBTESTS[step], role) == direction
 )
+# _run_batch's tables: each walk's pair, what it adds to tau - 1 to get its
+# length (a shift adds 0), the number of up walks, the shift walks, each
+# pair's path walk, and whether each pair's anchor is its low end.
+WALK_PAIR = np.array([p for _, _, p in WALKS])
+WALK_KIND = np.array([PAIRS[p][1] if role == "path" else 0 for _, role, p in WALKS])
+UP_WALKS = sum(direction == "up" for direction, _, _ in WALKS)
+SHIFT_WALKS = np.array([w for w, (_, role, _) in enumerate(WALKS) if role == "shift"])
+PATH_WALK = np.array([WALKS.index((SUBTESTS[s].path, "path", p)) for p, (s, _) in enumerate(PAIRS)])
+ANCHOR_LOW = np.array([SUBTESTS[step].path == "up" for step, _ in PAIRS])[:, None]
 
 DEFAULT_BATCH = 8192
 # Pairs per fallback chunk; larger chunks raise the fallback's peak memory.
@@ -134,6 +148,8 @@ class TesterConfig:
             raise ConfigError("trials must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
+        if self.max_witnesses < 0:
+            raise ConfigError("max_witnesses must be non-negative")
         if self.tau_schedule is not None:
             _check_schedule(self.tau_schedule)
 
@@ -163,71 +179,56 @@ class TesterReport:
 
 
 def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: int):
-    """One deterministic batch: returns per-batch aggregates.
+    """One deterministic batch of count trials: trials and rejections per
+    schedule index, first rejections per step, queries spent, and the first
+    cfg.max_witnesses witnesses.
 
     All randomness comes from (seed, "batch", batch_index), so the result is
-    independent of which thread runs it. The batch is one fused pass: one
-    draw for the eight pairs' anchors, one coordinate selection for all
-    twelve walks (stacked in WALK_GROUPS order, so each group is one run of
-    the sorted selected-entry index) and one move-kernel call. Shifts are
-    applied sparsely: X0 - S = W and Y0 - S = W + (Y0 - X0), where W is the
-    shift walk's endpoint, so the shift endpoint is written into the anchor
-    in place and the path's moves are added to one copy. Every point stays
-    in the anchors' narrow dtype (int8 up to n = 64), from the draw through
-    the move kernel to the oracle reads.
+    independent of which thread runs it. The batch is walk-major: one draw
+    for the eight pairs' anchors, one coordinate selection for the twelve
+    walks stacked in WALKS order, and one move-kernel call. The stack holds
+    each walk's copy of its pair's anchors, so the selected-entry index
+    addresses it directly, and its up walks come first. A walk's moves
+    become dense offsets, zero outside its subset. Shifts: X0 - S = W and
+    Y0 - S = W + (Y0 - X0) for the shift endpoint W, so the shift offsets
+    are added to the anchors and a pair's moved point is its anchor plus its
+    path offsets. Every point stays in the anchors' narrow dtype (int8 up to
+    n = 64), from the draw through the move kernel to the oracle reads.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
     rng = substream(cfg.seed, "batch", batch_index)
     schedule = np.asarray(cfg.schedule, dtype=np.int64)
-    taus = schedule[rng.integers(0, len(schedule), size=count)]
+    which = rng.integers(0, len(schedule), size=N)
+    taus = schedule[which]
     anchors = walks.sample_points_batch(shape, len(PAIRS) * N, rng).reshape(len(PAIRS), N, d)
 
-    walk_pairs = np.array([p for _, _, pairs in WALK_GROUPS for p in pairs])
-    lengths = np.concatenate([
-        taus - 1 + (PAIRS[p][1] if role == "path" else 0)
-        for _, role, pairs in WALK_GROUPS
-        for p in pairs
-    ])
+    lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
     idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng))
-    # Walk w's entries are idx[ends[w]:ends[w + 1]]; they move its pair's anchor.
-    ends = np.searchsorted(idx, np.arange(walk_pairs.size + 1) * (N * d))
-    target = idx + np.repeat((walk_pairs - np.arange(walk_pairs.size)) * (N * d), np.diff(ends))
-    flat = anchors.reshape(-1)
-    u = flat[target]
+    u = np.take(anchors, WALK_PAIR, axis=0).reshape(-1)[idx]
     c = walks.sample_line_kernel(n, u, rng)
-    edges = ends[np.cumsum([0] + [len(pairs) for _, _, pairs in WALK_GROUPS])]
-    groups = [(direction, role, slice(lo, hi))
-              for (direction, role, _), lo, hi in zip(WALK_GROUPS, edges[:-1], edges[1:])]
-    for direction, role, g in groups:
-        (np.maximum if direction == "up" else np.minimum)(c[g], u[g], out=c[g])
-        if role == "shift":
-            flat[target[g]] = c[g]
-    moved = anchors.copy()
-    for _, role, g in groups:
-        if role == "path":
-            moved.reshape(-1)[target[g]] += c[g] - u[g]
+    up = np.searchsorted(idx, UP_WALKS * N * d)
+    np.maximum(c[:up], u[:up], out=c[:up])
+    np.minimum(c[up:], u[up:], out=c[up:])
+    c -= u
+    offsets = np.zeros((len(WALKS), N, d), dtype=anchors.dtype)
+    offsets.reshape(-1)[idx] = c
+    anchors[WALK_PAIR[SHIFT_WALKS]] += offsets[SHIFT_WALKS]
+    moved = offsets[PATH_WALK]
+    moved += anchors
 
     worker = f.spawn_worker()
     f_anchor = worker.eval_many(anchors.reshape(-1, d)).reshape(len(PAIRS), N)
     f_moved = worker.eval_many(moved.reshape(-1, d)).reshape(len(PAIRS), N)
-    anchor_low = np.array([SUBTESTS[step].path == "up" for step, _ in PAIRS])[:, None]
-    viol = np.where(anchor_low, f_anchor > f_moved, f_moved > f_anchor)  # (pairs, N)
+    viol = np.where(ANCHOR_LOW, f_anchor > f_moved, f_moved > f_anchor)  # (pairs, N)
     rejected = viol.any(axis=0)
     first = np.argmax(viol, axis=0)  # index of first rejecting pair
-    per_tau: Dict[int, Tuple[int, int]] = {}
-    for t in cfg.schedule:
-        mask = taus == t
-        per_tau[int(t)] = (int(mask.sum()), int((mask & rejected).sum()))
-    per_step = {s: 0 for s in STEPS}
-    for pi, (step, _) in enumerate(PAIRS):
-        per_step[step] += int((rejected & (first == pi)).sum())
     witnesses = []
-    for row in np.nonzero(rejected)[0][: cfg.max_witnesses]:
+    for row in np.flatnonzero(rejected)[: cfg.max_witnesses]:
         pi = int(first[row])
         step, kind = PAIRS[pi]
         low, high = anchors[pi, row], moved[pi, row]
-        if not anchor_low[pi, 0]:
+        if not ANCHOR_LOW[pi, 0]:
             low, high = high, low
         witnesses.append(
             (
@@ -238,58 +239,48 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
                 tuple(high.tolist()),
             )
         )
-    return {
-        "trials": N,
-        "rejections": int(rejected.sum()),
-        "per_tau": per_tau,
-        "per_step": per_step,
-        "queries": worker.query_count,
-        "witnesses": witnesses,
-    }
+    return (
+        np.bincount(which, minlength=len(schedule)),
+        np.bincount(which[rejected], minlength=len(schedule)),
+        # PAIRS is step-major, two lengths per step.
+        np.bincount(first[rejected] // 2, minlength=len(STEPS)),
+        worker.query_count,
+        witnesses,
+    )
 
 
 def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
     """Aggregate cfg.trials independent trials; deterministic given (seed, cfg)."""
     if f.shape != cfg.shape:
         raise ConfigError("oracle shape does not match config shape")
-    sizes = []
-    left = cfg.trials
-    while left > 0:
-        take = min(cfg.batch_size, left)
-        sizes.append(take)
-        left -= take
+    sizes = [min(cfg.batch_size, cfg.trials - s) for s in range(0, cfg.trials, cfg.batch_size)]
+    args = (repeat(f), repeat(cfg), range(len(sizes)), sizes)
     threads = worker_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda b: _run_batch(f, cfg, b, sizes[b]), range(len(sizes)))
-            )
+            results = list(pool.map(_run_batch, *args))
     else:
-        results = [_run_batch(f, cfg, b, sizes[b]) for b in range(len(sizes))]
-    rejections = sum(r["rejections"] for r in results)
-    queries = sum(r["queries"] for r in results)
+        results = list(map(_run_batch, *args))
+    *counts, witnesses = zip(*results)
+    tau_trials, tau_rejections, step_rejections, queries = map(sum, counts)
     f.query_count += queries
-    per_tau = {int(t): [0, 0] for t in cfg.schedule}
-    per_step = {s: 0 for s in STEPS}
-    witnesses: List = []
-    for r in results:  # batch order, deterministic
-        for t, (tt, tr) in r["per_tau"].items():
-            per_tau[t][0] += tt
-            per_tau[t][1] += tr
-        for s, c in r["per_step"].items():
-            per_step[s] += c
-        if len(witnesses) < cfg.max_witnesses:
-            witnesses.extend(r["witnesses"][: cfg.max_witnesses - len(witnesses)])
-    rate = rejections / cfg.trials
+    # A tau that the schedule repeats gets the sum of its entries.
+    schedule = np.asarray(cfg.schedule)
+    per_tau = {
+        int(t): (int(tau_trials[schedule == t].sum()), int(tau_rejections[schedule == t].sum()))
+        for t in cfg.schedule
+    }
+    rejections = int(tau_rejections.sum())
     return TesterReport(
         trials=cfg.trials,
         rejections=rejections,
-        reject_rate=rate,
+        reject_rate=rejections / cfg.trials,
         wilson_ci_95=wilson_interval(rejections, cfg.trials),
-        per_tau={t: tuple(v) for t, v in per_tau.items()},
-        per_step=per_step,
+        per_tau=per_tau,
+        per_step=dict(zip(STEPS, step_rejections.tolist())),
         total_queries=queries,
-        witnesses=witnesses,
+        # Batch order, so deterministic.
+        witnesses=[w for batch in witnesses for w in batch][: cfg.max_witnesses],
         seed=cfg.seed,
     )
 

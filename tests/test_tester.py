@@ -53,6 +53,14 @@ def test_config_rejects_nonpositive_batch_size():
             Config(shape=GridShape(4, 2), trials=1, batch_size=batch_size)
 
 
+def test_config_rejects_negative_max_witnesses():
+    # A negative count would keep every witness but the last few.
+    with pytest.raises(ConfigError):
+        Config(shape=GridShape(4, 2), trials=1, max_witnesses=-1)
+    assert run_tester(anti_dictator(4, 2),
+                      Config(shape=GridShape(4, 2), trials=500, max_witnesses=0)).witnesses == []
+
+
 def test_config_rejects_empty_tau_schedule():
     with pytest.raises(ConfigError):
         Config(shape=GridShape(4, 2), trials=1, tau_schedule=())
@@ -310,8 +318,11 @@ def _digits(x):
 # cell was recorded before the move kernel's lookup table and the narrow
 # trial batch. The (8, 64) and (8, 256) cells, whose walks draw most of their
 # coordinate subsets by thresholding keys, were recorded since keys became
-# 16 bits wide and anchors came from 64-bit words. A witness's points at
-# n = 8 are written as their one-digit coordinates, 64 to a string.
+# 16 bits wide and anchors came from 64-bit words. The (128, 5) cell (int16
+# anchors, one alias draw per move) and the (2^15, 3) cell (int32 anchors,
+# three draws per move) were recorded before the walk-major batch. A
+# witness's points at n = 8 are written as their one-digit coordinates, 64 to
+# a string.
 TESTER_STREAM = {
     (8, 64, "anti_dictator", 3000, 5): (
         879,
@@ -375,6 +386,26 @@ TESTER_STREAM = {
                      "8258787748747288733634466587547236275426548868547538767736453338")),
         ],
     ),
+    (128, 5, "random_balanced", 2000, 4): (
+        1493,
+        {1: (511, 230), 2: (497, 372), 4: (515, 455), 8: (477, 436)},
+        {"up_path": 610, "down_path": 440, "up_path_down_shift": 266, "down_path_up_shift": 177},
+        [
+            (0, "up_path_down_shift", 3, (86, 23, 58, 39, 39), (88, 106, 58, 39, 66)),
+            (1, "up_path", 7, (7, 21, 26, 30, 15), (8, 21, 29, 30, 15)),
+            (2, "down_path_up_shift", 1, (9, 116, 22, 69, 87), (9, 119, 22, 69, 87)),
+        ],
+    ),
+    (2**15, 3, "random_balanced", 2000, 9): (
+        1342,
+        {1: (671, 275), 2: (647, 478), 4: (682, 589)},
+        {"up_path": 562, "down_path": 359, "up_path_down_shift": 253, "down_path_up_shift": 168},
+        [
+            (0, "up_path_down_shift", 2, (13969, 12259, 31540), (13969, 12259, 31541)),
+            (1, "up_path", 1, (20924, 31448, 8475), (20924, 31448, 8479)),
+            (2, "up_path", 1, (15478, 11524, 3495), (15479, 11524, 3495)),
+        ],
+    ),
 }
 
 
@@ -386,6 +417,23 @@ def test_reports_are_pinned_to_the_recorded_stream(cell):
                                max_witnesses=3))
     assert (rep.rejections, rep.per_tau, rep.per_step, rep.witnesses) == TESTER_STREAM[cell]
     assert rep.total_queries == 16 * trials
+
+
+def test_repeated_schedule_entry_sums_into_one_tau():
+    # Recorded before the walk-major batch. Both entries of 2 draw trials,
+    # and per_tau keeps one key per distinct tau with their sum.
+    f = anti_dictator(8, 8)
+    rep = run_tester(f, Config(shape=f.shape, trials=3000, seed=7, tau_schedule=(1, 2, 2, 8),
+                               batch_size=1024, max_witnesses=3))
+    assert rep.rejections == 1092
+    assert rep.per_tau == {1: (717, 55), 2: (1533, 420), 8: (750, 617)}
+    assert rep.per_step == {"up_path": 395, "down_path": 285, "up_path_down_shift": 236,
+                            "down_path_up_shift": 176}
+    assert rep.witnesses == [
+        (0, "up_path", 7, (1, 3, 2, 6, 4, 7, 8, 8), (8, 3, 8, 7, 5, 7, 8, 8)),
+        (1, "down_path_up_shift", 1, (3, 6, 4, 2, 6, 8, 8, 1), (8, 6, 4, 2, 6, 8, 8, 1)),
+        (2, "down_path_up_shift", 1, (3, 5, 2, 1, 2, 3, 6, 7), (5, 5, 2, 1, 2, 3, 6, 7)),
+    ]
 
 
 def test_mismatched_shape_rejected():
