@@ -30,7 +30,7 @@ from .grid import (
     surface_warning,
 )
 from .rng import substream
-from .stats import loglog_slope, wilson_interval
+from .stats import Z_95, loglog_slope, wilson_interval
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -63,7 +63,10 @@ def parse_config_file(path: str) -> Dict[str, str]:
 
 
 def _parse_bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
+    value = raw.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return value in ("1", "true", "yes")
 
 
 def _config_converters(parser: argparse.ArgumentParser) -> Dict[str, Callable[[str], object]]:
@@ -386,7 +389,7 @@ def cmd_domain_reduce(args) -> int:
         writer.row(rep, cfg["k"], dist)
     mean = sum(dists) / len(dists)
     std = float(np.std(dists, ddof=1)) if len(dists) > 1 else 0.0
-    half = 1.959963984540054 * std / math.sqrt(len(dists))
+    half = Z_95 * std / math.sqrt(len(dists))
     frac = sum(v >= eps / 4 for v in dists)
     flo, fhi = wilson_interval(frac, len(dists))
     writer.comment("full_distance", eps)

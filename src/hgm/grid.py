@@ -7,15 +7,18 @@ power of two, the domain the walks need. Points are 1-based tuples of
 length d. The linear index uses mixed radix with coordinate 1 least
 significant: index(x) = sum_i (x_i - 1) * n^(i-1).
 
-Every read from a :class:`FunctionOracle`, charged or not, checks its
-points against [1, n]^d and its values to lie in {0, 1}; ``peek`` and
-``peek_many`` are the uncharged scalar and batch reads. A batch reaches the
-function in the caller's integer dtype, so a batch function must not
-assume int64 (see :class:`FunctionOracle`).
+A :class:`FunctionOracle` holds one function, a batch function from (N, d)
+integer points to N values. Every read, charged or not, checks its points
+against [1, n]^d and that the function returns one value in {0, 1} per
+point; ``peek`` and ``peek_many`` are the uncharged scalar and batch reads,
+and a scalar read is a batch of one. A batch reaches the function in the
+caller's integer dtype, so a batch function must not assume int64 (see
+:class:`FunctionOracle`).
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import struct
 from dataclasses import dataclass
@@ -152,31 +155,26 @@ def comparable(x: Sequence[int], y: Sequence[int]) -> Comparability:
 
 
 class FunctionOracle:
-    """Queryable Boolean function on a grid, with query accounting.
+    """Queryable Boolean function on a box, with query accounting.
 
     ``query_count`` increases by exactly one per point evaluated (batch
     evaluation of N points adds N). ``spawn_worker`` returns an oracle
     sharing the same function but with a fresh counter, so parallel workers
     can count queries independently and sum them on join.
 
-    ``fn`` receives a point as a tuple of ints in [1, n]^d. ``fn_many``
-    receives an (N, d) integer array whose entries are checked to lie in
-    [1, n], in whatever integer dtype the caller passed (int8 from the
-    tester's narrow batches, int64 from a list), so it must widen before
-    arithmetic that can leave that dtype's range, such as a coordinate sum
-    or a linear index.
+    ``fn`` is the batch function: it receives an (N, d) integer array whose
+    entries are checked to lie in [1, n], and returns N values, each 0 or 1.
+    The array comes in whatever integer dtype the caller passed (int8 from
+    the tester's narrow batches, int64 from a list), so ``fn`` must widen
+    before arithmetic that can leave that dtype's range, such as a
+    coordinate sum or a linear index.
     """
 
     def __init__(
-        self,
-        shape: GridShape,
-        fn: Callable[[Point], int],
-        fn_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        name: str = "oracle",
+        self, shape: Box, fn: Callable[[np.ndarray], np.ndarray], name: str = "oracle"
     ):
         self.shape = shape
-        self._fn = fn
-        self._fn_many = fn_many
+        self._function = fn
         self.name = name
         self.query_count = 0
 
@@ -196,18 +194,15 @@ class FunctionOracle:
         """Evaluate without counting a query (for oracles validating oracles).
 
         The point must lie in [1, n]^d (DomainError otherwise)."""
-        x = self.shape.check_point(x)
-        v = self._fn(x)
-        if v not in (0, 1):
-            raise DomainError(f"{self.name} returned {v!r} at {x}, not 0 or 1")
-        return int(v)
+        return int(self.peek_many(np.array([self.shape.check_point(x)]))[0])
 
     def peek_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) array of points without counting queries.
 
-        The points must be integers in [1, n]^d (DomainError otherwise). The
-        range is checked on the caller's own dtype, and the function reads
-        the caller's array as it is, with no widened copy.
+        The points must be integers in [1, n]^d, and the function must return
+        N values in {0, 1} (DomainError otherwise). The range is checked on
+        the caller's own dtype, and the function reads the caller's array as
+        it is, with no widened copy.
         """
         pts = np.asarray(pts)
         n, d = self.shape.n, self.shape.d
@@ -219,25 +214,28 @@ class FunctionOracle:
             raise DomainError(
                 f"coordinates span [{pts.min()}, {pts.max()}], outside [1, {n}]"
             )
-        if self._fn_many is not None:
-            vals = np.asarray(self._fn_many(pts))
-        else:
-            vals = np.array([self._fn(tuple(int(c) for c in p)) for p in pts])
+        vals = np.asarray(self._function(pts))
+        if vals.shape != (len(pts),):
+            raise DomainError(
+                f"{self.name} returned shape {vals.shape} for {len(pts)} points"
+            )
         if not ((vals == 0) | (vals == 1)).all():
             raise DomainError(f"{self.name} returned values other than 0 and 1")
         return vals.astype(np.int8, copy=False)
 
     def spawn_worker(self) -> "FunctionOracle":
-        return FunctionOracle(self.shape, self._fn, self._fn_many, self.name)
+        worker = copy.copy(self)
+        worker.query_count = 0
+        return worker
 
     def __repr__(self):
         return f"FunctionOracle({self.name}, n={self.shape.n}, d={self.shape.d})"
 
 
 class ExplicitFunction(FunctionOracle):
-    """Oracle backed by a bit-packed truth table over all n^d points."""
+    """Oracle backed by a truth table over all n^d points of any box."""
 
-    def __init__(self, shape: GridShape, bits: np.ndarray, name: str = "explicit"):
+    def __init__(self, shape: Box, bits: np.ndarray, name: str = "explicit"):
         bits = np.asarray(bits)
         if bits.shape != (shape.num_points,):
             raise DomainError(
@@ -248,15 +246,7 @@ class ExplicitFunction(FunctionOracle):
             raise DomainError("truth table values must be 0 or 1")
         bits = bits.astype(np.uint8)
         self.bits = bits
-        super().__init__(
-            shape,
-            fn=lambda x: int(bits[shape.index_of(x)]),
-            fn_many=lambda pts: bits[shape.indices_of_points(pts)],
-            name=name,
-        )
-
-    def spawn_worker(self) -> "ExplicitFunction":
-        return ExplicitFunction(self.shape, self.bits, self.name)
+        super().__init__(shape, lambda pts: bits[shape.indices_of_points(pts)], name)
 
 
 def tabulate(f: FunctionOracle) -> ExplicitFunction:
@@ -326,9 +316,9 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
     name = spec.name
 
     if name == "constant0":
-        return FunctionOracle(shape, lambda x: 0, lambda p: np.zeros(len(p), np.int8), name)
+        return FunctionOracle(shape, lambda p: np.zeros(len(p), np.int8), name)
     if name == "constant1":
-        return FunctionOracle(shape, lambda x: 1, lambda p: np.ones(len(p), np.int8), name)
+        return FunctionOracle(shape, lambda p: np.ones(len(p), np.int8), name)
     if name in ("dictator", "anti_dictator"):
         i = spec.dim
         if not 1 <= i <= d:
@@ -337,39 +327,19 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
             raise ConfigError(f"threshold {t} out of range for n={n}")
         if name == "dictator":
             return FunctionOracle(
-                shape,
-                lambda x: int(x[i - 1] >= t),
-                lambda p: (p[:, i - 1] >= t).astype(np.int8),
-                f"dictator(i={i},t={t})",
+                shape, lambda p: (p[:, i - 1] >= t).astype(np.int8), f"dictator(i={i},t={t})"
             )
         return FunctionOracle(
-            shape,
-            lambda x: int(x[i - 1] < t),
-            lambda p: (p[:, i - 1] < t).astype(np.int8),
-            f"anti_dictator(i={i},t={t})",
+            shape, lambda p: (p[:, i - 1] < t).astype(np.int8), f"anti_dictator(i={i},t={t})"
         )
     if name == "majority_threshold":
         # Monotone: 1 iff the coordinate sum reaches the midpoint of its range.
         cut = d * (n + 1) / 2
-
-        return FunctionOracle(
-            shape,
-            lambda x: int(sum(x) >= cut),
-            lambda p: (p.sum(axis=1) >= cut).astype(np.int8),
-            name,
-        )
+        return FunctionOracle(shape, lambda p: (p.sum(axis=1) >= cut).astype(np.int8), name)
     if name == "surface":
         seed = spec.seed
 
-        def surface_scalar(x: Point) -> int:
-            for c in x:
-                if c == 1:
-                    return 1
-                if c == n:
-                    return 0
-            return int(_hash_bit(seed, np.asarray([shape.index_of(x)]))[0])
-
-        def surface_many(pts: np.ndarray) -> np.ndarray:
+        def surface(pts: np.ndarray) -> np.ndarray:
             out = np.full(len(pts), -1, dtype=np.int8)
             for i in range(d):
                 col = pts[:, i]
@@ -382,12 +352,11 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
                 out[interior] = _hash_bit(seed, idx)
             return out
 
-        return FunctionOracle(shape, surface_scalar, surface_many, f"surface(seed={seed})")
+        return FunctionOracle(shape, surface, f"surface(seed={seed})")
     if name == "random_balanced":
         seed = spec.seed
         return FunctionOracle(
             shape,
-            lambda x: int(_hash_bit(seed, np.asarray([shape.index_of(x)]))[0]),
             lambda p: _hash_bit(seed, shape.indices_of_points(p)),
             f"random_balanced(seed={seed})",
         )
@@ -406,10 +375,6 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
 # ---------------------------------------------------------------------------
 
 
-def reflect_point(shape: GridShape, x: Sequence[int]) -> Point:
-    return tuple(shape.n + 1 - c for c in x)
-
-
 def doubly_flip(f: FunctionOracle) -> FunctionOracle:
     """g(x) = 1 - f(x reflected through the grid center).
 
@@ -419,13 +384,10 @@ def doubly_flip(f: FunctionOracle) -> FunctionOracle:
     """
     shape = f.shape
 
-    def g(x: Point) -> int:
-        return 1 - f.peek(reflect_point(shape, x))
-
-    def g_many(pts: np.ndarray) -> np.ndarray:
+    def g(pts: np.ndarray) -> np.ndarray:
         return (1 - f.peek_many(shape.n + 1 - np.asarray(pts, dtype=np.int64))).astype(np.int8)
 
-    return FunctionOracle(shape, g, g_many, f"flip({f.name})")
+    return FunctionOracle(shape, g, f"flip({f.name})")
 
 
 def restrict_to_subgrid(
@@ -460,17 +422,14 @@ def restrict_to_subgrid(
     flat = table.astype(np.int64).reshape(-1)
     offsets = np.arange(d, dtype=np.int64) * k - 1
 
-    def g(z: Point) -> int:
-        return f.peek(tuple(flat[np.add(z, offsets)].tolist()))
-
-    def g_many(pts: np.ndarray) -> np.ndarray:
+    def g(pts: np.ndarray) -> np.ndarray:
         # peek_many has checked pts against [1, k]^d, so no index is clipped;
         # a mode other than "raise" lets take write into its own index array.
         # The sum is int64 for any caller's dtype (uint64 + int64 is float).
         idx = np.add(pts, offsets, dtype=np.int64)
         return f.peek_many(np.take(flat, idx, out=idx, mode="clip"))
 
-    return FunctionOracle(sub_shape, g, g_many, f"restrict({f.name},k={k})")
+    return FunctionOracle(sub_shape, g, f"restrict({f.name},k={k})")
 
 
 def sample_subgrid(shape: GridShape, k: int, rng) -> list[list[int]]:
@@ -483,7 +442,8 @@ def sample_subgrid(shape: GridShape, k: int, rng) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Truth-table persistence (magic "HGF1", little-endian n and d, LSB-first bits)
+# Truth-table persistence (magic "HGF1", little-endian n and d, LSB-first
+# bits, zero padding)
 # ---------------------------------------------------------------------------
 
 
@@ -515,6 +475,8 @@ def load_truth_table(path) -> ExplicitFunction:
             f"expected {num_bytes} payload bytes for n={n}, d={d}, got {len(payload)}"
         )
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+    if bits[shape.num_points :].any():
+        raise FormatError(f"padding bits after the {shape.num_points} table bits must be 0")
     return ExplicitFunction(shape, bits[: shape.num_points], name="explicit")
 
 

@@ -18,11 +18,11 @@ Persistence and the edge classifiers read whole-grid walk-event fields
 start at once, one product pass over the axes of the tabulated truth table.
 The walk machinery requires power-of-two side lengths and raises
 DomainError otherwise, but the purely order-theoretic quantities (distance,
-matchings, Talagrand) are defined for any box [n]^d. They take a
-FunctionOracle (whose GridShape is a Box) or a (:class:`~hgm.grid.Box`,
-bits) pair, so odd side lengths (used heavily in cross-validation) are
-supported. Every value they read goes through the oracle's checked
-``peek``/``peek_many``.
+matchings, Talagrand) are defined for any box [n]^d. Every function here
+takes a FunctionOracle, whose shape may be any :class:`~hgm.grid.Box`, so
+odd side lengths (used heavily in cross-validation) are supported: a truth
+table on any box is an :class:`~hgm.grid.ExplicitFunction`. Every value
+they read goes through the oracle's checked ``peek_many``.
 """
 
 from __future__ import annotations
@@ -39,21 +39,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import walks
 from .errors import BudgetError, DomainError
-# Box and bits_monotone are re-exported: callers build (Box, bits) pairs here.
-from .grid import Box, FunctionOracle, GridShape, bits_monotone, tabulate
-
-
-def box_and_bits(f) -> Tuple[Box, np.ndarray]:
-    """Accept a FunctionOracle or a (Box, bits) pair; return (Box, bits)."""
-    if isinstance(f, FunctionOracle):
-        return f.shape, tabulate(f).bits
-    box, bits = f
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (box.num_points,):
-        raise DomainError(f"expected {box.num_points} bits, got {bits.shape}")
-    if (bits > 1).any():
-        raise DomainError("truth table has values other than 0 and 1")
-    return box, bits
+from .grid import Box, FunctionOracle, GridShape, tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +93,9 @@ class ViolationGraph:
 
 
 def build_violation_graph(
-    f, mode: str = "full_comparable", budget: int = DEFAULT_GRAPH_BUDGET
+    f: FunctionOracle, mode: str = "full_comparable", budget: int = DEFAULT_GRAPH_BUDGET
 ) -> ViolationGraph:
-    box, bits = box_and_bits(f)
+    box, bits = f.shape, tabulate(f).bits
     if mode == "augmented_axis":
         edges = _axis_violations(box, bits)
     elif mode == "full_comparable":
@@ -254,13 +240,13 @@ def _distance_flow(box: Box, bits: np.ndarray) -> DistanceResult:
 
 
 def distance_to_monotonicity(
-    f, budget: int = DEFAULT_GRAPH_BUDGET, force_method: Optional[str] = None
+    f: FunctionOracle, budget: int = DEFAULT_GRAPH_BUDGET, force_method: Optional[str] = None
 ) -> DistanceResult:
     """Exact distance = (max matching of the comparability violation graph)/n^d,
     with one optimal repair set. budget bounds the candidate violating pairs,
     at most (n^d)^2 / 4 (hopcroft_karp), or the n^d (d + 1) covering-DAG edges
     (dag_flow); both bounds are checked before f is tabulated."""
-    box = f.shape if isinstance(f, FunctionOracle) else f[0]
+    box = f.shape
     N = box.num_points
     method = force_method or ("hopcroft_karp" if N <= 512 else "dag_flow")
     if method not in ("hopcroft_karp", "dag_flow"):
@@ -269,16 +255,16 @@ def distance_to_monotonicity(
         raise BudgetError(f"up to {N * N // 4} candidate pairs on {box} exceed budget {budget}")
     if method == "dag_flow" and N * (box.d + 1) > budget:
         raise BudgetError(f"covering DAG of {box} exceeds budget ({budget} edges)")
-    box, bits = box_and_bits(f)
+    bits = tabulate(f).bits
     if method == "hopcroft_karp":
         return _distance_small(box, bits, budget)
     return _distance_flow(box, bits)
 
 
-def distance_bruteforce(f) -> Fraction:
+def distance_bruteforce(f: FunctionOracle) -> Fraction:
     """Minimum Hamming distance to a monotone function by enumerating every
     monotone function as the indicator of an up-set. Domains up to 12 points."""
-    box, bits = box_and_bits(f)
+    box, bits = f.shape, tabulate(f).bits
     N = box.num_points
     if N > 12:
         raise BudgetError(f"{N} points is beyond the 2^N up-set enumeration range")
@@ -357,7 +343,7 @@ def degree_profile(G: ViolationGraph) -> DegreeProfile:
     )
 
 
-def thresholded_influence(f, coloring: Optional[np.ndarray] = None):
+def thresholded_influence(f: FunctionOracle, coloring: Optional[np.ndarray] = None):
     """Per-point thresholded influence (number of dimensions with an incident
     violating axis edge), optionally restricted by an edge bicoloring: with a
     coloring chi, dimension i counts at z only if some incident violating

@@ -15,13 +15,13 @@ import pytest
 
 from hgm import cli, oracles, tester, validate, walks
 from hgm.grid import (
+    Box,
     ExplicitFunction,
     FamilySpec,
     GridShape,
     doubly_flip,
     make_family,
 )
-from hgm.oracles import Box
 from hgm.rng import substream
 from hgm.stats import Z_99, loglog_slope, wilson_interval
 from hgm.tester import run_tester
@@ -71,8 +71,9 @@ def test_criterion_02_distance_matching_equals_upset_enumeration():
         N = box.num_points
         for mask in range(1 << N):
             bits = np.array([(mask >> i) & 1 for i in range(N)], np.uint8)
-            a = oracles.distance_to_monotonicity((box, bits)).distance
-            b = oracles.distance_bruteforce((box, bits))
+            f = ExplicitFunction(box, bits)
+            a = oracles.distance_to_monotonicity(f).distance
+            b = oracles.distance_bruteforce(f)
             mismatches += a != b
     print(f"[criterion 2] 512 + 256 functions, {mismatches} mismatches")
     assert mismatches == 0

@@ -174,9 +174,18 @@ def test_config_keys_are_derived_from_the_flags(capsys, tmp_path):
     }
     assert cli._config_converters(cli.build_parser()) == table
     for key in on_off:
-        assert [table[key](v) for v in ("1", "true", "YES", "0", "no")] == [
-            True, True, True, False, False,
+        assert [table[key](v) for v in ("1", "true", "YES", "0", "False", "no")] == [
+            True, True, True, False, False, False,
         ]
+        for bad in ("ture", "on", "2", ""):
+            with pytest.raises(ValueError):
+                table[key](bad)
+    # A misspelt on/off value was once read as off: this run rejects, so
+    # single_shot=true would exit 2, and ture must not pass as false.
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("family=anti_dictator\nn=4\nd=2\ntrials=100\nsingle_shot=ture\n")
+    code, out, err = run_cli(capsys, "test", "--config", str(typo))
+    assert code == cli.EXIT_USAGE and "ture" in err and out == ""
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("family=constant0\nn=4\nd=2\nouter_reps=3\n")
     code, _, err = run_cli(capsys, "test", "--config", str(unknown))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgm import walks
+from hgm import tester, walks
 from hgm.errors import ConfigError, DomainError, FormatError
 from hgm.grid import (
     FAMILY_NAMES,
@@ -152,7 +152,7 @@ def test_surface_boundary_rules():
     assert f((1, 4, 2)) == 1  # coordinate 1 at the low face fires first
     assert f((4, 2, 2)) == 0  # coordinate 1 at the high face fires
     assert f((2, 1, 4)) == 1
-    # Scalar and batch paths must agree everywhere, interior bits included.
+    # Scalar and batch reads must agree everywhere, interior bits included.
     table = tabulate(f)
     for idx in range(64):
         assert f.peek(f.shape.point_of(idx)) == int(table.bits[idx])
@@ -263,15 +263,11 @@ def recording_oracle(shape):
     """An oracle answering 0 that keeps every point it is asked to read."""
     seen = []
 
-    def fn(x):
-        seen.append(np.array([x]))
-        return 0
-
-    def fn_many(pts):
+    def fn(pts):
         seen.append(pts.copy())
         return np.zeros(len(pts), np.int8)
 
-    return FunctionOracle(shape, fn, fn_many, "recorder"), seen
+    return FunctionOracle(shape, fn, "recorder"), seen
 
 
 @pytest.mark.parametrize("n,d,k", [(8, 64, 8), (2**20, 3, 4), (64, 5, 2), (16, 7, 16)])
@@ -298,7 +294,7 @@ def test_restricted_reads_match_a_per_axis_gather(n, d, k):
     # The gather works in its own buffer, never in the caller's points.
     assert np.array_equal(z, z_before) and np.array_equal(wide, z_before)
     assert g.query_count == len(z) + 3 and f.query_count == 0
-    # A batch read hands fn_many the caller's own points, in their own
+    # A batch read hands fn the caller's own points, in their own
     # dtype: no widened copy.
     x = walks.sample_points_batch(f.shape, 50, rng)
     f.eval_many(x)
@@ -435,6 +431,14 @@ def test_truth_table_format_errors(tmp_path):
     trunc.write_bytes(blob[:-1])
     with pytest.raises(FormatError):
         load_truth_table(trunc)
+    # Four table bits in one byte: the four padding bits must be zero.
+    padded = tmp_path / "padded.hgf"
+    save_truth_table(make_family(FamilySpec("constant0"), GridShape(2, 2)), padded)
+    blob = padded.read_bytes()
+    assert load_truth_table(padded).bits.tolist() == [0, 0, 0, 0]
+    padded.write_bytes(blob[:-1] + bytes([blob[-1] | 0xF0]))
+    with pytest.raises(FormatError):
+        load_truth_table(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +462,17 @@ def test_oracle_values_outside_0_1_are_rejected():
     # One-sidedness relies on values in {0, 1}; the check must survive -O.
     shape = GridShape(4, 2)
     pts = shape.all_points_array()
-    bad = FunctionOracle(shape, lambda x: 2, fn_many=lambda p: np.full(len(p), 2), name="bad")
+    bad = FunctionOracle(shape, lambda p: np.full(len(p), 2), name="bad")
     with pytest.raises(DomainError):
         bad((1, 1))
     with pytest.raises(DomainError):
         bad.eval_many(pts)
-    half = FunctionOracle(shape, lambda x: 0.5)  # int() would round it to 0
+    half = FunctionOracle(shape, lambda p: np.full(len(p), 0.5))  # int() would round it to 0
     with pytest.raises(DomainError):
         half((1, 1))
     with pytest.raises(DomainError):
         half.eval_many(pts)
-    # The uncharged reads check values too, on both the batch and scalar paths.
+    # The uncharged reads check values too, scalar and batch.
     for f in (bad, half):
         with pytest.raises(DomainError):
             f.peek((1, 1))
@@ -476,13 +480,37 @@ def test_oracle_values_outside_0_1_are_rejected():
             f.peek_many(pts)
         with pytest.raises(DomainError):
             tabulate(f)
-    good = FunctionOracle(shape, lambda x: x[0] > 2, fn_many=lambda p: p[:, 0] > 2)
+    good = FunctionOracle(shape, lambda p: p[:, 0] > 2)
     assert good((3, 1)) == 1
     assert good.eval_many(pts).dtype == np.int8
     assert good.peek((3, 1)) == 1
     assert (good.peek_many(pts) == good.eval_many(pts)).all()
     assert good.peek_many(pts).dtype == np.int8
     assert good.query_count == 1 + 2 * len(pts)  # peek and peek_many are free
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda p: np.zeros(3, np.int8),  # too few values for five points
+        lambda p: 0,  # a scalar
+        lambda p: np.zeros((len(p), 2), np.int8),  # two values per point
+    ],
+    ids=["short", "scalar", "two-columns"],
+)
+def test_batch_function_must_return_one_value_per_point(fn):
+    shape = GridShape(4, 2)
+    pts = shape.all_points_array()[:5]
+    f = FunctionOracle(shape, fn, "misshapen")
+    with pytest.raises(DomainError):
+        f.peek((1, 1))
+    with pytest.raises(DomainError):
+        f.peek_many(pts)
+    with pytest.raises(DomainError):
+        f.eval_many(pts)
+    with pytest.raises(DomainError):
+        tester.run_tester(f, tester.TesterConfig(shape=shape, trials=10))
+    assert f.query_count == 0
 
 
 def test_worker_counters_are_independent():

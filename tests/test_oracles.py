@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from hgm import oracles, walks
 from hgm.errors import BudgetError, DomainError
-from hgm.grid import ExplicitFunction, FamilySpec, FunctionOracle, GridShape, make_family
+from hgm.grid import (
+    Box, ExplicitFunction, FamilySpec, FunctionOracle, GridShape, bits_monotone, make_family,
+)
 from hgm.tester import exact_reject_prob_junta
-from hgm.oracles import Box
 
 from conftest import random_bits
 
@@ -24,7 +25,7 @@ def explicit(n, d, bits):
 
 
 def box_fn(n, d, bits):
-    return (Box(n, d), np.asarray(bits, dtype=np.uint8))
+    return ExplicitFunction(Box(n, d), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_distance_methods_agree_and_repairs_are_valid():
     # enumeration, and at 512 points, the largest auto-selected matching;
     # plus inputs with an empty matching and an empty cover.
     cases = [
-        (box, random_bits(box.num_points, seed))
+        ExplicitFunction(box, random_bits(box.num_points, seed))
         for box, seeds in (
             (Box(4, 2), range(12)), (Box(3, 3), range(6)), (Box(5, 2), range(6)),
             (Box(3, 2), range(6)), (Box(2, 3), range(6)), (Box(12, 1), range(6)),
@@ -138,20 +139,21 @@ def test_distance_methods_agree_and_repairs_are_valid():
         weight = box.all_points_array().sum(axis=1)
         # Constant 0, constant 1, and a monotone threshold.
         for bits in (weight < 0, weight > 0, weight > box.d * (box.n + 1) // 2):
-            cases.append((box, bits.astype(np.uint8)))
+            cases.append(ExplicitFunction(box, bits))
     assert oracles.distance_to_monotonicity(cases[-1]).method == "hopcroft_karp"
-    for box, bits in cases:
-        small = oracles.distance_to_monotonicity((box, bits), force_method="hopcroft_karp")
-        flow = oracles.distance_to_monotonicity((box, bits), force_method="dag_flow")
+    for f in cases:
+        box, bits = f.shape, f.bits
+        small = oracles.distance_to_monotonicity(f, force_method="hopcroft_karp")
+        flow = oracles.distance_to_monotonicity(f, force_method="dag_flow")
         assert small.distance == flow.distance
         if box.num_points <= 12:
-            assert small.distance == oracles.distance_bruteforce((box, bits))
+            assert small.distance == oracles.distance_bruteforce(f)
         for res in (small, flow):
             repaired = bits.copy()
             repaired[res.repair_indices] ^= 1
-            assert oracles.bits_monotone(box, repaired)
+            assert bits_monotone(box, repaired)
             assert len(res.repair_indices) == res.matching_size
-        if oracles.bits_monotone(box, bits):
+        if bits_monotone(box, bits):
             assert small.matching_size == flow.matching_size == 0
 
 
@@ -176,7 +178,7 @@ def test_monotone_iff_zero_distance_iff_no_negative_influence():
         dist = oracles.distance_to_monotonicity(f).distance
         G = oracles.build_violation_graph(f)
         neg = oracles.influence_tilde(f).negative
-        mono = oracles.bits_monotone(Box(2, 3), bits)
+        mono = bits_monotone(Box(2, 3), bits)
         assert (dist == 0) == mono == (G.m == 0) == (neg < 1e-15)
 
 
@@ -406,7 +408,7 @@ def _unreadable(shape):
     def fail(_):
         raise AssertionError("f was read")
 
-    return FunctionOracle(shape, fail, fn_many=fail, name="unreadable")
+    return FunctionOracle(shape, fail, name="unreadable")
 
 
 # Each classifier as (f, walk length, point, edge) -> its answer.
@@ -442,7 +444,7 @@ def test_persistence_refuses_a_bad_direction_before_reading_f():
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_walk_oracles_refuse_a_side_length_that_is_not_a_power_of_two(n):
     # These once answered on a non-dyadic box, where the walk is undefined.
-    f = FunctionOracle(Box(n, 2), lambda x: int(x[0] > x[1]), name="box")
+    f = FunctionOracle(Box(n, 2), lambda p: p[:, 0] > p[:, 1], name="box")
     for call in (
         lambda: oracles.mzb_prob(f, 1, (1, 1)),
         lambda: oracles.persistence_classify(f, 1, 0.1, (1, 1), "up"),
@@ -471,21 +473,24 @@ def test_walk_oracles_refuse_a_side_length_that_is_not_a_power_of_two(n):
         "distance", "distance-flow", "bruteforce", "violation-graph",
     ],
 )
-@pytest.mark.parametrize("batched", [True, False])
-def test_exact_and_mc_oracles_reject_values_outside_0_1(read, batched):
+def test_exact_and_mc_oracles_reject_values_outside_0_1(read):
     # The tester is one-sided only for {0, 1}-valued functions, so every
     # oracle read, charged or not, must refuse any other value.
-    bad = FunctionOracle(
-        GridShape(2, 2), lambda x: 2,
-        fn_many=(lambda p: np.full(len(p), 2)) if batched else None, name="bad",
-    )
+    bad = FunctionOracle(GridShape(2, 2), lambda p: np.full(len(p), 2), name="bad")
     with pytest.raises(DomainError):
         read(bad)
 
 
-def test_truth_table_pairs_reject_values_outside_0_1():
+@pytest.mark.parametrize(
+    "bits", [[0, 1, 2, 1], [256, 0, 1, 0], [1, 0, -255, 0]], ids=["2", "256", "-255"]
+)
+def test_truth_tables_reject_values_outside_0_1(bits):
+    # 256 and -255 are 0 and 1 once cast to uint8: a table checked after the
+    # cast read them as a function at distance 1/4 and 1/2.
     with pytest.raises(DomainError):
-        oracles.distance_to_monotonicity(box_fn(2, 2, [0, 1, 2, 1]))
+        oracles.distance_to_monotonicity(box_fn(2, 2, bits))
+    with pytest.raises(DomainError):
+        oracles.distance_bruteforce(box_fn(2, 2, bits))
 
 
 def test_interval_points_validation():
