@@ -211,23 +211,6 @@ def line_kernel(n: int) -> np.ndarray:
     return K
 
 
-@lru_cache(maxsize=None)
-def line_kernel_enumerated(n: int) -> np.ndarray:
-    """Same kernel as :func:`line_kernel` but by brute window enumeration."""
-    q_max = n.bit_length() - 1
-    K = np.zeros((n + 1, n + 1))
-    for u in range(1, n + 1):
-        for q in range(1, q_max + 1):
-            size = 2**q
-            covering = [w for w in _windows(n, size) if (u - 1) in w]
-            for w in covering:
-                for c0 in w:
-                    if c0 == u - 1:
-                        continue
-                    K[u, c0 + 1] += 1.0 / q_max / len(covering) / (size - 1)
-    return K
-
-
 def _split_by_direction(K: np.ndarray, direction: str) -> np.ndarray:
     """The one-step matrix of a 0-based kernel K with K[u, u] = 0: the draws
     in the walk direction are moves, and the rest is lazy mass on the
@@ -471,23 +454,72 @@ def _key_subsets(d: int, k: np.ndarray, rng) -> np.ndarray:
     return keys <= low[:, None]
 
 
+# Largest d whose coordinate subsets are read from a table of all 2^d masks
+# (65,536 rows of 2 bytes at d = 16).
+TABLE_MAX_D = 16
+
+
+@lru_cache(maxsize=None)
+def _subset_table(d: int):
+    """(rows, start, count, limit) for d <= TABLE_MAX_D, read-only.
+
+    rows lists every bit mask of range(d) as ceil(d/8) little-endian bytes,
+    stably sorted by popcount, so the masks of size k are the count[k] =
+    C(d, k) rows from start[k]. limit[k] = floor(2^32 / C(d, k)) C(d, k) is
+    the end of the range of 32-bit words whose remainder mod C(d, k) is
+    uniform.
+    """
+    masks = np.arange(1 << d, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    size = np.unpackbits(masks, axis=1).sum(axis=1)
+    rows = masks[np.argsort(size, kind="stable"), : -(-d // 8)]
+    count = np.array([math.comb(d, k) for k in range(d + 1)], dtype=np.uint32)
+    start = np.cumsum(count, dtype=np.uint32) - count
+    limit = (2**32 // count.astype(np.uint64)) * count
+    for a in (rows, start, count, limit):
+        a.flags.writeable = False
+    return rows, start, count, limit
+
+
+def _table_subsets(d: int, m: np.ndarray, rng) -> np.ndarray:
+    """(R, d) mask whose row i is a uniform subset of m[i] of range(d), for
+    d <= TABLE_MAX_D: one 32-bit word per row, redrawn while it lies at or
+    above limit[m[i]], then reduced mod C(d, m[i]) into the row's size block
+    of :func:`_subset_table`."""
+    rows, start, count, limit = _subset_table(d)
+    w = _uniform_words(rng, (m.size,), np.uint32)
+    redo = np.flatnonzero(w >= limit[m])
+    while redo.size:
+        w[redo] = _uniform_words(rng, (redo.size,), np.uint32)
+        redo = redo[w[redo] >= limit[m[redo]]]
+    w %= count[m]
+    w += start[m]
+    # np.take gathers whole rows far faster than rows[w] does.
+    return np.unpackbits(np.take(rows, w, axis=0), axis=1, count=d, bitorder="little").view(bool)
+
+
 def select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
     """(N, d) boolean mask whose row i is a uniform subset of exactly
-    min(lengths[i], d) coordinates.
+    min(lengths[i], d) coordinates, drawn in one of three regimes.
 
-    A subset (or its complement) of at most sqrt(d) coordinates is drawn by
-    Floyd's algorithm, one group per size in ascending order; a full-size
-    group draws nothing. Every other row is drawn in one pass after them:
-    d integer keys per row, thresholded at its k-th smallest
-    (:func:`_key_subsets`). Raises DomainError unless every length is a
-    non-negative integer.
+    Table (d <= TABLE_MAX_D): every row indexes the block of its size in the
+    table of all 2^d masks with one exact bounded draw
+    (:func:`_table_subsets`). Above it, a subset (or its complement) of at
+    most sqrt(d) coordinates is drawn by Floyd's algorithm, one group per
+    size in ascending order, and a full-size group draws nothing; every
+    other row is drawn in one pass after them by keys: d integer keys per
+    row, thresholded at its k-th smallest (:func:`_key_subsets`). Raises
+    DomainError unless every length is a non-negative integer.
     """
     lengths = np.asarray(lengths)
     if lengths.dtype.kind not in "iu":
         raise DomainError(f"walk lengths must be integers, got dtype {lengths.dtype}")
     if (lengths < 0).any():
         raise DomainError(f"walk lengths must be non-negative, got {lengths.min()}")
-    m = np.minimum(lengths.astype(np.int64), d)
+    # Clip before widening, so a uint64 length >= 2^63 cannot wrap negative;
+    # a bound past the dtype's range (d >= 128 for int8) clips nothing.
+    m = np.minimum(lengths, min(d, np.iinfo(lengths.dtype).max)).astype(np.int64)
+    if d <= TABLE_MAX_D:
+        return _table_subsets(d, m, rng)
     selected = np.zeros((m.size, d), dtype=bool)
     by_keys = (m * m > d) & ((d - m) ** 2 > d)
     for k in np.unique(m[(m > 0) & ~by_keys]):  # ascending, so the stream is deterministic
@@ -820,27 +852,6 @@ def cube_walk_closed_form(
         )
     stay_pool = weight_x if direction == "up" else d - weight_x
     return Fraction(math.comb(stay_pool, ell - t), math.comb(d, ell))
-
-
-def cube_walk_prob_enumerated(
-    d: int, weight_x: int, t: int, ell: int, direction: str
-) -> Fraction:
-    """Independent oracle for :func:`cube_walk_closed_form`: enumerate all
-    size-ell coordinate subsets and count the ones landing on the target."""
-    if not (0 <= t <= ell <= d) or not 0 <= weight_x <= d:
-        raise DomainError("inconsistent parameters")
-    # Fix the vertex with its first weight_x coordinates at the top endpoint;
-    # the target differs in the first t movable coordinates.
-    movable = set(range(weight_x, d)) if direction == "up" else set(range(weight_x))
-    if t > len(movable):
-        raise DomainError("target not reachable")
-    target_flips = set(sorted(movable)[:t])
-    hits = sum(
-        1
-        for R in itertools.combinations(range(d), ell)
-        if set(R) & movable == target_flips
-    )
-    return Fraction(hits, math.comb(d, ell))
 
 
 def reversibility_ratio_product(d: int, weight_x: int, t: int, ell: int) -> float:

@@ -1,20 +1,64 @@
-"""Exact pair rejection probabilities by enumeration, the independent
-cross-check of the tester's tensor contraction.
+"""Brute-force references by enumeration, independent of what they check.
 
-Each step is written out by hand from the tester's definition, one anchor at
+``line_kernel_enumerated`` counts windows for ``walks.line_kernel``, and
+``cube_walk_prob_enumerated`` counts coordinate subsets for
+``walks.cube_walk_closed_form``. ``subtest_probs`` gives the exact pair
+rejection probabilities, the cross-check of the tester's tensor contraction:
+each step is written out by hand from the tester's definition, one anchor at
 a time over ``walks.exact_pmf``; nothing here reads ``tester.SUBTESTS`` or
 the one-step matrices the contraction builds.
 """
 
+import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import List
 
 import numpy as np
 
 from hgm import walks
+from hgm.errors import DomainError
 from hgm.grid import FunctionOracle, GridShape
 from hgm.tester import STEPS
+
+
+@lru_cache(maxsize=None)
+def line_kernel_enumerated(n: int) -> np.ndarray:
+    """Same kernel as ``walks.line_kernel`` but by brute window enumeration."""
+    q_max = n.bit_length() - 1
+    K = np.zeros((n + 1, n + 1))
+    for u in range(1, n + 1):
+        for q in range(1, q_max + 1):
+            size = 2**q
+            covering = [w for w in walks._windows(n, size) if (u - 1) in w]
+            for w in covering:
+                for c0 in w:
+                    if c0 == u - 1:
+                        continue
+                    K[u, c0 + 1] += 1.0 / q_max / len(covering) / (size - 1)
+    return K
+
+
+def cube_walk_prob_enumerated(
+    d: int, weight_x: int, t: int, ell: int, direction: str
+) -> Fraction:
+    """Independent oracle for ``walks.cube_walk_closed_form``: enumerate all
+    size-ell coordinate subsets and count the ones landing on the target."""
+    if not (0 <= t <= ell <= d) or not 0 <= weight_x <= d:
+        raise DomainError("inconsistent parameters")
+    # Fix the vertex with its first weight_x coordinates at the top endpoint;
+    # the target differs in the first t movable coordinates.
+    movable = set(range(weight_x, d)) if direction == "up" else set(range(weight_x))
+    if t > len(movable):
+        raise DomainError("target not reachable")
+    target_flips = set(sorted(movable)[:t])
+    hits = sum(
+        1
+        for R in itertools.combinations(range(d), ell)
+        if set(R) & movable == target_flips
+    )
+    return Fraction(hits, math.comb(d, ell))
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,8 @@ from hgm.rng import substream
 from hgm.stats import Z_99, loglog_slope, wilson_interval
 from hgm.tester import run_tester
 
+from exact_enumeration import cube_walk_prob_enumerated
+
 # Aliased so pytest does not try to collect the config dataclass as a test.
 Cfg = tester.TesterConfig
 
@@ -164,12 +166,12 @@ def test_criterion_06_cube_walk_closed_forms_exact():
             for w in range(d + 1):
                 for t in range(0, min(ell, d - w) + 1):
                     closed = walks.cube_walk_closed_form(d, w, t, ell, "up")
-                    enum = walks.cube_walk_prob_enumerated(d, w, t, ell, "up")
+                    enum = cube_walk_prob_enumerated(d, w, t, ell, "up")
                     assert closed == enum, (d, w, t, ell)
                     checked += 1
                 for t in range(0, min(ell, w) + 1):
                     closed = walks.cube_walk_closed_form(d, w, t, ell, "down")
-                    enum = walks.cube_walk_prob_enumerated(d, w, t, ell, "down")
+                    enum = cube_walk_prob_enumerated(d, w, t, ell, "down")
                     assert closed == enum, (d, w, t, ell, "down")
                     checked += 1
     # Product-form ratio against the two-pmf ratio.

@@ -314,15 +314,14 @@ def _digits(x):
     return tuple(int(c) for c in x)
 
 
-# run_tester reports (rejections, per_tau, per_step, witnesses). The (64, 4)
-# cell was recorded before the move kernel's lookup table and the narrow
-# trial batch. The (8, 64) and (8, 256) cells, whose walks draw most of their
-# coordinate subsets by thresholding keys, were recorded since keys became
-# 16 bits wide and anchors came from 64-bit words. The (128, 5) cell (int16
-# anchors, one alias draw per move) and the (2^15, 3) cell (int32 anchors,
-# three draws per move) were recorded before the walk-major batch. A
-# witness's points at n = 8 are written as their one-digit coordinates, 64 to
-# a string.
+# run_tester reports (rejections, per_tau, per_step, witnesses). The (8, 64)
+# and (8, 256) cells, whose walks draw most of their coordinate subsets by
+# thresholding keys, were recorded since keys became 16 bits wide and anchors
+# came from 64-bit words. The (64, 4), (128, 5) (int16 anchors, one alias
+# draw per move) and (2^15, 3) (int32 anchors, three draws per move) cells
+# were recorded since d <= 16 reads coordinate subsets from the table of all
+# 2^d masks. A witness's points at n = 8 are written as their one-digit
+# coordinates, 64 to a string.
 TESTER_STREAM = {
     (8, 64, "anti_dictator", 3000, 5): (
         879,
@@ -342,13 +341,13 @@ TESTER_STREAM = {
         ],
     ),
     (64, 4, "random_balanced", 2000, 3): (
-        1358,
-        {1: (655, 266), 2: (681, 499), 4: (664, 593)},
-        {"up_path": 547, "down_path": 358, "up_path_down_shift": 272, "down_path_up_shift": 181},
+        1389,
+        {1: (655, 279), 2: (681, 512), 4: (664, 598)},
+        {"up_path": 538, "down_path": 400, "up_path_down_shift": 268, "down_path_up_shift": 183},
         [
-            (1, "up_path", 3, (56, 16, 48, 53), (56, 19, 48, 54)),
-            (5, "up_path", 4, (58, 30, 26, 10), (58, 30, 26, 18)),
-            (6, "up_path_down_shift", 3, (1, 1, 48, 36), (56, 1, 48, 37)),
+            (1, "up_path", 3, (56, 16, 48, 53), (56, 17, 48, 53)),
+            (3, "down_path", 1, (1, 5, 34, 9), (45, 5, 34, 9)),
+            (4, "up_path", 1, (60, 57, 60, 4), (60, 57, 60, 56)),
         ],
     ),
     (8, 256, "anti_dictator", 2000, 11): (
@@ -387,23 +386,23 @@ TESTER_STREAM = {
         ],
     ),
     (128, 5, "random_balanced", 2000, 4): (
-        1493,
-        {1: (511, 230), 2: (497, 372), 4: (515, 455), 8: (477, 436)},
-        {"up_path": 610, "down_path": 440, "up_path_down_shift": 266, "down_path_up_shift": 177},
+        1451,
+        {1: (511, 217), 2: (497, 370), 4: (515, 445), 8: (477, 419)},
+        {"up_path": 590, "down_path": 431, "up_path_down_shift": 263, "down_path_up_shift": 167},
         [
-            (0, "up_path_down_shift", 3, (86, 23, 58, 39, 39), (88, 106, 58, 39, 66)),
-            (1, "up_path", 7, (7, 21, 26, 30, 15), (8, 21, 29, 30, 15)),
-            (2, "down_path_up_shift", 1, (9, 116, 22, 69, 87), (9, 119, 22, 69, 87)),
+            (1, "up_path", 7, (7, 21, 26, 30, 15), (33, 21, 26, 30, 15)),
+            (2, "down_path_up_shift", 1, (2, 119, 22, 69, 87), (9, 119, 22, 69, 87)),
+            (5, "down_path_up_shift", 4, (81, 39, 50, 120, 37), (81, 48, 50, 120, 105)),
         ],
     ),
     (2**15, 3, "random_balanced", 2000, 9): (
-        1342,
-        {1: (671, 275), 2: (647, 478), 4: (682, 589)},
-        {"up_path": 562, "down_path": 359, "up_path_down_shift": 253, "down_path_up_shift": 168},
+        1384,
+        {1: (671, 283), 2: (647, 504), 4: (682, 597)},
+        {"up_path": 563, "down_path": 359, "up_path_down_shift": 277, "down_path_up_shift": 185},
         [
-            (0, "up_path_down_shift", 2, (13969, 12259, 31540), (13969, 12259, 31541)),
-            (1, "up_path", 1, (20924, 31448, 8475), (20924, 31448, 8479)),
-            (2, "up_path", 1, (15478, 11524, 3495), (15479, 11524, 3495)),
+            (0, "up_path", 1, (27502, 5257, 1228), (27695, 5257, 1228)),
+            (3, "up_path", 4, (22256, 24492, 12047), (22262, 24643, 12047)),
+            (6, "up_path_down_shift", 2, (8504, 3274, 46), (8504, 3274, 125)),
         ],
     ),
 }
@@ -420,19 +419,20 @@ def test_reports_are_pinned_to_the_recorded_stream(cell):
 
 
 def test_repeated_schedule_entry_sums_into_one_tau():
-    # Recorded before the walk-major batch. Both entries of 2 draw trials,
-    # and per_tau keeps one key per distinct tau with their sum.
+    # Recorded since d <= 16 reads coordinate subsets from the mask table.
+    # Both entries of 2 draw trials, and per_tau keeps one key per distinct
+    # tau with their sum.
     f = anti_dictator(8, 8)
     rep = run_tester(f, Config(shape=f.shape, trials=3000, seed=7, tau_schedule=(1, 2, 2, 8),
                                batch_size=1024, max_witnesses=3))
-    assert rep.rejections == 1092
-    assert rep.per_tau == {1: (717, 55), 2: (1533, 420), 8: (750, 617)}
-    assert rep.per_step == {"up_path": 395, "down_path": 285, "up_path_down_shift": 236,
-                            "down_path_up_shift": 176}
+    assert rep.rejections == 1097
+    assert rep.per_tau == {1: (717, 68), 2: (1533, 421), 8: (750, 608)}
+    assert rep.per_step == {"up_path": 392, "down_path": 293, "up_path_down_shift": 239,
+                            "down_path_up_shift": 173}
     assert rep.witnesses == [
-        (0, "up_path", 7, (1, 3, 2, 6, 4, 7, 8, 8), (8, 3, 8, 7, 5, 7, 8, 8)),
-        (1, "down_path_up_shift", 1, (3, 6, 4, 2, 6, 8, 8, 1), (8, 6, 4, 2, 6, 8, 8, 1)),
-        (2, "down_path_up_shift", 1, (3, 5, 2, 1, 2, 3, 6, 7), (5, 5, 2, 1, 2, 3, 6, 7)),
+        (0, "up_path", 7, (1, 3, 2, 6, 4, 7, 8, 8), (7, 7, 2, 6, 5, 8, 8, 8)),
+        (5, "down_path_up_shift", 8, (4, 6, 2, 4, 3, 3, 3, 7), (5, 7, 2, 4, 3, 3, 6, 8)),
+        (6, "down_path", 1, (1, 1, 6, 1, 5, 5, 1, 2), (7, 1, 6, 1, 5, 5, 1, 2)),
     ]
 
 

@@ -18,6 +18,8 @@ from hgm.rng import substream
 from hgm.stats import chi_square_gof, wilson_interval
 from hgm import validate
 
+from exact_enumeration import cube_walk_prob_enumerated, line_kernel_enumerated
+
 
 # ---------------------------------------------------------------------------
 # Per-coordinate kernel
@@ -27,7 +29,7 @@ from hgm import validate
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_kernel_arithmetic_matches_enumeration(n):
     K = walks.line_kernel(n)
-    E = walks.line_kernel_enumerated(n)
+    E = line_kernel_enumerated(n)
     assert np.abs(K - E).max() < 1e-12
 
 
@@ -428,16 +430,22 @@ def test_large_d_mixed_lengths_match_per_group_behaviour():
         assert p > ALPHA, (ell, p)
 
 
-def _three_of_six_law(rng):
-    # At d = 6, k = 3 is the only size drawn by thresholding keys.
-    d, N = 6, 20_000
-    selected = walks.select_coordinates(d, np.full(N, 3), rng)
-    assert (selected.sum(axis=1) == 3).all()
-    # Each row's subset as one bit mask: 20 equally likely values.
+def _uniform_subset_p(selected, k):
+    """Chi-square p-value of the rows of a mask against the uniform law on
+    size-k subsets, each row's subset read as one bit mask."""
+    d = selected.shape[1]
+    assert (selected.sum(axis=1) == k).all()
     codes = selected.astype(np.int64) @ (1 << np.arange(d))
-    expected = {sum(1 << i for i in S): 1 / 20 for S in itertools.combinations(range(d), 3)}
-    _, p, _ = chi_square_gof(_tally(codes), expected, N)
+    expected = {sum(1 << i for i in S): 1 / math.comb(d, k)
+                for S in itertools.combinations(range(d), k)}
+    _, p, _ = chi_square_gof(_tally(codes), expected, len(selected))
     return p
+
+
+def _three_of_six_law(rng):
+    # select_coordinates reads d = 6 from the mask table, so the key pass
+    # that serves d > TABLE_MAX_D is called directly.
+    return _uniform_subset_p(walks._key_subsets(6, np.full(20_000, 3), rng), 3)
 
 
 def test_key_subsets_are_uniform():
@@ -467,14 +475,76 @@ def test_tied_key_rows_are_redrawn_and_stay_uniform():
     assert rng.word_draws > 3
 
 
-@pytest.mark.parametrize("d", [5, 16, 64, 256, 2048])
+@pytest.mark.parametrize("d", [1, 5, 16, 17, 64, 256, 2048])
 def test_every_row_selects_exactly_min_length_d(d):
-    # Every length 0..d + 2, shuffled: across these d the rows take every
-    # path, full (k = d), Floyd (k^2 <= d), Floyd on the complement
-    # ((d - k)^2 <= d) and key thresholds (all d but 5; 32 bits at 2048).
+    # Every length 0..d + 2, shuffled. d = 1, 5 and 16 read the mask table
+    # (d <= TABLE_MAX_D); from d = 17 the rows take every other path, full
+    # (k = d), Floyd (k^2 <= d), Floyd on the complement ((d - k)^2 <= d)
+    # and key thresholds (32 bits at 2048).
     lengths = substream(d, "exact-count").permutation(np.repeat(np.arange(d + 3), 4))
-    selected = walks.select_coordinates(d, lengths, substream(d, "exact-count", "draw"))
+    rng = substream(d, "exact-count", "draw")
+    selected = walks.select_coordinates(d, lengths, rng)
     assert (selected.sum(axis=1) == np.minimum(lengths, d)).all()
+    assert walks.select_coordinates(d, lengths[:0], rng).shape == (0, d)
+    # uint64 lengths of 2^63 and more clip to d rather than wrap negative.
+    huge = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert (walks.select_coordinates(d, huge, rng).sum(axis=1) == [0, 1, d, d]).all()
+
+
+@pytest.mark.parametrize("d", range(1, walks.TABLE_MAX_D + 1))
+def test_subset_table_blocks_hold_each_mask_of_their_size_once(d):
+    rows, start, count, limit = walks._subset_table(d)
+    masks = np.unpackbits(rows, axis=1, count=d, bitorder="little").astype(bool)
+    codes = masks.astype(np.int64) @ (1 << np.arange(d))
+    assert sorted(codes) == list(range(2**d))
+    for k in range(d + 1):
+        first, size, end = int(start[k]), int(count[k]), int(limit[k])
+        assert size == math.comb(d, k)
+        assert end % size == 0 and 2**32 - size < end <= 2**32
+        assert (masks[first : first + size].sum(axis=1) == k).all()
+        if d <= 8:
+            expected = {sum(1 << i for i in S) for S in itertools.combinations(range(d), k)}
+            assert set(codes[first : first + size].tolist()) == expected
+    assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("d, k", [(6, 3), (9, 4), (16, 2), (16, 8)])
+def test_table_subsets_are_uniform_among_mixed_sizes(d, k):
+    # Every subset of size k, with rows of every other size shuffled into
+    # the same call.
+    N = 8 * math.comb(d, k)
+    others = np.repeat(np.arange(d + 2), 500)
+    gen = substream(d, k, "table-subsets")
+    lengths = gen.permutation(np.concatenate([np.full(N, k), others[others != k]]))
+    selected = walks.select_coordinates(d, lengths, gen)
+    assert (selected.sum(axis=1) == np.minimum(lengths, d)).all()
+    p = _uniform_subset_p(selected[lengths == k], k)
+    assert p > ALPHA, (d, k, p)
+
+
+class _RejectedWords:
+    """A generator whose first few full-range 64-bit words are all ones, so
+    every 32-bit lane drawn from them lies at or above the table's limit."""
+
+    def __init__(self, rng, rejected_draws):
+        self.rng, self.rejected_draws, self.word_draws = rng, rejected_draws, 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        out = self.rng.integers(low, high, size=size, dtype=dtype)
+        if dtype is np.uint64 and (low, high) == (0, 2**64):
+            self.word_draws += 1
+            if self.word_draws <= self.rejected_draws:
+                out[...] = np.uint64(2**64 - 1)
+        return out
+
+
+def test_rejected_table_draws_are_redrawn_and_stay_uniform():
+    # C(6, 3) = 20 does not divide 2^32, so a lane of 2^32 - 1 is refused;
+    # the first three rounds refuse every row.
+    rng = _RejectedWords(substream(3, "table-subsets"), rejected_draws=3)
+    selected = walks.select_coordinates(6, np.full(20_000, 3), rng)
+    assert rng.word_draws == 4
+    assert _uniform_subset_p(selected, 3) > ALPHA
 
 
 @pytest.mark.parametrize("length", [2.5, -3, np.array([1.0, 2.0]), np.array([1, -1])])
@@ -640,7 +710,7 @@ def test_cube_closed_form_matches_subset_enumeration(d):
                 for t in range(0, min(ell, free) + 1):
                     assert walks.cube_walk_closed_form(
                         d, w, t, ell, direction
-                    ) == walks.cube_walk_prob_enumerated(d, w, t, ell, direction)
+                    ) == cube_walk_prob_enumerated(d, w, t, ell, direction)
 
 
 def test_cube_walk_mc_matches_closed_form(rng):
