@@ -8,13 +8,11 @@ objective), and a seeded experiment CLI.
 from .errors import BudgetError, ConfigError, DomainError, FormatError
 from .grid import (
     Box,
-    Comparability,
     ExplicitFunction,
     FamilySpec,
     FunctionOracle,
     GridShape,
     Point,
-    comparable,
     doubly_flip,
     is_monotone,
     load_truth_table,
@@ -36,13 +34,10 @@ from .tester import (
     run_tester,
 )
 from .walks import (
-    Hypercube,
     WalkPmf,
     WalkSpec,
     cube_walk_closed_form,
     exact_pmf,
-    middle_layer_member,
-    restricted_walk_pdf,
 )
 
 __version__ = "0.1.0"

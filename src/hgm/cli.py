@@ -329,6 +329,8 @@ def cmd_sweep(args) -> int:
             ) from None
     if not cells:
         raise UsageError("sweep needs a non-empty --cells list (n:d:family;...)")
+    if cfg["trials"] < 1:
+        raise UsageError(f"--trials must be >= 1, got {cfg['trials']}")
     writer = CsvWriter("sweep", cfg, cfg["out"])
     writer.header(
         "family", "n", "d", "tau", "trials", "rejections", "reject_rate",

@@ -19,7 +19,6 @@ caller's integer dtype, so a batch function must not assume int64 (see
 from __future__ import annotations
 
 import copy
-import enum
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -130,28 +129,6 @@ def bits_monotone(box: Box, bits: np.ndarray) -> bool:
         if (a[:-1] > a[1:]).any():
             return False
     return True
-
-
-class Comparability(enum.Enum):
-    INCOMPARABLE = "incomparable"
-    X_BELOW_Y = "x_below_y"
-    Y_BELOW_X = "y_below_x"
-    EQUAL = "equal"
-
-
-def comparable(x: Sequence[int], y: Sequence[int]) -> Comparability:
-    """Classify a pair under the coordinatewise partial order."""
-    if len(x) != len(y):
-        raise DomainError(f"shape mismatch: {len(x)} vs {len(y)} coordinates")
-    le = all(a <= b for a, b in zip(x, y))
-    ge = all(a >= b for a, b in zip(x, y))
-    if le and ge:
-        return Comparability.EQUAL
-    if le:
-        return Comparability.X_BELOW_Y
-    if ge:
-        return Comparability.Y_BELOW_X
-    return Comparability.INCOMPARABLE
 
 
 class FunctionOracle:
@@ -286,6 +263,10 @@ class FamilySpec:
             raise ConfigError(f"unknown family {self.name!r}; choose from {FAMILY_NAMES}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"family seed must be in [0, 2^64), got {self.seed}")
+        if self.threshold is not None and self.name not in ("dictator", "anti_dictator"):
+            raise ConfigError(f"family {self.name!r} takes no threshold")
+        if self.path is not None and self.name != "explicit":
+            raise ConfigError(f"family {self.name!r} takes no path")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -343,18 +343,6 @@ def degree_profile(G: ViolationGraph) -> DegreeProfile:
     )
 
 
-def thresholded_influence(f: FunctionOracle, coloring: Optional[np.ndarray] = None):
-    """Per-point thresholded influence (number of dimensions with an incident
-    violating axis edge), optionally restricted by an edge bicoloring: with a
-    coloring chi, dimension i counts at z only if some incident violating
-    i-edge e has chi(e) = f(z).
-
-    Returns (map point-index -> value, total).
-    """
-    G = build_violation_graph(f, "augmented_axis")
-    return colored_thresholded_degree(G, coloring)
-
-
 def colored_thresholded_degree(G: ViolationGraph, coloring: Optional[np.ndarray]):
     dims_at: Dict[int, set] = {}
     for k, (xi, yi, dim) in enumerate(G.edges):
@@ -375,11 +363,11 @@ class TalResult:
 
 
 TAL_EXACT_CAP = 22
+TAL_CHUNK_BITS = 16  # colorings scored per numpy pass: 2^16
+TAL_MAX_PASSES = 50  # sweeps of single-edge flips in the local search
 
 
-def talagrand_objective(
-    G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP, chunk_bits: int = 16
-) -> TalResult:
+def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> TalResult:
     """min over edge bicolorings of sum_z sqrt(colored thresholded degree).
 
     Exact brute force over all 2^m colorings for m <= exact_cap; larger
@@ -406,7 +394,7 @@ def talagrand_objective(
     total = 1 << m
     best_val = math.inf
     best_chi = 0
-    chunk = 1 << min(chunk_bits, m)
+    chunk = 1 << min(TAL_CHUNK_BITS, m)
     sqrt_table = np.sqrt(np.arange(G.box.d + 1))
     for start in range(0, total, chunk):
         chis = np.arange(start, min(start + chunk, total), dtype=np.uint64)
@@ -433,13 +421,13 @@ def _tal_value(G: ViolationGraph, chi: np.ndarray) -> float:
     return math.fsum(math.sqrt(v) for v in phi.values())
 
 
-def _tal_local_search(G: ViolationGraph, max_passes: int = 50) -> TalResult:
+def _tal_local_search(G: ViolationGraph) -> TalResult:
     m = G.m
     candidates = [np.ones(m, dtype=np.int8), np.zeros(m, dtype=np.int8)]
     vals = [_tal_value(G, c) for c in candidates]
     k = int(np.argmin(vals))
     chi, val = candidates[k].copy(), vals[k]
-    for _ in range(max_passes):
+    for _ in range(TAL_MAX_PASSES):
         improved = False
         for e in range(m):
             chi[e] ^= 1
@@ -589,15 +577,3 @@ def blue_classify(f: FunctionOracle, ell: int, edge) -> bool:
     interior = _interval_indices(f.shape, edge)
     down = _event_field(f, ell, "down", lambda bits: bits == 1)
     return math.fsum(down[interior]) / len(interior) >= REDBLUE_THRESHOLD
-
-
-# ---------------------------------------------------------------------------
-# Typicality
-# ---------------------------------------------------------------------------
-
-
-def is_typical_exact(shape: GridShape, x: Sequence[int], c: float, eps: float) -> bool:
-    """Typicality per the exact conditioned-cube weight distribution:
-    Pr[x in middle layers] >= 1 - (eps/d)^5."""
-    p = walks.typical_probability_exact(shape, x, c, eps)
-    return p >= 1.0 - (eps / shape.d) ** 5

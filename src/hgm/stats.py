@@ -11,6 +11,7 @@ from .errors import DomainError
 
 Z_95 = 1.959963984540054
 Z_99 = 2.5758293035489004
+MIN_EXPECTED = 5.0
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> Tuple[float, float]:
@@ -33,13 +34,11 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> Tuple[float
     return lo, hi
 
 
-def chi_square_gof(
-    observed: Dict, expected_probs: Dict, total: int, min_expected: float = 5.0
-) -> Tuple[float, float, int]:
+def chi_square_gof(observed: Dict, expected_probs: Dict, total: int) -> Tuple[float, float, int]:
     """Pearson goodness-of-fit with category pooling.
 
     Categories are sorted by expected probability and greedily pooled until
-    every pooled expected count is at least ``min_expected``; the observed
+    every pooled expected count is at least ``MIN_EXPECTED``; the observed
     counts follow the same pooling. Returns (statistic, p_value, dof).
     """
     if total <= 0:
@@ -50,7 +49,7 @@ def chi_square_gof(
     for k in keys:
         acc_e += expected_probs[k] * total
         acc_o += observed.get(k, 0)
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             pooled.append((acc_e, acc_o))
             acc_e = acc_o = 0.0
     if acc_e > 0 or acc_o > 0:

@@ -498,16 +498,26 @@ def run_full_tester(
     """Distance-targeted tester: subgrid sampling plus the path tester.
 
     For eps below 1/sqrt(d) the walk analysis offers no advantage and we
-    defer to the fallback pair tester. Otherwise: ceil(8/eps) rounds, each
-    restricting f to k sorted uniform samples per axis and running the trial
-    driver on the restriction. A witness in the restriction maps back through
-    the sample tables to a violation of f itself. The restrictions read f
-    without counting, so f is charged the restrictions' queries here.
+    defer to the fallback pair tester, which reads none of ``k``,
+    ``outer_reps`` and ``inner_trials``: setting any of them there is a
+    ConfigError. Otherwise: ceil(8/eps) rounds, each restricting f to k
+    sorted uniform samples per axis and running the trial driver on the
+    restriction. A witness in the restriction maps back through the sample
+    tables to a violation of f itself. The restrictions read f without
+    counting, so f is charged the restrictions' queries here.
     """
     shape = f.shape
     if not 0 < eps < 1:
         raise ConfigError("eps must be in (0,1)")
+    for name, value in (("outer_reps", outer_reps), ("inner_trials", inner_trials)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     if eps < shape.d**-0.5:
+        if (k, outer_reps, inner_trials) != (None, None, None):
+            raise ConfigError(
+                f"eps {eps} < 1/sqrt(d) runs the fallback pair tester, which reads"
+                " none of k, outer_reps and inner_trials"
+            )
         return line_tester_fallback(f, eps, substream(seed, "fallback"))
     k_formula = (shape.d / eps) ** 8
     if k is None:

@@ -16,6 +16,7 @@ from .rng import substream
 from .stats import chi_square_gof
 
 FORMULATIONS = ("direct", "cube_first", "cube_at_x")
+EQUIV_ALPHA = 0.001
 
 
 def check_joint_budget(shape: GridShape, tau: int, budget: int) -> None:
@@ -27,14 +28,13 @@ def check_joint_budget(shape: GridShape, tau: int, budget: int) -> None:
         raise BudgetError(f"joint walk pmf on {shape} exceeds budget ({budget} terms)")
 
 
-def joint_exact_pmf(
-    shape: GridShape, tau: int, direction: str = "up", budget: int = walks.DEFAULT_PMF_BUDGET
-) -> Dict:
-    """Exact law of (x, y) with x uniform and y a tau-step walk endpoint,
-    keyed by (x_index, y_index); budget as in :func:`check_joint_budget`."""
+def joint_exact_pmf(shape: GridShape, tau: int, budget: int = walks.DEFAULT_PMF_BUDGET) -> Dict:
+    """Exact law of (x, y) with x uniform and y a tau-step up-walk endpoint
+    (the pairs :func:`_sample_pairs` draws), keyed by (x_index, y_index);
+    budget as in :func:`check_joint_budget`."""
     check_joint_budget(shape, tau, budget)
     N = shape.num_points
-    spec = walks.WalkSpec(direction, tau, shape)
+    spec = walks.WalkSpec("up", tau, shape)
     out: Dict[Tuple[int, int], float] = {}
     for x in shape.points():
         pmf = walks.exact_pmf(shape, x, spec, budget=budget)
@@ -104,14 +104,14 @@ def equivalence_statistical(
     tau: int,
     samples: int,
     seed: int,
-    alpha: float = 0.001,
     sampler: Optional[Callable] = None,
     budget: int = walks.DEFAULT_PMF_BUDGET,
 ) -> EquivStatResult:
     """Chi-square goodness of fit of sampled (x, y) pairs from each
     formulation against the exact joint pmf (budget as in
     :func:`joint_exact_pmf`). ``sampler`` may replace the default pair
-    sampler (used by harness-sensitivity fixtures)."""
+    sampler (used by harness-sensitivity fixtures). A formulation passes
+    when its p-value exceeds EQUIV_ALPHA."""
     expected = joint_exact_pmf(shape, tau, budget=budget)
     draw = sampler or _sample_pairs
     results = {}
@@ -130,8 +130,8 @@ def equivalence_statistical(
         }
         stat, p, dof = chi_square_gof(observed, expected, samples)
         results[formulation] = (stat, p, dof)
-        ok = ok and p > alpha
-    return EquivStatResult(results, ok, alpha, samples)
+        ok = ok and p > EQUIV_ALPHA
+    return EquivStatResult(results, ok, EQUIV_ALPHA, samples)
 
 
 @dataclass

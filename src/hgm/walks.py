@@ -91,37 +91,6 @@ class WalkSpec:
         return min(self.length, self.shape.d)
 
 
-@dataclass(frozen=True)
-class Hypercube:
-    """A sub-hypercube prod_i {a_i, b_i} with a_i < b_i."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        for a, b in self.pairs:
-            if not a < b:
-                raise DomainError(f"hypercube pair ({a}, {b}) must have a < b")
-
-    @property
-    def d(self) -> int:
-        return len(self.pairs)
-
-    def contains_vertex(self, x: Sequence[int]) -> bool:
-        return len(x) == self.d and all(c in p for c, p in zip(x, self.pairs))
-
-    def weight(self, x: Sequence[int]) -> int:
-        """Number of coordinates sitting at the upper endpoint b_i."""
-        if not self.contains_vertex(x):
-            raise DomainError(f"{tuple(x)} is not a vertex of this hypercube")
-        return sum(1 for c, (a, b) in zip(x, self.pairs) if c == b)
-
-    def bottom(self) -> Point:
-        return tuple(a for a, _ in self.pairs)
-
-    def top(self) -> Point:
-        return tuple(b for _, b in self.pairs)
-
-
 @dataclass
 class WalkPmf:
     """Exact endpoint distribution of a walk from a fixed anchor."""
@@ -283,15 +252,6 @@ def _alias_lookup(n: int):
     lookup = _alias_gap(n, np.arange(n * table[0])).astype(np.int8)
     lookup.flags.writeable = False
     return lookup
-
-
-def lazy_up_prob(n: int, u: int) -> float:
-    """Probability a selected coordinate at value u does not move upward."""
-    return float(one_step(n, "up")[u - 1, u - 1])
-
-
-def lazy_down_prob(n: int, u: int) -> float:
-    return float(one_step(n, "down")[u - 1, u - 1])
 
 
 @lru_cache(maxsize=None)
@@ -774,7 +734,7 @@ def walk_field(spec: WalkSpec, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Middle layers, restricted walk pdf, reversibility closed forms
+# Cube-walk closed forms and reversibility
 # ---------------------------------------------------------------------------
 
 
@@ -786,53 +746,6 @@ def middle_band_halfwidth(d: int, c: float, eps: float) -> float:
     if not (math.isfinite(c) and c >= 0):
         raise DomainError(f"c must be finite and non-negative, got {c}")
     return math.sqrt(4.0 * c * d * math.log(d / eps))
-
-
-def weight_in_band(weight: int, d: int, c: float, eps: float) -> bool:
-    return abs(weight - d / 2.0) <= middle_band_halfwidth(d, c, eps)
-
-
-def middle_layer_member(H: Hypercube, x: Sequence[int], c: float, eps: float) -> bool:
-    """True iff x's weight in H lies in the c-middle layers."""
-    return weight_in_band(H.weight(x), H.d, c, eps)
-
-
-def middle_layer_fraction_exact(d: int, c: float, eps: float) -> Fraction:
-    """Exact fraction of hypercube vertices in the c-middle layers (binomial sum)."""
-    hw = middle_band_halfwidth(d, c, eps)
-    total = sum(
-        math.comb(d, w) for w in range(d + 1) if abs(w - d / 2.0) <= hw
-    )
-    return Fraction(total, 2**d)
-
-
-def _bernoulli_sum_law(probs) -> np.ndarray:
-    """Law of a sum of independent Bernoulli(p), p in probs, indexed by count."""
-    dist = np.array([1.0])
-    for p in probs:
-        dist = np.convolve(dist, [1.0 - p, p])
-    return dist
-
-
-def weight_distribution_at(shape: GridShape, x: Sequence[int]) -> np.ndarray:
-    """Exact law of x's weight in a conditioned sub-hypercube draw.
-
-    Coordinate i sits at the upper endpoint iff its draw lands below x_i,
-    so the weight is a sum of independent Bernoullis.
-    """
-    x = shape.check_point(x)
-    return _bernoulli_sum_law(np.diag(one_step(shape.n, "up"))[np.subtract(x, 1)])
-
-
-def typical_probability_exact(
-    shape: GridShape, x: Sequence[int], c: float, eps: float
-) -> float:
-    """Pr over conditioned cubes that x lies in the c-middle layers."""
-    dist = weight_distribution_at(shape, x)
-    d = shape.d
-    return math.fsum(
-        float(dist[w]) for w in range(d + 1) if weight_in_band(w, d, c, eps)
-    )
 
 
 def cube_walk_closed_form(
@@ -862,51 +775,3 @@ def reversibility_ratio_product(d: int, weight_x: int, t: int, ell: int) -> floa
     for i in range(ell - t):
         acc *= 1.0 + (2.0 * e_x + t) / (d / 2.0 - e_x - t - i)
     return acc
-
-
-def restricted_walk_pdf(
-    shape: GridShape,
-    x: Sequence[int],
-    xp: Sequence[int],
-    ell: int,
-    eps: float,
-    c: float = 100.0,
-) -> float:
-    """Walk pdf between comparable points, counting only sub-hypercubes where
-    both endpoints lie in the c-middle layers.
-
-    Averages over conditioned cubes at x: the fixed differing coordinates pin
-    their pairs, the rest contribute an independent Bernoulli weight, and the
-    in-cube landing probability is the binomial ratio closed form.
-    """
-    x = shape.check_point(x)
-    xp = shape.check_point(xp)
-    if ell > shape.d:
-        raise DomainError("walk length exceeds dimension for in-cube walk")
-    diff_up = [i for i in range(shape.d) if xp[i] > x[i]]
-    diff_down = [i for i in range(shape.d) if xp[i] < x[i]]
-    if diff_up and diff_down:
-        raise DomainError("endpoints must be comparable")
-    up = not diff_down
-    S = diff_up if up else diff_down
-    t = len(S)
-    if t > ell:
-        return 0.0
-    P = one_step(shape.n, "up" if up else "down")
-    pinned = math.prod(float(P[x[i] - 1, xp[i] - 1]) for i in S)
-    if pinned == 0.0:
-        return 0.0
-    lazy = np.diag(one_step(shape.n, "up"))
-    dist = _bernoulli_sum_law(lazy[x[i] - 1] for i in range(shape.d) if i not in S)
-    d = shape.d
-    base = 0 if up else t  # pinned coordinates' contribution to x's weight
-    total = 0.0
-    comp = 1.0 / math.comb(d, ell)
-    for w_free in range(len(dist)):
-        w_x = w_free + base
-        w_xp = w_x + t if up else w_x - t
-        if not (weight_in_band(w_x, d, c, eps) and weight_in_band(w_xp, d, c, eps)):
-            continue
-        stay_pool = w_x if up else d - w_x
-        total += float(dist[w_free]) * math.comb(stay_pool, ell - t) * comp
-    return total

@@ -99,10 +99,14 @@ def test_cmd_test_usage_errors(capsys):
          "--reps", "0"],
         ["equiv", "--n", "2", "--d", "1", "--mode", "x"],
         ["test", "--config", "/nonexistent/run.cfg"],
+        ["test", "--family", "majority_threshold", "--n", "8", "--d", "4", "--threshold", "99"],
+        ["test", "--family", "surface", "--n", "8", "--d", "4", "--path", "/nonexistent"],
+        ["sweep", "--cells", "8:4:anti_dictator", "--trials", "0"],
     ],
     ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n",
          "cell-short", "reversibility-eps-0", "reversibility-eps-over-d", "reversibility-c-negative",
-         "domain-reduce-reps-0", "equiv-mode", "config-missing"],
+         "domain-reduce-reps-0", "equiv-mode", "config-missing", "threshold-unread",
+         "path-unread", "sweep-trials-0"],
 )
 def test_bad_inputs_exit_64_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

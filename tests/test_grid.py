@@ -1,4 +1,4 @@
-"""Domain plumbing: indexing, comparability, families, transforms, files."""
+"""Domain plumbing: indexing, families, transforms, files."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,10 @@ from hgm.errors import ConfigError, DomainError, FormatError
 from hgm.grid import (
     FAMILY_NAMES,
     Box,
-    Comparability,
     ExplicitFunction,
     FamilySpec,
     FunctionOracle,
     GridShape,
-    comparable,
     doubly_flip,
     is_monotone,
     load_truth_table,
@@ -99,28 +97,6 @@ def test_out_of_range_point_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Comparability
-# ---------------------------------------------------------------------------
-
-
-def test_comparable_examples():
-    assert comparable((1, 3), (2, 3)) is Comparability.X_BELOW_Y
-    assert comparable((2, 1), (1, 2)) is Comparability.INCOMPARABLE
-    assert comparable((2, 2), (2, 2)) is Comparability.EQUAL
-    assert comparable((3, 3), (1, 2)) is Comparability.Y_BELOW_X
-    with pytest.raises(DomainError):
-        comparable((1,), (1, 2))
-
-
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-def test_comparable_is_antisymmetric(x):
-    x = tuple(x)
-    y = tuple(c + 1 for c in x)
-    assert comparable(x, y) is Comparability.X_BELOW_Y
-    assert comparable(y, x) is Comparability.Y_BELOW_X
-
-
-# ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
 
@@ -171,6 +147,20 @@ def test_unknown_family_rejected():
         FamilySpec("parity")
     with pytest.raises(ConfigError):
         make_family(FamilySpec("dictator", dim=5), GridShape(4, 2))
+
+
+def test_family_refuses_a_parameter_it_does_not_read():
+    # Only the (anti-)dictator reads a threshold, and only the explicit
+    # family reads a path.
+    for name in FAMILY_NAMES:
+        if name not in ("dictator", "anti_dictator"):
+            with pytest.raises(ConfigError, match="threshold"):
+                FamilySpec(name, threshold=3)
+        if name != "explicit":
+            with pytest.raises(ConfigError, match="path"):
+                FamilySpec(name, path="f.hgf")
+    FamilySpec("anti_dictator", threshold=3)
+    FamilySpec("explicit", path="f.hgf")
 
 
 # ---------------------------------------------------------------------------

@@ -235,10 +235,13 @@ def test_degree_identities_on_random_functions():
 
 
 def test_thresholded_influence_and_colorings():
-    mono = make_family(FamilySpec("dictator"), GridShape(2, 3))
-    _, total = oracles.thresholded_influence(mono)
+    def influence(f):
+        G = oracles.build_violation_graph(f, "augmented_axis")
+        return oracles.colored_thresholded_degree(G, None)
+
+    _, total = influence(make_family(FamilySpec("dictator"), GridShape(2, 3)))
     assert total == 0
-    phi, _ = oracles.thresholded_influence(box_fn(3, 1, [1, 0, 0]))
+    phi, _ = influence(box_fn(3, 1, [1, 0, 0]))
     assert phi[0] == 1
     # All-ones coloring zeroes the thresholded degree of every 0-point.
     f = ExplicitFunction(GridShape(2, 3), random_bits(8, 3))
@@ -500,40 +503,3 @@ def test_interval_points_validation():
         oracles.red_classify(f, 1, ((1, 1), (2, 2)))  # not axis-aligned
     with pytest.raises(DomainError):
         oracles.red_classify(f, 1, ((3, 1), (1, 1)))  # downward
-
-
-def test_typical_points_bound_n4_d8():
-    # Exhaustive scan: the fraction of points whose conditioned-cube weight
-    # lands in the c = 7 band with probability >= 1 - (eps/d)^5 should beat
-    # the 1 - (eps/d)^(c-5) tail bound.
-    shape = GridShape(4, 8)
-    c, eps = 7.0, 0.5
-    lam = {u: walks.lazy_up_prob(4, u) for u in range(1, 5)}
-    band = [
-        w for w in range(shape.d + 1) if walks.weight_in_band(w, shape.d, c, eps)
-    ]
-    threshold = 1.0 - (eps / shape.d) ** 5
-    cache = {}
-    typical = 0
-    pts = shape.all_points_array()
-    counts = np.stack([(pts == u).sum(axis=1) for u in range(1, 5)], axis=1)
-    for row in counts:
-        key = tuple(int(v) for v in row)
-        if key not in cache:
-            dist = np.array([1.0])
-            for u, cnt in zip(range(1, 5), key):
-                for _ in range(cnt):
-                    dist = np.convolve(dist, [1.0 - lam[u], lam[u]])
-            cache[key] = math.fsum(float(dist[w]) for w in band) >= threshold
-        typical += cache[key]
-    frac = typical / shape.num_points
-    assert frac >= 1.0 - (eps / shape.d) ** (c - 5)
-
-
-def test_is_typical_exact_matches_direct_computation():
-    shape = GridShape(4, 8)
-    for x in [(2,) * 8, (1,) * 8, (1, 4, 2, 3, 1, 4, 2, 3)]:
-        p = walks.typical_probability_exact(shape, x, 7.0, 0.5)
-        assert oracles.is_typical_exact(shape, x, 7.0, 0.5) == (
-            p >= 1.0 - (0.5 / 8) ** 5
-        )

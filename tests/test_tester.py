@@ -551,3 +551,14 @@ def test_full_tester_rejects_bad_eps():
         tester.run_full_tester(f, 0.0)
     with pytest.raises(ConfigError):
         tester.run_full_tester(f, 0.9, k=3)
+    with pytest.raises(ConfigError, match="outer_reps"):
+        tester.run_full_tester(anti_dictator(8, 4), 0.9, outer_reps=-3)
+    with pytest.raises(ConfigError, match="inner_trials"):
+        tester.run_full_tester(anti_dictator(8, 4), 0.9, inner_trials=0)
+    # Below 1/sqrt(d) the fallback runs, which reads none of the three.
+    g = make_family(FamilySpec("dictator"), GridShape(4, 16))
+    for bad in (dict(k=3, outer_reps=-1, inner_trials=-7), dict(k=2), dict(outer_reps=2),
+                dict(inner_trials=100)):
+        with pytest.raises(ConfigError):
+            tester.run_full_tester(g, 0.05, **bad)
+    assert g.query_count == 0

@@ -1,4 +1,4 @@
-"""Walk kernels, samplers, exact pmfs, middle layers, cube closed forms."""
+"""Walk kernels, samplers, exact pmfs, cube closed forms and reversibility."""
 
 import hashlib
 import itertools
@@ -15,7 +15,7 @@ from hgm import walks
 from hgm.errors import BudgetError, DomainError
 from hgm.grid import GridShape
 from hgm.rng import substream
-from hgm.stats import chi_square_gof, wilson_interval
+from hgm.stats import chi_square_gof
 from hgm import validate
 
 from exact_enumeration import cube_walk_prob_enumerated, line_kernel_enumerated
@@ -56,8 +56,8 @@ def test_n2_selected_coordinate_always_moves():
     # With n=2 the only window is {1,2}; the non-self draw is the other value.
     assert walks.line_kernel(2)[1, 2] == 1.0
     assert walks.line_kernel(2)[2, 1] == 1.0
-    assert walks.lazy_up_prob(2, 1) == 0.0
-    assert walks.lazy_up_prob(2, 2) == 1.0
+    assert _lazy(2, 1, "up") == 0.0
+    assert _lazy(2, 2, "up") == 1.0
 
 
 def _gap_law(n):
@@ -162,20 +162,17 @@ def test_three_draw_moves_match_gap_law_at_2048(direction):
 def test_lazy_probs_complement_move_mass():
     for n in (4, 8, 16):
         K = walks.line_kernel(n)
-        lazy = {"up": walks.lazy_up_prob, "down": walks.lazy_down_prob}
-        for direction, lazy_prob in lazy.items():
+        for direction in ("up", "down"):
             P = walks.one_step(n, direction)
             assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
-            for u in range(1, n + 1):
-                assert P[u - 1, u - 1] == lazy_prob(n, u)
             # Off the diagonal, P is the kernel's draws in the walk direction.
             moves = np.triu(K[1:, 1:], 1) if direction == "up" else np.tril(K[1:, 1:], -1)
             assert (P - np.diag(np.diag(P)) == moves).all()
         for u in range(1, n + 1):
             up_mass = K[u, u + 1 :].sum()
-            assert abs(walks.lazy_up_prob(n, u) + up_mass - 1.0) < 1e-12
+            assert abs(_lazy(n, u, "up") + up_mass - 1.0) < 1e-12
             down_mass = K[u, 1:u].sum()
-            assert abs(walks.lazy_down_prob(n, u) + down_mass - 1.0) < 1e-12
+            assert abs(_lazy(n, u, "down") + down_mass - 1.0) < 1e-12
 
 
 def test_pair_distribution_marginal_is_uniform():
@@ -348,7 +345,8 @@ def _tally(values):
 
 
 def _lazy(n, u, direction):
-    return walks.lazy_up_prob(n, u) if direction == "up" else walks.lazy_down_prob(n, u)
+    """Probability that a selected coordinate at value u does not move."""
+    return float(walks.one_step(n, direction)[u - 1, u - 1])
 
 
 @pytest.mark.parametrize("direction", ["up", "down"])
@@ -423,7 +421,7 @@ def test_large_d_mixed_lengths_match_per_group_behaviour():
     Y = walks.sample_walk_batch(LARGE, X, lengths, "up", substream(7, "large-d-mixed"))
     moved = (Y != X).sum(axis=1)
     assert (moved[lengths == 0] == 0).all()
-    p_move = 1.0 - walks.lazy_up_prob(LARGE.n, u)
+    p_move = 1.0 - _lazy(LARGE.n, u, "up")
     for ell in pool[pool > 0]:
         expected = _binomial_pmf(min(int(ell), d), p_move)
         _, p, _ = chi_square_gof(_tally(moved[lengths == ell]), expected, per)
@@ -636,55 +634,26 @@ def test_hypercube_walk_moves_between_endpoints(rng):
     assert ((Y == A) | (Y == B)).all() and ((Y == A).sum(axis=1) == 1).all()
 
 
-def test_weight_definition():
-    H = walks.Hypercube(((1, 2), (3, 7)))
-    assert H.weight((1, 3)) == 0
-    assert H.weight((2, 3)) == 1
-    assert H.weight((2, 7)) == 2
+def _weight_law(shape, x):
+    """Exact law of x's weight in a cube drawn through x: coordinate i sits at
+    the cube's upper endpoint iff its draw does not move up from x_i, so the
+    weight is a sum of independent Bernoullis (zero-mass weights left out)."""
+    law = np.array([1.0])
+    for lazy in np.diag(walks.one_step(shape.n, "up"))[np.subtract(x, 1)]:
+        law = np.convolve(law, [1.0 - lazy, lazy])
+    return {w: float(p) for w, p in enumerate(law) if p > 0}
 
 
-# ---------------------------------------------------------------------------
-# Middle layers and typicality
-# ---------------------------------------------------------------------------
-
-
-def test_middle_layer_membership_cases():
-    H2 = walks.Hypercube(((1, 2), (1, 2)))
-    assert walks.middle_layer_member(H2, (2, 1), 1.0, 0.5)  # weight 1 = d/2
-    big = walks.Hypercube(((1, 2),) * 256)
-    assert not walks.middle_layer_member(big, big.bottom(), 1.0, 0.5)
-    assert walks.middle_layer_member(big, (2,) * 128 + (1,) * 128, 1.0, 0.5)
-
-
-def test_middle_layer_fraction_bound_d20():
-    # Binomial tail bound: the c=1 band misses at most an (eps/d)^c fraction.
-    frac = walks.middle_layer_fraction_exact(20, 1.0, 0.1)
-    assert frac >= 1 - Fraction(1, 200)
-    assert walks.middle_layer_fraction_exact(8, 100.0, 0.5) == 1
-
-
-def test_weight_distribution_and_typicality_exact():
-    shape = GridShape(4, 3)
-    for x in [(1, 1, 1), (2, 3, 4), (4, 4, 4)]:
-        dist = walks.weight_distribution_at(shape, x)
-        assert len(dist) == 4
-        assert abs(dist.sum() - 1.0) < 1e-12
-        assert abs(walks.typical_probability_exact(shape, x, 100.0, 0.5) - 1.0) < 1e-12
-
-
-def test_typicality_mc_brackets_exact(rng):
-    # The conditioned-cube sampler against the exact weight law: how often x
-    # lands in the c-middle layers of a sampled cube through it.
-    shape = GridShape(4, 3)
-    x = (2, 3, 1)
-    c, eps, samples = 0.02, 0.5, 4000
-    exact = walks.typical_probability_exact(shape, x, c, eps)
-    X = np.tile(shape.check_point(x), (samples, 1))
-    _, B = walks.sample_hypercube_at_batch(shape, X, rng)
-    weights = (X == B).sum(axis=1)  # coordinates at the cube's upper endpoint
-    hits = int(walks.weight_in_band(weights, shape.d, c, eps).sum())
-    lo, hi = wilson_interval(hits, samples)
-    assert lo - 1e-9 <= exact <= hi + 1e-9
+def test_conditioned_cube_weight_matches_bernoulli_sum_law(rng):
+    # The conditioned-cube sampler against the exact weight law of x in the
+    # sampled cubes through it.
+    samples = 4000
+    for shape, x in ((GridShape(4, 3), (2, 3, 1)), (GridShape(8, 4), (1, 4, 6, 8))):
+        X = np.tile(shape.check_point(x), (samples, 1))
+        _, B = walks.sample_hypercube_at_batch(shape, X, rng)
+        weights = (X == B).sum(axis=1)  # coordinates at the cube's upper endpoint
+        _, p, _ = chi_square_gof(_tally(weights), _weight_law(shape, x), samples)
+        assert p > ALPHA, (shape, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -726,37 +695,19 @@ def test_cube_walk_mc_matches_closed_form(rng):
     assert abs(hits / N - p) < 3 * sigma + 1e-9
 
 
-def test_restricted_pdf_basics():
-    shape = GridShape(2, 4)
-    x, far = (1, 1, 1, 1), (2, 2, 2, 1)
-    assert walks.restricted_walk_pdf(shape, x, far, 2, 0.5) == 0.0  # t > ell
-    p_self = walks.restricted_walk_pdf(shape, (2, 1, 2, 1), (2, 1, 2, 1), 0, 0.5)
-    assert 0.0 <= p_self <= 1.0
-    with pytest.raises(DomainError):
-        walks.restricted_walk_pdf(shape, (1, 2, 1, 1), (2, 1, 1, 1), 2, 0.5)
-
-
-def test_restricted_pdf_ratio_matches_product_formula():
-    d = 16
-    shape = GridShape(2, d)
-    for w, t, ell in [(8, 2, 3), (7, 1, 2), (8, 1, 4), (6, 3, 3)]:
-        x = (2,) * w + (1,) * (d - w)
-        xp = x[:w] + (2,) * t + (1,) * (d - w - t)
-        fwd = walks.restricted_walk_pdf(shape, x, xp, ell, 0.5)
-        bwd = walks.restricted_walk_pdf(shape, xp, x, ell, 0.5)
-        assert bwd > 0
-        prod = walks.reversibility_ratio_product(d, w, t, ell)
-        assert fwd / bwd == pytest.approx(prod, abs=1e-12)
-
-
 def test_reversibility_scan_rows_are_consistent():
-    rows = validate.reversibility_scan(16, 2, 0.5)
-    assert rows
-    for r in rows:
-        if r.t == 0:
-            assert r.ratio == 1.0 and r.product_formula == 1.0
-        else:
-            assert r.ratio == pytest.approx(r.product_formula, abs=1e-12)
+    cases = set()
+    for ell in (2, 3, 4):
+        rows = validate.reversibility_scan(16, ell, 0.5)
+        assert rows
+        for r in rows:
+            if r.t == 0:
+                assert r.ratio == 1.0 and r.product_formula == 1.0
+            else:
+                assert r.ratio == pytest.approx(r.product_formula, abs=1e-12)
+            cases.add((r.weight_x, r.t, r.ell))
+    # Middle-layer pairs (w, t, ell) on both sides of d/2, up to t = ell.
+    assert {(8, 2, 3), (7, 1, 2), (8, 1, 4), (6, 3, 3)} <= cases
 
 
 def test_band_halfwidth_formula():
