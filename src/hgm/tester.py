@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,15 +94,33 @@ WALKS = tuple(
     for p, (step, _) in enumerate(PAIRS)
     if getattr(SUBTESTS[step], role) == direction
 )
+
+
+def _blocks(pairs) -> Tuple[Tuple[int, int, int], ...]:
+    """(src, dst, length) for each maximal run of (src, dst) index pairs on
+    which both step by one, so that copying src to dst is a few slice
+    copies."""
+    blocks: List[List[int]] = []
+    for s, t in pairs:
+        if blocks and (s, t) == (blocks[-1][0] + blocks[-1][2], blocks[-1][1] + blocks[-1][2]):
+            blocks[-1][2] += 1
+        else:
+            blocks.append([s, t, 1])
+    return tuple(map(tuple, blocks))
+
+
 # _run_batch's tables: each walk's pair, what it adds to tau - 1 to get its
-# length (a shift adds 0), the number of up walks, the shift walks, each
-# pair's path walk, and whether each pair's anchor is its low end.
+# length (a shift adds 0), the number of up walks, and whether each pair's
+# anchor is its low end. Its blocks: the shift walks over the pairs they
+# shift, and each pair's path walk over the pair.
 WALK_PAIR = np.array([p for _, _, p in WALKS])
 WALK_KIND = np.array([PAIRS[p][1] if role == "path" else 0 for _, role, p in WALKS])
 UP_WALKS = sum(direction == "up" for direction, _, _ in WALKS)
-SHIFT_WALKS = np.array([w for w, (_, role, _) in enumerate(WALKS) if role == "shift"])
-PATH_WALK = np.array([WALKS.index((SUBTESTS[s].path, "path", p)) for p, (s, _) in enumerate(PAIRS)])
 ANCHOR_LOW = np.array([SUBTESTS[step].path == "up" for step, _ in PAIRS])[:, None]
+SHIFT_BLOCKS = _blocks((w, p) for w, (_, role, p) in enumerate(WALKS) if role == "shift")
+PATH_BLOCKS = _blocks(
+    (WALKS.index((SUBTESTS[s].path, "path", p)), p) for p, (s, _) in enumerate(PAIRS)
+)
 
 DEFAULT_BATCH = 8192
 # Pairs per fallback chunk; larger chunks raise the fallback's peak memory.
@@ -178,6 +197,26 @@ class TesterReport:
 # ---------------------------------------------------------------------------
 
 
+# Bytes of batch buffer one thread keeps between calls; a batch that needs
+# more allocates its own and keeps nothing.
+BUFFER_CAP = 64 << 20
+_KEPT = threading.local()
+
+
+def _batch_buffer(nbytes: int) -> np.ndarray:
+    """A byte buffer of at least nbytes: the calling thread's kept buffer,
+    grown to fit, or a new one over BUFFER_CAP. The kept buffer leaves its
+    slot while the batch uses it, so a nested batch on the same thread
+    allocates its own."""
+    if nbytes > BUFFER_CAP:
+        return np.empty(nbytes, dtype=np.uint8)
+    buf = getattr(_KEPT, "buffer", None)
+    _KEPT.buffer = None
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+    return buf
+
+
 def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: int):
     """One deterministic batch of count trials: trials and rejections per
     schedule index, first rejections per step, queries spent, and the first
@@ -194,6 +233,17 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     are added to the anchors and a pair's moved point is its anchor plus its
     path offsets. Every point stays in the anchors' narrow dtype (int8 up to
     n = 64), from the draw through the move kernel to the oracle reads.
+
+    Every (walks or pairs, N, d) array lives in one byte buffer that the
+    thread keeps between calls (:func:`_batch_buffer`), so a steady stream
+    of batches does not return them to the allocator and fault them in
+    again: the selection mask, then the offsets, in its first half, and the
+    stack, then the moved points, in its second. With int8 points the mask
+    is already 1 exactly where the offsets go and 0 elsewhere, so the
+    offsets need no zeroing. A batch needing more than BUFFER_CAP bytes
+    (24 N d of int8 points) keeps nothing. With HGM_THREADS > 1 the pool's
+    threads draw their own buffers, which end with the call, and the
+    calling thread drops its own. Nothing returned references the buffer.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
@@ -202,20 +252,33 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     which = rng.integers(0, len(schedule), size=N)
     taus = schedule[which]
     anchors = walks.sample_points_batch(shape, len(PAIRS) * N, rng).reshape(len(PAIRS), N, d)
+    dtype, block = anchors.dtype, N * d
 
+    nbytes = block * dtype.itemsize
+    buf = _batch_buffer(2 * len(WALKS) * nbytes)
+    mask = buf[: len(WALKS) * block].view(bool).reshape(-1, d)
     lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
-    idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng))
-    u = np.take(anchors, WALK_PAIR, axis=0).reshape(-1)[idx]
+    idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng, out=mask))
+    # Each walk's copy of its pair's anchors, in the buffer's second half;
+    # mode="clip" writes into out directly, where "raise" would buffer it.
+    stack = buf[len(WALKS) * nbytes : 2 * len(WALKS) * nbytes].view(dtype)
+    np.take(anchors.reshape(len(PAIRS), block), WALK_PAIR, axis=0,
+            out=stack.reshape(len(WALKS), block), mode="clip")
+    u = stack[idx]
     c = walks.sample_line_kernel(n, u, rng)
-    up = np.searchsorted(idx, UP_WALKS * N * d)
+    up = np.searchsorted(idx, UP_WALKS * block)
     np.maximum(c[:up], u[:up], out=c[:up])
     np.minimum(c[up:], u[up:], out=c[up:])
     c -= u
-    offsets = np.zeros((len(WALKS), N, d), dtype=anchors.dtype)
+    offsets = buf[: len(WALKS) * nbytes].view(dtype).reshape(len(WALKS), N, d)
+    if dtype.itemsize > 1:
+        offsets.fill(0)
     offsets.reshape(-1)[idx] = c
-    anchors[WALK_PAIR[SHIFT_WALKS]] += offsets[SHIFT_WALKS]
-    moved = offsets[PATH_WALK]
-    moved += anchors
+    for w, p, size in SHIFT_BLOCKS:
+        anchors[p : p + size] += offsets[w : w + size]
+    moved = stack[: len(PAIRS) * block].reshape(len(PAIRS), N, d)
+    for w, p, size in PATH_BLOCKS:
+        np.add(offsets[w : w + size], anchors[p : p + size], out=moved[p : p + size])
 
     worker = f.spawn_worker()
     f_anchor = worker.eval_many(anchors.reshape(-1, d)).reshape(len(PAIRS), N)
@@ -239,6 +302,8 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
                 tuple(high.tolist()),
             )
         )
+    if buf.size <= BUFFER_CAP:
+        _KEPT.buffer = buf
     return (
         np.bincount(which, minlength=len(schedule)),
         np.bincount(which[rejected], minlength=len(schedule)),
@@ -257,6 +322,7 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
     args = (repeat(f), repeat(cfg), range(len(sizes)), sizes)
     threads = worker_count()
     if threads > 1:
+        _KEPT.buffer = None  # idle while the pool's threads draw their own
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_batch, *args))
     else:
@@ -493,18 +559,18 @@ def run_full_tester(
     outer_reps: Optional[int] = None,
     inner_trials: Optional[int] = None,
     k: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH,
+    batch_size: Optional[int] = None,
 ) -> FullTesterResult:
     """Distance-targeted tester: subgrid sampling plus the path tester.
 
     For eps below 1/sqrt(d) the walk analysis offers no advantage and we
     defer to the fallback pair tester, which reads none of ``k``,
-    ``outer_reps`` and ``inner_trials``: setting any of them there is a
-    ConfigError. Otherwise: ceil(8/eps) rounds, each restricting f to k
-    sorted uniform samples per axis and running the trial driver on the
-    restriction. A witness in the restriction maps back through the sample
-    tables to a violation of f itself. The restrictions read f without
-    counting, so f is charged the restrictions' queries here.
+    ``outer_reps``, ``inner_trials`` and ``batch_size``: setting any of them
+    there is a ConfigError. Otherwise: ceil(8/eps) rounds, each restricting
+    f to k sorted uniform samples per axis and running the trial driver on
+    the restriction. A witness in the restriction maps back through the
+    sample tables to a violation of f itself. The restrictions read f
+    without counting, so f is charged the restrictions' queries here.
     """
     shape = f.shape
     if not 0 < eps < 1:
@@ -513,10 +579,10 @@ def run_full_tester(
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     if eps < shape.d**-0.5:
-        if (k, outer_reps, inner_trials) != (None, None, None):
+        if (k, outer_reps, inner_trials, batch_size) != (None, None, None, None):
             raise ConfigError(
                 f"eps {eps} < 1/sqrt(d) runs the fallback pair tester, which reads"
-                " none of k, outer_reps and inner_trials"
+                " none of k, outer_reps, inner_trials and batch_size"
             )
         return line_tester_fallback(f, eps, substream(seed, "fallback"))
     k_formula = (shape.d / eps) ** 8
@@ -538,7 +604,7 @@ def run_full_tester(
             shape=GridShape(k, shape.d),
             trials=inner_trials,
             seed=int(substream(seed, "inner", rep).integers(0, 2**63)),
-            batch_size=batch_size,
+            batch_size=DEFAULT_BATCH if batch_size is None else batch_size,
         )
         report = run_tester(fT, cfg)
         total_queries += report.total_queries

@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -457,7 +457,7 @@ def _table_subsets(d: int, m: np.ndarray, rng) -> np.ndarray:
     return np.unpackbits(np.take(rows, w, axis=0), axis=1, count=d, bitorder="little").view(bool)
 
 
-def select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
+def select_coordinates(d: int, lengths: np.ndarray, rng, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(N, d) boolean mask whose row i is a uniform subset of exactly
     min(lengths[i], d) coordinates, drawn in one of three regimes.
 
@@ -469,6 +469,9 @@ def select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
     other row is drawn in one pass after them by keys: d integer keys per
     row, thresholded at its k-th smallest (:func:`_key_subsets`). Raises
     DomainError unless every length is a non-negative integer.
+
+    out, if given, is a C-contiguous (N, d) boolean array that every regime
+    overwrites whole and returns, in place of a new array.
     """
     lengths = np.asarray(lengths)
     if lengths.dtype.kind not in "iu":
@@ -478,9 +481,11 @@ def select_coordinates(d: int, lengths: np.ndarray, rng) -> np.ndarray:
     # Clip before widening, so a uint64 length >= 2^63 cannot wrap negative;
     # a bound past the dtype's range (d >= 128 for int8) clips nothing.
     m = np.minimum(lengths, min(d, np.iinfo(lengths.dtype).max)).astype(np.int64)
+    selected = np.empty((m.size, d), dtype=bool) if out is None else out
     if d <= TABLE_MAX_D:
-        return _table_subsets(d, m, rng)
-    selected = np.zeros((m.size, d), dtype=bool)
+        selected[...] = _table_subsets(d, m, rng)
+        return selected
+    selected.fill(False)
     by_keys = (m * m > d) & ((d - m) ** 2 > d)
     for k in np.unique(m[(m > 0) & ~by_keys]):  # ascending, so the stream is deterministic
         k = int(k)

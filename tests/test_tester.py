@@ -2,6 +2,10 @@
 determinism, and the full distance-targeted driver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +314,78 @@ def test_reports_identical_across_seeds_and_threads(monkeypatch):
     assert d.rejections != a.rejections  # different seed, different draw
 
 
+# A run of calls in one thread whose batches shrink, grow, change dtype and,
+# last, cross BUFFER_CAP: (n, d, family, trials, seed, batch_size).
+BUFFER_CALLS = (
+    (8, 256, "anti_dictator", 1500, 3, 1024),
+    (128, 5, "random_balanced", 1200, 4, 512),  # int16 points
+    (64, 4, "random_balanced", 900, 5, 1024),
+    (8, 256, "anti_dictator", 1500, 3, 1024),
+    (8, 64, "anti_dictator", 1024, 6, 1024),
+)
+
+
+def _buffer_call_report(n, d, family, trials, seed, batch_size):
+    f = make_family(FamilySpec(family), GridShape(n, d))
+    rep = run_tester(f, Config(shape=f.shape, trials=trials, seed=seed, batch_size=batch_size))
+    return rep, repr((rep.rejections, rep.per_tau, rep.per_step, rep.total_queries, rep.witnesses))
+
+
+def _fresh_interpreter_reports(calls):
+    """Each call's report summary, each from its own new interpreter."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, HGM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(here.parent / "src"), str(here), env.get("PYTHONPATH")) if p
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c",
+             f"from test_tester import _buffer_call_report; print(_buffer_call_report(*{call!r})[1])"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for call in calls
+    ]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs), [err for _, err in outs]
+    return [out.strip() for out, _ in outs]
+
+
+def test_kept_batch_buffer_changes_no_report(monkeypatch):
+    monkeypatch.setenv("HGM_THREADS", "1")
+    reports = []
+    for i, call in enumerate(BUFFER_CALLS):
+        if i == len(BUFFER_CALLS) - 1:
+            # The last batch needs 24 N d = 1.6 MB: over the lowered cap, it
+            # gets a buffer of its own and leaves the kept one in its slot.
+            kept = tester._KEPT.buffer
+            monkeypatch.setattr(tester, "BUFFER_CAP", 1 << 20)
+        reports.append(_buffer_call_report(*call))
+    assert tester._KEPT.buffer is kept
+    assert [summary for _, summary in reports] == _fresh_interpreter_reports(BUFFER_CALLS)
+    # A report shares no memory with the buffer that later calls overwrite.
+    for rep, summary in reports:
+        assert repr((rep.rejections, rep.per_tau, rep.per_step, rep.total_queries,
+                     rep.witnesses)) == summary
+
+
+def test_batches_of_one_shape_reuse_the_kept_buffer(monkeypatch):
+    monkeypatch.setenv("HGM_THREADS", "1")
+    first = _buffer_call_report(*BUFFER_CALLS[0])[1]
+    kept = tester._KEPT.buffer
+    assert kept.size >= 24 * 1024 * 256
+    assert _buffer_call_report(*BUFFER_CALLS[0])[1] == first
+    assert tester._KEPT.buffer is kept
+    # Two pool threads, each with its own buffer for batches of two sizes;
+    # the calling thread drops its own.
+    monkeypatch.setenv("HGM_THREADS", "2")
+    call = (8, 256, "anti_dictator", 2500, 8, 1024)
+    threaded = _buffer_call_report(*call)[1]
+    assert tester._KEPT.buffer is None
+    monkeypatch.setenv("HGM_THREADS", "1")
+    assert threaded == _buffer_call_report(*call)[1]
+
+
 def _digits(x):
     return tuple(int(c) for c in x)
 
@@ -555,10 +631,10 @@ def test_full_tester_rejects_bad_eps():
         tester.run_full_tester(anti_dictator(8, 4), 0.9, outer_reps=-3)
     with pytest.raises(ConfigError, match="inner_trials"):
         tester.run_full_tester(anti_dictator(8, 4), 0.9, inner_trials=0)
-    # Below 1/sqrt(d) the fallback runs, which reads none of the three.
+    # Below 1/sqrt(d) the fallback runs, which reads none of the four.
     g = make_family(FamilySpec("dictator"), GridShape(4, 16))
     for bad in (dict(k=3, outer_reps=-1, inner_trials=-7), dict(k=2), dict(outer_reps=2),
-                dict(inner_trials=100)):
+                dict(inner_trials=100), dict(batch_size=512), dict(batch_size=-5)):
         with pytest.raises(ConfigError):
             tester.run_full_tester(g, 0.05, **bad)
     assert g.query_count == 0
