@@ -392,28 +392,28 @@ def _digits(x):
 
 # run_tester reports (rejections, per_tau, per_step, witnesses). The (8, 64)
 # and (8, 256) cells, whose walks draw most of their coordinate subsets by
-# thresholding keys, were recorded since keys became 16 bits wide and anchors
-# came from 64-bit words. The (64, 4), (128, 5) (int16 anchors, one alias
-# draw per move) and (2^15, 3) (int32 anchors, three draws per move) cells
-# were recorded since d <= 16 reads coordinate subsets from the table of all
-# 2^d masks. A witness's points at n = 8 are written as their one-digit
+# thresholding keys, were recorded since Floyd's algorithm draws only the
+# subsets and complements of at most 4 + d // 32 coordinates. The (64, 4),
+# (128, 5) (int16 anchors, one alias draw per move) and (2^15, 3) (int32
+# anchors, three draws per move) cells were recorded since d <= 16 reads
+# coordinate subsets from the table of all 2^d masks. A witness's points at n = 8 are written as their one-digit
 # coordinates, 64 to a string.
 TESTER_STREAM = {
     (8, 64, "anti_dictator", 3000, 5): (
-        879,
-        {1: (429, 7), 2: (469, 15), 4: (418, 32), 8: (414, 78), 16: (410, 134),
-         32: (426, 241), 64: (434, 372)},
-        {"up_path": 308, "down_path": 248, "up_path_down_shift": 169, "down_path_up_shift": 154},
+        878,
+        {1: (429, 7), 2: (469, 24), 4: (418, 28), 8: (414, 72), 16: (410, 148),
+         32: (426, 233), 64: (434, 366)},
+        {"up_path": 325, "down_path": 262, "up_path_down_shift": 159, "down_path_up_shift": 132},
         [
-            (1, "down_path", 32,
-             _digits("2345828544615152171321136857752771185643866372265143275786316631"),
-             _digits("6545868844715152181321136857852881885658866378268753285786476631")),
+            (0, "up_path_down_shift", 32,
+             _digits("2217787741165211233652275655267514148165253628111347512331717235"),
+             _digits("7217787744165212233652275668367564868365253648128447523333717235")),
+            (1, "down_path", 31,
+             _digits("2126254576523457514646136251725867717315175256313518244268617611"),
+             _digits("8126254776574457545647136251725867717315175256313618344288617711")),
             (4, "up_path", 31,
              _digits("4678351832856846223744232676512781266435561336183258671178834523"),
-             _digits("7678357883876856244844232776512788376535561336183258771178834523")),
-            (8, "up_path", 32,
-             _digits("1628776573215767136465548264251365445186852163126516383435566124"),
-             _digits("8628786573285767236466648474258375545286852163127786483436567134")),
+             _digits("6678451836856846224744233676522781368436778437183258676378844524")),
         ],
     ),
     (64, 4, "random_balanced", 2000, 3): (
@@ -427,38 +427,38 @@ TESTER_STREAM = {
         ],
     ),
     (8, 256, "anti_dictator", 2000, 11): (
-        470,
-        {1: (219, 0), 2: (222, 2), 4: (208, 6), 8: (220, 10), 16: (222, 22), 32: (225, 45),
-         64: (228, 77), 128: (243, 130), 256: (213, 178)},
-        {"up_path": 174, "down_path": 121, "up_path_down_shift": 98, "down_path_up_shift": 77},
+        482,
+        {1: (219, 0), 2: (222, 2), 4: (208, 6), 8: (220, 11), 16: (222, 17), 32: (225, 42),
+         64: (228, 76), 128: (243, 146), 256: (213, 182)},
+        {"up_path": 177, "down_path": 126, "up_path_down_shift": 105, "down_path_up_shift": 74},
         [
-            (0, "up_path", 128,
-             _digits("1653637811786652633651221386211346686774737658623813866285372314"
-                     "1465863415444775642445343674131872547478624857887341674138577863"
-                     "4338483154663853145133618866518476558347357273624743744147674515"
-                     "7814864885715643221526161313261352413147667853588646117851325357"),
-             _digits("6654647888786652833661221386211446686775767658623853866286372324"
-                     "1475863455444775752445443684231872557488624887888448775838577863"
-                     "4338483154663887146143678866568586558547367273624843748147684515"
-                     "7874875886815653221526161313461352445147767865588686117888325357")),
-            (4, "down_path", 15,
-             _digits("4354525583163671125437452757322412652786442468731473825232247366"
-                     "6852577286643264111551343712514361875128626375766513146645384265"
-                     "5321225556123583435764424312526552843816345212127252144456825865"
-                     "3157551245445854328452414471147314682874584413687543348614178635"),
-             _digits("8354525583163671725437452757322412652786442488731473825232247366"
-                     "6852577286643264121551343712514361875128626375766513146645385265"
-                     "5321325556123583435764424312526652843816345212127252144456825865"
-                     "3157551245445854328452414471148314682874584413687543348614178635")),
             (5, "up_path", 256,
              _digits("4188676728555488871532135248282773633465543383286154752772453445"
                      "7167454137262217283454248578375324387384538842862371133141547328"
                      "4523461563434117518584357388714145153842564243617336457642187785"
                      "6155187548432218623623456467517136271415548853425423767726333328"),
-             _digits("7888786728555788888533636448288773673567574883786865774772457445"
-                     "7777464267474827286465358578475484887687688863867482868456657348"
-                     "6623462664534847578684567488887845284874664256627857657743387786"
-                     "8258787748747288733634466587547236275426548868547538767736453338")),
+             _digits("5288686828655588888553236248283774733566545383386264762878454646"
+                     "8877567338474827484658258588375425388885538864864374336478658868"
+                     "4626468563854827548685557888744275254853667453687337857652888787"
+                     "6256587778548688654666556567627837587425558864426424788726535368")),
+            (6, "down_path_up_shift", 127,
+             _digits("2553574822157458381435266842623736754524734257645814872455783515"
+                     "1747855734257186215664116674183235627763665431335832811747357832"
+                     "5541365755726642145543452587834772144621347283212245437711185215"
+                     "6576158488715172852773841626458256631652443222142413112382613174"),
+             _digits("8653584822857468685435266842653736754524835258665814883455783515"
+                     "2747887734557886878664826674183235727763765431546832882858357832"
+                     "5641365755726742145543485587834772144621347884422755437788185245"
+                     "6576158488765872852783841726458286634652443224148423162382623275")),
+            (9, "down_path_up_shift", 64,
+             _digits("4824563616216873852187667417645122747244531247172842856662138574"
+                     "1651672735666368457877216831415111828113818486884523632156235858"
+                     "8816643617775471823363336158342844776721735128682815652256526473"
+                     "2811526714477347813244324468367313264258785574582223365154855334"),
+             _digits("6824563616216874852887667417645642747247531247172842866662138574"
+                     "1651672835668368457877216831415161828213818486884523632156236858"
+                     "8816646677776671823363336158342844776821735828688815652256538473"
+                     "2811526714477347883244324588387313264258785574582223365164856334")),
         ],
     ),
     (128, 5, "random_balanced", 2000, 4): (

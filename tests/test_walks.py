@@ -430,13 +430,25 @@ def test_large_d_mixed_lengths_match_per_group_behaviour():
 
 def _uniform_subset_p(selected, k):
     """Chi-square p-value of the rows of a mask against the uniform law on
-    size-k subsets, each row's subset read as one bit mask."""
+    size-k subsets, each row's subset read as one bit mask. Past 10^5
+    subsets, the categories are instead len(selected) // 20 ranges of equal
+    width of the subsets' colex ranks, sum_j C(c_j, j) over the subset's
+    coordinates c_1 < ... < c_k."""
     d = selected.shape[1]
     assert (selected.sum(axis=1) == k).all()
-    codes = selected.astype(np.int64) @ (1 << np.arange(d))
-    expected = {sum(1 << i for i in S): 1 / math.comb(d, k)
-                for S in itertools.combinations(range(d), k)}
-    _, p, _ = chi_square_gof(_tally(codes), expected, len(selected))
+    total = math.comb(d, k)
+    if total <= 10**5:
+        codes = selected.astype(np.int64) @ (1 << np.arange(d))
+        expected = {sum(1 << i for i in S): 1 / total
+                    for S in itertools.combinations(range(d), k)}
+        _, p, _ = chi_square_gof(_tally(codes), expected, len(selected))
+        return p
+    binom = np.array([[math.comb(i, j) for j in range(d + 1)] for i in range(d)], dtype=np.int64)
+    ranks = np.where(selected, binom[np.arange(d), np.cumsum(selected, axis=1)], 0).sum(axis=1)
+    width = -(-total // (len(selected) // 20))
+    expected = {b: (min(total, (b + 1) * width) - b * width) / total
+                for b in range(-(-total // width))}
+    _, p, _ = chi_square_gof(_tally(ranks // width), expected, len(selected))
     return p
 
 
@@ -477,8 +489,8 @@ def test_tied_key_rows_are_redrawn_and_stay_uniform():
 def test_every_row_selects_exactly_min_length_d(d):
     # Every length 0..d + 2, shuffled. d = 1, 5 and 16 read the mask table
     # (d <= TABLE_MAX_D); from d = 17 the rows take every other path, full
-    # (k = d), Floyd (k^2 <= d), Floyd on the complement ((d - k)^2 <= d)
-    # and key thresholds (32 bits at 2048).
+    # (k = d), Floyd (k <= 4 + d // 32), Floyd on the complement
+    # (d - k <= 4 + d // 32) and key thresholds (32 bits at 2048).
     lengths = substream(d, "exact-count").permutation(np.repeat(np.arange(d + 3), 4))
     rng = substream(d, "exact-count", "draw")
     selected = walks.select_coordinates(d, lengths, rng)
@@ -487,6 +499,26 @@ def test_every_row_selects_exactly_min_length_d(d):
     # uint64 lengths of 2^63 and more clip to d rather than wrap negative.
     huge = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
     assert (walks.select_coordinates(d, huge, rng).sum(axis=1) == [0, 1, d, d]).all()
+
+
+@pytest.mark.parametrize("d", [17, 64])
+def test_subsets_on_both_sides_of_the_floyd_boundary_are_uniform(d):
+    # The last size Floyd's algorithm draws and the first the key pass
+    # draws, on the subset and on the complement side, with rows of every
+    # other size shuffled into the same call.
+    b = walks._floyd_max(d)
+    sizes = (b, b + 1, d - b - 1, d - b)
+    per_size = {k: min(8 * math.comb(d, k), 40_000) for k in sizes}
+    others = np.repeat(np.arange(d + 2), 200)
+    gen = substream(d, "floyd-boundary")
+    lengths = gen.permutation(
+        np.concatenate([np.full(per_size[k], k) for k in sizes] + [others[~np.isin(others, sizes)]])
+    )
+    selected = walks.select_coordinates(d, lengths, gen)
+    assert (selected.sum(axis=1) == np.minimum(lengths, d)).all()
+    for k in sizes:
+        p = _uniform_subset_p(selected[lengths == k], k)
+        assert p > ALPHA, (d, k, p)
 
 
 @pytest.mark.parametrize("d", range(1, walks.TABLE_MAX_D + 1))
