@@ -396,8 +396,8 @@ def _digits(x):
 # subsets and complements of at most 4 + d // 32 coordinates. The (64, 4),
 # (128, 5) (int16 anchors, one alias draw per move) and (2^15, 3) (int32
 # anchors, three draws per move) cells were recorded since d <= 16 reads
-# coordinate subsets from the table of all 2^d masks. A witness's points at n = 8 are written as their one-digit
-# coordinates, 64 to a string.
+# coordinate subsets from the table of all 2^d masks. A witness's points at
+# n = 8 are written as their one-digit coordinates, 64 to a string.
 TESTER_STREAM = {
     (8, 64, "anti_dictator", 3000, 5): (
         878,
