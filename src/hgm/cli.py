@@ -1,8 +1,11 @@
 """Command-line harness: seeded experiments, sweeps, validation suites, CSV.
 
 Commands: test, distance, equiv, reversibility, sweep, domain-reduce.
-Every CSV starts with ``# key=value`` lines holding the full effective
-configuration, so re-running the file's own header reproduces it
+One table, ``_FLAGS``, lists each command's flags with their defaults; they
+are also the only keys its ``--config`` file may set, and a flag that one
+mode of a command reads (``_MODES``) is refused in the other. Every CSV
+starts with ``# key=value`` lines holding the effective configuration, only
+parameters the run read, so re-running the file's own header reproduces it
 byte-identically. Exit codes: 0 success, 1 partial failure (a failed sweep
 cell or a failed equivalence check), 2 rejection in --single-shot mode, 64
 usage error (including an unreadable --config or unwritable --out), 65
@@ -15,7 +18,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -37,6 +40,36 @@ EXIT_PARTIAL = 1
 EXIT_REJECTED = 2
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
+
+
+# Each command's flags, name -> (type, default); bool marks an on/off flag.
+# They are also the only keys the command's --config file may set.
+_FAMILY = dict(family=(str, None), n=(int, None), d=(int, None), dim=(int, None),
+               threshold=(int, None), family_seed=(int, None), path=(str, None))
+_FLAGS = {
+    "test": dict(_FAMILY, trials=(int, 10000), seed=(int, 0), out=(str, None),
+                 tau_schedule=(str, None), eps=(float, None), full=(bool, False),
+                 single_shot=(bool, False)),
+    "distance": dict(_FAMILY, out=(str, None), budget=(int, oracles.DEFAULT_GRAPH_BUDGET)),
+    "equiv": dict(n=(int, None), d=(int, None), tau=(int, 1), mode=(str, "exact"),
+                  samples=(int, 10**6), seed=(int, 0), out=(str, None),
+                  budget=(int, walks.DEFAULT_PMF_BUDGET)),
+    "reversibility": dict(d=(int, None), ell=(int, 1), eps=(float, 0.5), c=(float, 100.0),
+                          out=(str, None)),
+    "sweep": dict(cells=(str, None), trials=(int, 10000), seed=(int, 0), out=(str, None),
+                  fit_slope=(bool, False)),
+    "domain-reduce": dict(_FAMILY, k=(int, None), reps=(int, 200), seed=(int, 0),
+                          out=(str, None), budget=(int, oracles.DEFAULT_GRAPH_BUDGET),
+                          eps=(float, None)),
+}
+# Flags that one mode of a command reads: command -> (mode key, {mode: (where
+# it is read, its flags)}). Another mode refuses them and drops their default.
+_MODES = {
+    "test": ("full", {False: ("without --full", ("trials", "tau_schedule")),
+                      True: ("with --full", ("eps",))}),
+    "equiv": ("mode", {"exact": ("with --mode exact", ()),
+                       "statistical": ("with --mode statistical", ("samples", "seed"))}),
+}
 
 
 class UsageError(Exception):
@@ -69,35 +102,35 @@ def _parse_bool(raw: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-def _config_converters(parser: argparse.ArgumentParser) -> Dict[str, Callable[[str], object]]:
-    """Config-file key -> value parser, from the flags of every subcommand:
-    the flag's own type, or :func:`_parse_bool` for an on/off flag."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        flag.dest: _parse_bool if flag.const is True else flag.type
-        for sub in subparsers.choices.values()
-        for flag in sub._actions
-        if flag.dest not in ("help", "config")
-    }
-
-
-def _merge_config(args: argparse.Namespace, defaults: Dict) -> Dict:
-    """Effective config: built-in defaults, overridden by the config file,
-    overridden by explicit flags."""
-    eff = dict(defaults)
-    if getattr(args, "config", None):
-        converters = _config_converters(build_parser())
+def _merge_config(args: argparse.Namespace) -> Dict:
+    """Effective config of one command: its defaults, overridden by the
+    config file, overridden by explicit flags. A flag read in one mode only
+    is refused in the other, and its default applies in its own mode only."""
+    command = args.command
+    flags = _FLAGS[command]
+    given = {}
+    if args.config:
         for key, raw in parse_config_file(args.config).items():
-            if key not in converters:
-                raise UsageError(f"unknown config key {key!r}")
+            if key not in flags:
+                raise UsageError(f"unknown config key {key!r} for {command}")
+            kind = flags[key][0]
             try:
-                eff[key] = converters[key](raw)
+                given[key] = (_parse_bool if kind is bool else kind)(raw)
             except ValueError:
                 raise UsageError(f"bad value {raw!r} for config key {key!r}") from None
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            eff[key] = val
+    given.update({key: v for key in flags if (v := getattr(args, key)) is not None})
+    eff = {key: given.get(key, default) for key, (_, default) in flags.items()}
+    if command in _MODES:
+        key, modes = _MODES[command]
+        if eff[key] not in modes:
+            raise UsageError(f"--{key} must be one of {list(modes)}, got {eff[key]!r}")
+        for mode, (where, names) in modes.items():
+            if mode == eff[key]:
+                continue
+            for name in names:
+                if name in given:
+                    raise UsageError(f"--{name.replace('_', '-')} is only read {where}; drop it")
+                eff[name] = None
     return eff
 
 
@@ -112,11 +145,11 @@ def _fmt(v) -> str:
 class CsvWriter:
     def __init__(self, command: str, config: Dict, out: Optional[str]):
         self.lines: List[str] = [f"# command={command}"]
-        for key in sorted(config):
+        for key, value in sorted(config.items()):
             # The destination path is not an experiment parameter; leaving it
             # out keeps outputs comparable across file names.
-            if key != "out" and config[key] is not None:
-                self.lines.append(f"# {key}={_fmt(config[key])}")
+            if key != "out" and value is not None:
+                self.lines.append(f"# {key}={_fmt(value)}")
         self.out = out
 
     def header(self, *cols):
@@ -140,9 +173,9 @@ class CsvWriter:
 def _family_from(cfg: Dict, shape: GridShape):
     spec = FamilySpec(
         name=cfg["family"],
-        dim=cfg.get("dim") or 1,
+        dim=cfg.get("dim"),
         threshold=cfg.get("threshold"),
-        seed=cfg.get("family_seed") or 0,
+        seed=cfg.get("family_seed"),
         path=cfg.get("path"),
     )
     f = make_family(spec, shape)
@@ -166,16 +199,8 @@ def _require(cfg: Dict, *keys):
 # ---------------------------------------------------------------------------
 
 
-def cmd_test(args) -> int:
-    defaults = dict(
-        family=None, n=None, d=None, trials=10000, seed=0, out=None,
-        tau_schedule=None, dim=1, threshold=None, family_seed=0, path=None,
-        eps=None, full=False, single_shot=False,
-    )
-    cfg = _merge_config(args, defaults)
+def cmd_test(cfg) -> int:
     _require(cfg, "family", "n", "d")
-    if cfg["eps"] is not None and not cfg["full"]:
-        raise UsageError("--eps is only used by the full tester; add --full or drop --eps")
     shape = GridShape(cfg["n"], cfg["d"])
     f = _family_from(cfg, shape)
     schedule = None
@@ -225,39 +250,27 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def cmd_distance(args) -> int:
-    defaults = dict(
-        family=None, n=None, d=None, seed=0, out=None, dim=1, threshold=None,
-        family_seed=0, path=None, budget=oracles.DEFAULT_GRAPH_BUDGET,
-    )
-    cfg = _merge_config(args, defaults)
+def cmd_distance(cfg) -> int:
     _require(cfg, "family", "n", "d")
     shape = GridShape(cfg["n"], cfg["d"])
     f = _family_from(cfg, shape)
     res = oracles.distance_to_monotonicity(f, budget=cfg["budget"])
     writer = CsvWriter("distance", cfg, cfg["out"])
-    writer.header("family", "n", "d", "distance", "matching_size", "repair_size", "method", "seed")
+    writer.header("family", "n", "d", "distance", "matching_size", "repair_size", "method")
     writer.row(
         cfg["family"], shape.n, shape.d, float(res.distance), res.matching_size,
-        len(res.repair_indices), res.method, cfg["seed"],
+        len(res.repair_indices), res.method,
     )
     writer.flush()
     return EXIT_OK
 
 
-def cmd_equiv(args) -> int:
-    defaults = dict(
-        n=None, d=None, tau=1, mode="exact", samples=10**6, seed=0, out=None,
-        budget=walks.DEFAULT_PMF_BUDGET,
-    )
-    cfg = _merge_config(args, defaults)
+def cmd_equiv(cfg) -> int:
     _require(cfg, "n", "d")
     shape = GridShape(cfg["n"], cfg["d"])
     writer = CsvWriter("equiv", cfg, cfg["out"])
     writer.header("n", "d", "tau", "mode", "subject", "statistic", "value", "passed")
     mode = cfg["mode"]
-    if mode not in ("exact", "statistical"):
-        raise UsageError(f"--mode must be exact or statistical, got {mode!r}")
     if mode == "exact":
         res = validate.equivalence_exact(shape, cfg["tau"], budget=cfg["budget"])
         for (a, b), diff in sorted(res.max_diffs.items()):
@@ -281,9 +294,7 @@ def cmd_equiv(args) -> int:
     return EXIT_OK if passed else EXIT_PARTIAL
 
 
-def cmd_reversibility(args) -> int:
-    defaults = dict(d=None, ell=1, eps=0.5, c=100.0, out=None)
-    cfg = _merge_config(args, defaults)
+def cmd_reversibility(cfg) -> int:
     _require(cfg, "d")
     d, ell = cfg["d"], cfg["ell"]
     if not 1 <= d <= 64:
@@ -309,9 +320,8 @@ def cmd_reversibility(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    defaults = dict(cells=None, trials=10000, seed=0, out=None, fit_slope=False)
-    cfg = _merge_config(args, defaults)
+def cmd_sweep(cfg) -> int:
+    """Run the path tester on each cell of --cells, given as n:d:family;..."""
     if not cfg["cells"]:
         raise UsageError("sweep needs a non-empty --cells list (n:d:family;...)")
     cells = []
@@ -342,8 +352,7 @@ def cmd_sweep(args) -> int:
         cell_seed = int(substream(cfg["seed"], "cell", idx).integers(0, 2**63))
         try:
             shape = GridShape(n, d)
-            f = _family_from(dict(cfg, family=family, dim=1, threshold=None,
-                                  family_seed=0, path=None), shape)
+            f = _family_from({"family": family}, shape)
             tcfg = tester.TesterConfig(shape=shape, trials=cfg["trials"], seed=cell_seed)
             rep = tester.run_tester(f, tcfg)
             writer.row(
@@ -363,13 +372,7 @@ def cmd_sweep(args) -> int:
     return EXIT_PARTIAL if any_failed else EXIT_OK
 
 
-def cmd_domain_reduce(args) -> int:
-    defaults = dict(
-        family=None, n=None, d=None, k=None, reps=200, seed=0, out=None, dim=1,
-        threshold=None, family_seed=0, path=None,
-        budget=oracles.DEFAULT_GRAPH_BUDGET, eps=None,
-    )
-    cfg = _merge_config(args, defaults)
+def cmd_domain_reduce(cfg) -> int:
     _require(cfg, "family", "n", "d", "k")
     if cfg["reps"] < 1:
         raise UsageError(f"--reps must be at least 1, got {cfg['reps']}")
@@ -411,50 +414,18 @@ def cmd_domain_reduce(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hgm", description=__doc__)
+    # No abbreviations: --tau on test would otherwise pass as --tau-schedule.
+    parser = _Parser(prog="hgm", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, *names):
+    for command, flags in _FLAGS.items():
+        p = sub.add_parser(command, description=_COMMANDS[command].__doc__, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None)
-        flags = {
-            "n": int, "d": int, "family": str, "eps": float, "trials": int,
-            "seed": int, "out": str, "budget": int, "dim": int,
-            "threshold": int, "family_seed": int, "path": str, "k": int,
-            "reps": int, "samples": int, "tau": int, "ell": int, "c": float,
-            "mode": str, "cells": str, "tau_schedule": str,
-        }
-        for name in names:
-            p.add_argument(f"--{name.replace('_', '-')}", type=flags[name], default=None)
-
-    p = sub.add_parser("test")
-    common(p, "n", "d", "family", "eps", "trials", "seed", "out", "dim",
-           "threshold", "family_seed", "path", "tau_schedule")
-    p.add_argument("--full", action="store_const", const=True, default=None)
-    p.add_argument("--single-shot", dest="single_shot", action="store_const",
-                   const=True, default=None)
-
-    p = sub.add_parser("distance")
-    common(p, "n", "d", "family", "seed", "out", "dim", "threshold",
-           "family_seed", "path", "budget")
-
-    p = sub.add_parser("equiv")
-    common(p, "n", "d", "tau", "mode", "samples", "seed", "out", "budget")
-
-    p = sub.add_parser("reversibility")
-    common(p, "d", "ell", "eps", "c", "out")
-
-    p = sub.add_parser(
-        "sweep",
-        description="Run the path tester on each cell of --cells, given as "
-        "n:d:family;...",
-    )
-    common(p, "cells", "trials", "seed", "out")
-    p.add_argument("--fit-slope", dest="fit_slope", action="store_const",
-                   const=True, default=None)
-
-    p = sub.add_parser("domain-reduce")
-    common(p, "n", "d", "family", "k", "reps", "seed", "out", "dim",
-           "threshold", "family_seed", "path", "budget", "eps")
+        for name, (kind, _) in flags.items():
+            flag = f"--{name.replace('_', '-')}"
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True, default=None)
+            else:
+                p.add_argument(flag, type=kind, default=None)
     return parser
 
 
@@ -474,7 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("no command given")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_merge_config(args))
     except (UsageError, ConfigError, DomainError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -253,17 +253,22 @@ class FamilySpec:
     """Parameters selecting a built-in function family."""
 
     name: str
-    dim: int = 1  # 1-based coordinate for (anti-)dictator
+    dim: Optional[int] = None  # 1-based coordinate for (anti-)dictator; 1 if None
     threshold: Optional[int] = None  # defaults to n/2 + 1
-    seed: int = 0
+    seed: Optional[int] = None  # for surface and random_balanced; 0 if None
     path: Optional[str] = None  # for the explicit family
 
     def __post_init__(self):
         if self.name not in FAMILY_NAMES:
             raise ConfigError(f"unknown family {self.name!r}; choose from {FAMILY_NAMES}")
-        if not 0 <= self.seed < 2**64:
+        dictator = self.name in ("dictator", "anti_dictator")
+        if self.seed is not None and self.name not in ("surface", "random_balanced"):
+            raise ConfigError(f"family {self.name!r} takes no seed")
+        if not 0 <= (self.seed or 0) < 2**64:
             raise ConfigError(f"family seed must be in [0, 2^64), got {self.seed}")
-        if self.threshold is not None and self.name not in ("dictator", "anti_dictator"):
+        if self.dim is not None and not dictator:
+            raise ConfigError(f"family {self.name!r} takes no dim")
+        if self.threshold is not None and not dictator:
             raise ConfigError(f"family {self.name!r} takes no threshold")
         if self.path is not None and self.name != "explicit":
             raise ConfigError(f"family {self.name!r} takes no path")
@@ -301,7 +306,7 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
     if name == "constant1":
         return FunctionOracle(shape, lambda p: np.ones(len(p), np.int8), name)
     if name in ("dictator", "anti_dictator"):
-        i = spec.dim
+        i = 1 if spec.dim is None else spec.dim
         if not 1 <= i <= d:
             raise ConfigError(f"dictator coordinate {i} out of range for d={d}")
         if not 1 <= t <= n + 1:
@@ -318,7 +323,7 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
         cut = d * (n + 1) / 2
         return FunctionOracle(shape, lambda p: (p.sum(axis=1) >= cut).astype(np.int8), name)
     if name == "surface":
-        seed = spec.seed
+        seed = 0 if spec.seed is None else spec.seed
 
         def surface(pts: np.ndarray) -> np.ndarray:
             out = np.full(len(pts), -1, dtype=np.int8)
@@ -335,7 +340,7 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
 
         return FunctionOracle(shape, surface, f"surface(seed={seed})")
     if name == "random_balanced":
-        seed = spec.seed
+        seed = 0 if spec.seed is None else spec.seed
         return FunctionOracle(
             shape,
             lambda p: _hash_bit(seed, shape.indices_of_points(p)),

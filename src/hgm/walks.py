@@ -428,7 +428,7 @@ def _floyd_max(d: int) -> int:
 
 
 # Largest d whose coordinate subsets are read from a table of all 2^d masks
-# (65,536 rows of 2 bytes at d = 16).
+# (65,536 bool rows of 16 bytes, 1 MiB, at d = 16).
 TABLE_MAX_D = 16
 
 
@@ -436,15 +436,18 @@ TABLE_MAX_D = 16
 def _subset_table(d: int):
     """(rows, start, count, limit) for d <= TABLE_MAX_D, read-only.
 
-    rows lists every bit mask of range(d) as ceil(d/8) little-endian bytes,
-    stably sorted by popcount, so the masks of size k are the count[k] =
-    C(d, k) rows from start[k]. limit[k] = floor(2^32 / C(d, k)) C(d, k) is
-    the end of the range of 32-bit words whose remainder mod C(d, k) is
-    uniform.
+    rows is the (2^d, d) bool array of every mask of range(d), stably sorted
+    by popcount from the mask with code 0, so the masks of size k are the
+    count[k] = C(d, k) rows from start[k]. limit[k] = floor(2^32 / C(d, k))
+    C(d, k) is the end of the range of 32-bit words whose remainder mod
+    C(d, k) is uniform.
     """
-    masks = np.arange(1 << d, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    size = np.unpackbits(masks, axis=1).sum(axis=1)
-    rows = masks[np.argsort(size, kind="stable"), : -(-d // 8)]
+    # Sorting the codes before unpacking them keeps the 1 MiB table at
+    # d = 16 the largest array built.
+    codes = np.arange(1 << d, dtype="<u4")
+    codes = codes[np.argsort(sum((codes >> i) & 1 for i in range(d)), kind="stable")]
+    rows = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=d,
+                         bitorder="little").view(bool)
     count = np.array([math.comb(d, k) for k in range(d + 1)], dtype=np.uint32)
     start = np.cumsum(count, dtype=np.uint32) - count
     limit = (2**32 // count.astype(np.uint64)) * count
@@ -453,11 +456,11 @@ def _subset_table(d: int):
     return rows, start, count, limit
 
 
-def _table_subsets(d: int, m: np.ndarray, rng) -> np.ndarray:
-    """(R, d) mask whose row i is a uniform subset of m[i] of range(d), for
-    d <= TABLE_MAX_D: one 32-bit word per row, redrawn while it lies at or
-    above limit[m[i]], then reduced mod C(d, m[i]) into the row's size block
-    of :func:`_subset_table`."""
+def _table_subsets(d: int, m: np.ndarray, rng, out: np.ndarray) -> np.ndarray:
+    """Fill the (R, d) bool mask out so that row i is a uniform subset of
+    m[i] of range(d), for d <= TABLE_MAX_D: one 32-bit word per row, redrawn
+    while it lies at or above limit[m[i]], then reduced mod C(d, m[i]) into
+    the row's size block of :func:`_subset_table`."""
     rows, start, count, limit = _subset_table(d)
     w = _uniform_words(rng, (m.size,), np.uint32)
     redo = np.flatnonzero(w >= limit[m])
@@ -466,8 +469,9 @@ def _table_subsets(d: int, m: np.ndarray, rng) -> np.ndarray:
         redo = redo[w[redo] >= limit[m[redo]]]
     w %= count[m]
     w += start[m]
-    # np.take gathers whole rows far faster than rows[w] does.
-    return np.unpackbits(np.take(rows, w, axis=0), axis=1, count=d, bitorder="little").view(bool)
+    # np.take gathers whole rows far faster than rows[w] does; every w is in
+    # range, and mode="clip" writes into out without a buffer.
+    return np.take(rows, w, axis=0, out=out, mode="clip")
 
 
 def select_coordinates(
@@ -499,8 +503,7 @@ def select_coordinates(
     m = np.minimum(lengths, min(d, np.iinfo(lengths.dtype).max)).astype(np.int64)
     selected = np.empty((m.size, d), dtype=bool) if out is None else out
     if d <= TABLE_MAX_D:
-        selected[...] = _table_subsets(d, m, rng)
-        return selected
+        return _table_subsets(d, m, rng, selected)
     selected.fill(False)
     floyd_max = _floyd_max(d)
     by_keys = np.minimum(m, d - m) > floyd_max

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,12 @@ def rows_of(text):
     lines = [l for l in text.strip().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def config_of(text):
+    """The ``# key=value`` lines above the column header: the configuration."""
+    return comments_of("\n".join(itertools.takewhile(lambda l: l.startswith("#"),
+                                                     text.splitlines())))
 
 
 def comments_of(text):
@@ -102,11 +111,14 @@ def test_cmd_test_usage_errors(capsys):
         ["test", "--family", "majority_threshold", "--n", "8", "--d", "4", "--threshold", "99"],
         ["test", "--family", "surface", "--n", "8", "--d", "4", "--path", "/nonexistent"],
         ["sweep", "--cells", "8:4:anti_dictator", "--trials", "0"],
+        ["test", "--family", "anti_dictator", "--n", "4", "--d", "2", "--dim", "0"],
+        ["test", "--family", "surface", "--n", "8", "--d", "4", "--dim", "5"],
+        ["test", "--family", "dictator", "--n", "8", "--d", "4", "--family-seed", "9"],
     ],
     ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n",
          "cell-short", "reversibility-eps-0", "reversibility-eps-over-d", "reversibility-c-negative",
          "domain-reduce-reps-0", "equiv-mode", "config-missing", "threshold-unread",
-         "path-unread", "sweep-trials-0"],
+         "path-unread", "sweep-trials-0", "dim-0", "dim-unread", "family-seed-unread"],
 )
 def test_bad_inputs_exit_64_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -165,25 +177,43 @@ def test_config_file_merging(capsys, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+# Each command's config keys and their types: exactly its own flags.
+_FAMILY_KEYS = dict(family=str, n=int, d=int, dim=int, threshold=int, family_seed=int, path=str)
+CONFIG_KEYS = {
+    "test": dict(_FAMILY_KEYS, trials=int, seed=int, out=str, tau_schedule=str, eps=float,
+                 full=bool, single_shot=bool),
+    "distance": dict(_FAMILY_KEYS, out=str, budget=int),
+    "equiv": dict(n=int, d=int, tau=int, mode=str, samples=int, seed=int, out=str, budget=int),
+    "reversibility": dict(d=int, ell=int, eps=float, c=float, out=str),
+    "sweep": dict(cells=str, trials=int, seed=int, out=str, fit_slope=bool),
+    "domain-reduce": dict(_FAMILY_KEYS, k=int, reps=int, seed=int, out=str, budget=int,
+                          eps=float),
+}
+ALL_KEYS = sorted(set().union(*CONFIG_KEYS.values()))
+
+
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
 def test_config_keys_are_derived_from_the_flags(capsys, tmp_path):
-    # The table the converters replaced, less t, outer_reps and inner_trials,
-    # which no flag has: a config file could set them and nothing read them.
-    on_off = ("full", "single_shot", "fit_slope")
-    table = {
-        **dict.fromkeys(("n", "d", "k", "trials", "seed", "samples", "reps", "dim",
-                         "threshold", "family_seed", "ell", "tau", "budget"), int),
-        **dict.fromkeys(("eps", "c"), float),
-        **dict.fromkeys(("family", "path", "out", "mode", "cells", "tau_schedule"), str),
-        **dict.fromkeys(on_off, cli._parse_bool),
-    }
-    assert cli._config_converters(cli.build_parser()) == table
-    for key in on_off:
-        assert [table[key](v) for v in ("1", "true", "YES", "0", "False", "no")] == [
-            True, True, True, False, False, False,
-        ]
-        for bad in ("ture", "on", "2", ""):
-            with pytest.raises(ValueError):
-                table[key](bad)
+    # t, outer_reps and inner_trials have no flag: a config file could once
+    # set them and nothing read them.
+    assert {command: {key: kind for key, (kind, _) in flags.items()}
+            for command, flags in cli._FLAGS.items()} == CONFIG_KEYS
+    for command, keys in CONFIG_KEYS.items():
+        assert {dest for _, dest, _ in _flags_of(command)} == set(keys) | {"config"}
+        for key in keys:
+            cfg = tmp_path / f"{command}-{key}.cfg"
+            cfg.write_text(f"{key}=1\n")  # 1 parses as every type
+            _, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert "config key" not in err, (command, key, err)
+    for bad in ("ture", "on", "2", ""):
+        with pytest.raises(ValueError):
+            cli._parse_bool(bad)
+    assert [cli._parse_bool(v) for v in ("1", "true", "YES", "0", "False", "no")] == [
+        True, True, True, False, False, False,
+    ]
     # A misspelt on/off value was once read as off: this run rejects, so
     # single_shot=true would exit 2, and ture must not pass as false.
     typo = tmp_path / "typo.cfg"
@@ -199,6 +229,112 @@ def test_config_keys_are_derived_from_the_flags(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "test", "--config", str(full))
     assert code == cli.EXIT_OK
     assert rows_of(out)[0]["tau"] == "full" and comments_of(out)["full"] == "True"
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in CONFIG_KEYS for key in ALL_KEYS
+     if key not in CONFIG_KEYS[command]],
+)
+def test_a_parameter_of_another_command_is_refused(capsys, tmp_path, command, key):
+    # "1" parses as every type, so only the key's command can be at fault.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=1\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and repr(key) in err
+    flag = _flag(key)
+    code, out, err = run_cli(capsys, command, flag, "1")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["test", "--full", "--eps", "0.5"], "trials", "5"),
+        (["test", "--full", "--eps", "0.5"], "tau_schedule", "1|2"),
+        (["test"], "eps", "0.3"),
+        (["equiv", "--n", "2", "--d", "1"], "samples", "2000"),
+        (["equiv", "--n", "2", "--d", "1", "--mode", "exact"], "seed", "3"),
+    ],
+    ids=["full-trials", "full-tau-schedule", "eps-without-full", "exact-samples",
+         "exact-seed"],
+)
+def test_a_flag_of_the_other_mode_is_refused(capsys, tmp_path, argv, key, value):
+    if argv[0] == "test":
+        argv = argv + ["--family", "dictator", "--n", "16", "--d", "2"]
+    flag = _flag(key)
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == cli.EXIT_USAGE and out == "" and flag in err and "only read" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == cli.EXIT_USAGE and out == "" and flag in err and "only read" in err
+
+
+def test_a_mode_set_in_the_config_file_refuses_the_other_modes_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=dictator\nn=16\nd=2\neps=0.5\nfull=yes\n")
+    code, out, err = run_cli(capsys, "test", "--config", str(cfg), "--trials", "5")
+    assert code == cli.EXIT_USAGE and out == "" and "--trials" in err
+    cfg.write_text("n=2\nd=1\nmode=statistical\nsamples=2000\n")
+    code, out, _ = run_cli(capsys, "equiv", "--config", str(cfg))
+    assert code == cli.EXIT_OK and config_of(out)["samples"] == "2000"
+    code, out, err = run_cli(capsys, "equiv", "--config", str(cfg), "--mode", "exact")
+    assert code == cli.EXIT_USAGE and out == "" and "--samples" in err
+
+
+class _ReadKeys(dict):
+    """A config that records every key a command reads from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--family", "dictator", "--n", "4", "--d", "2", "--dim", "2", "--threshold",
+         "2", "--trials", "50", "--tau-schedule", "1|2", "--single-shot"],
+        ["test", "--family", "surface", "--n", "4", "--d", "3", "--family-seed", "3",
+         "--trials", "50"],
+        ["test", "--family", "dictator", "--n", "16", "--d", "2", "--full", "--eps", "0.9"],
+        ["distance", "--family", "anti_dictator", "--n", "2", "--d", "3", "--dim", "2"],
+        ["equiv", "--n", "4", "--d", "2", "--tau", "1"],
+        ["equiv", "--n", "2", "--d", "2", "--mode", "statistical", "--samples", "2000"],
+        ["reversibility", "--d", "4"],
+        ["sweep", "--cells", "2:2:anti_dictator", "--trials", "100", "--fit-slope"],
+        ["domain-reduce", "--family", "random_balanced", "--n", "4", "--d", "2", "--k", "2",
+         "--reps", "2", "--eps", "0.5"],
+    ],
+    ids=["test", "test-hashed", "test-full", "distance", "equiv-exact", "equiv-statistical",
+         "reversibility", "sweep", "domain-reduce"],
+)
+def test_the_header_names_only_parameters_the_run_read(capsys, monkeypatch, argv):
+    configs = []
+    merge = cli._merge_config
+
+    def recording(args):
+        configs.append(_ReadKeys(merge(args)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "_merge_config", recording)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == cli.EXIT_OK
+    header = set(config_of(out)) - {"command"}
+    assert header <= configs[0].read, header - configs[0].read
+    # Every flag given is in the header, so the header reproduces the run.
+    assert {a[2:].replace("-", "_") for a in argv if a.startswith("--")} <= header
 
 
 def test_surface_regime_warning(capsys):
@@ -222,6 +358,7 @@ def test_cmd_distance(capsys):
     (row,) = rows_of(out)
     assert float(row["distance"]) == 0.5
     assert row["matching_size"] == row["repair_size"] == "4"
+    assert "seed" not in row and "seed" not in config_of(out)  # distance draws nothing
     code, out, _ = run_cli(
         capsys, "distance", "--family", "constant1", "--n", "4", "--d", "2"
     )
@@ -385,6 +522,21 @@ def test_out_flag_writes_file_and_header_excludes_destination(tmp_path, capsys):
     assert rows_of(text)[0]["rejections"] == "0"
 
 
+def test_the_readme_flag_table_matches_the_parser():
+    # README's CLI section has one row per command: its flags, then the
+    # flags read in one mode only together with the flag that sets the mode.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (.*) \|$", section, re.M)
+    assert [command for command, _, _ in rows] == list(cli._COMMANDS)
+    for command, flags, moded in rows:
+        assert set(re.findall(r"--[a-z-]+", flags)) == {
+            option for option, _, _ in _flags_of(command)} - {"--config"}, command
+        key, modes = cli._MODES.get(command, (None, {}))
+        names = [key] + [name for _, names in modes.values() for name in names] if key else []
+        assert set(re.findall(r"--[a-z-]+", moded)) == set(map(_flag, names)), command
+
+
 # ---------------------------------------------------------------------------
 # Exit-code contract over generated argv
 # ---------------------------------------------------------------------------
@@ -432,14 +584,20 @@ def _argv(draw):
     if command == "nope":
         return [command]
     argv = [command]
+    # equiv draws its mode apart, so statistical mode always comes with a
+    # small --samples: its default of 10^6 would make a slow example.
+    flags = [f for f in _flags_of(command) if f[1] not in ("mode", "samples")]
     for option, dest, is_switch in draw(
-        st.lists(st.sampled_from(_flags_of(command)), max_size=8, unique=True)
+        st.lists(st.sampled_from(flags), max_size=8, unique=True)
     ):
         argv.append(option)
         if not is_switch:
             argv.append(draw(st.sampled_from(_FLAG_VALUES[dest])))
-    if command == "equiv" and "--samples" not in argv:
-        argv += ["--samples", "2000"]  # a switch to sampling keeps its default 10^6
+    if command == "equiv":
+        argv += draw(st.sampled_from(
+            [[], ["--mode", "exact"], ["--mode", "x"]]
+            + [["--mode", "statistical", "--samples", v] for v in _FLAG_VALUES["samples"]]
+        ))
     return argv
 
 

@@ -112,7 +112,7 @@ MONOTONE_SPECS = [
 @pytest.mark.parametrize("shape", [GridShape(2, 3), GridShape(4, 2), GridShape(8, 2)])
 def test_builtin_monotone_families_are_monotone(shape):
     for spec in MONOTONE_SPECS:
-        if spec.dim > shape.d:
+        if (spec.dim or 1) > shape.d:  # an unset dim is coordinate 1
             continue
         assert is_monotone(make_family(spec, shape)), spec
 
@@ -149,18 +149,32 @@ def test_unknown_family_rejected():
         make_family(FamilySpec("dictator", dim=5), GridShape(4, 2))
 
 
+HASHED = ("surface", "random_balanced")
+
+
 def test_family_refuses_a_parameter_it_does_not_read():
-    # Only the (anti-)dictator reads a threshold, and only the explicit
-    # family reads a path.
+    # Only the (anti-)dictator reads a dim and a threshold, only the hashed
+    # families read a seed, and only the explicit family reads a path.
     for name in FAMILY_NAMES:
         if name not in ("dictator", "anti_dictator"):
             with pytest.raises(ConfigError, match="threshold"):
                 FamilySpec(name, threshold=3)
+            with pytest.raises(ConfigError, match="dim"):
+                FamilySpec(name, dim=1)
+        if name not in HASHED:
+            with pytest.raises(ConfigError, match="seed"):
+                FamilySpec(name, seed=0)
         if name != "explicit":
             with pytest.raises(ConfigError, match="path"):
                 FamilySpec(name, path="f.hgf")
-    FamilySpec("anti_dictator", threshold=3)
+    FamilySpec("anti_dictator", dim=2, threshold=3)
+    FamilySpec("surface", seed=0)
+    FamilySpec("random_balanced", seed=2**64 - 1)
     FamilySpec("explicit", path="f.hgf")
+    # An unset dim is coordinate 1; a set one is checked against d.
+    assert make_family(FamilySpec("dictator"), GridShape(4, 2)).name == "dictator(i=1,t=3)"
+    with pytest.raises(ConfigError, match="coordinate 0"):
+        make_family(FamilySpec("anti_dictator", dim=0), GridShape(4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +359,7 @@ def test_fn_many_gives_the_same_values_on_every_integer_dtype(tmp_path):
     path = tmp_path / "f.hgf"
     save_truth_table(make_family(FamilySpec("surface", seed=3), GridShape(4, 3)), path)
     small = GridShape(8, 3)
-    oracles = [make_family(FamilySpec(name, seed=5), small)
+    oracles = [make_family(FamilySpec(name, seed=5 if name in HASHED else None), small)
                for name in FAMILY_NAMES if name != "explicit"]
     oracles += [
         make_family(FamilySpec("majority_threshold"), GridShape(64, 256)),

@@ -524,7 +524,8 @@ def test_subsets_on_both_sides_of_the_floyd_boundary_are_uniform(d):
 @pytest.mark.parametrize("d", range(1, walks.TABLE_MAX_D + 1))
 def test_subset_table_blocks_hold_each_mask_of_their_size_once(d):
     rows, start, count, limit = walks._subset_table(d)
-    masks = np.unpackbits(rows, axis=1, count=d, bitorder="little").astype(bool)
+    masks = rows
+    assert masks.dtype == bool and masks.shape == (2**d, d)
     codes = masks.astype(np.int64) @ (1 << np.arange(d))
     assert sorted(codes) == list(range(2**d))
     for k in range(d + 1):
