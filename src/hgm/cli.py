@@ -376,9 +376,12 @@ def cmd_domain_reduce(cfg) -> int:
     _require(cfg, "family", "n", "d", "k")
     if cfg["reps"] < 1:
         raise UsageError(f"--reps must be at least 1, got {cfg['reps']}")
+    eps = cfg["eps"]
+    if eps is not None and not 0 <= eps <= 0.5:
+        # nan fails both comparisons, so it is refused too.
+        raise UsageError(f"--eps is a distance to monotonicity, in [0, 1/2]; got {eps}")
     shape = GridShape(cfg["n"], cfg["d"])
     f = _family_from(cfg, shape)
-    eps = cfg["eps"]
     if eps is None:
         eps = float(oracles.distance_to_monotonicity(f, budget=cfg["budget"]).distance)
     writer = CsvWriter("domain-reduce", cfg, cfg["out"])

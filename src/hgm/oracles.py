@@ -1,6 +1,5 @@
 """Ground-truth combinatorics: violation graphs, exact distance to
-monotonicity, degree profiles, the Talagrand objective, influence,
-persistence, and the mostly-zero-below / red / blue edge classifiers.
+monotonicity, degree profiles, the Talagrand objective and influence.
 
 Everything here is an exact *oracle*, independent of the sampling code it
 validates. The one exception is labelled: the Talagrand objective of a
@@ -13,16 +12,14 @@ sink) over either of two graphs: the explicit comparable violations
 paths reach every comparable pair). The two graphs cross-check each other,
 and :func:`distance_bruteforce` checks both by up-set enumeration.
 
-Persistence and the edge classifiers read whole-grid walk-event fields
-(:func:`hgm.walks.walk_field`): Pr[event at the walk's endpoint] from every
-start at once, one product pass over the axes of the tabulated truth table.
-The walk machinery requires power-of-two side lengths and raises
-DomainError otherwise, but the purely order-theoretic quantities (distance,
-matchings, Talagrand) are defined for any box [n]^d. Every function here
-takes a FunctionOracle, whose shape may be any :class:`~hgm.grid.Box`, so
-odd side lengths (used heavily in cross-validation) are supported: a truth
-table on any box is an :class:`~hgm.grid.ExplicitFunction`. Every value
-they read goes through the oracle's checked ``peek_many``.
+Influence reads the walk's move law, which requires power-of-two side
+lengths and raises DomainError otherwise, but the purely order-theoretic
+quantities (distance, matchings, Talagrand) are defined for any box [n]^d.
+Every function here takes a FunctionOracle, whose shape may be any
+:class:`~hgm.grid.Box`, so odd side lengths (used heavily in
+cross-validation) are supported: a truth table on any box is an
+:class:`~hgm.grid.ExplicitFunction`. Every value they read goes through the
+oracle's checked ``peek_many``.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +36,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import walks
 from .errors import BudgetError, DomainError
-from .grid import Box, FunctionOracle, GridShape, tabulate
+from .grid import Box, FunctionOracle, tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -509,71 +506,3 @@ def influence_via_hypercubes(
         total_acc.append(scale * cube_T)
         neg_acc.append(scale * cube_N)
     return InfluenceResult(math.fsum(total_acc), math.fsum(neg_acc), True)
-
-
-# ---------------------------------------------------------------------------
-# Persistence and the section-4 classifiers
-# ---------------------------------------------------------------------------
-
-
-def _event_field(f: FunctionOracle, ell: int, direction: str, event) -> np.ndarray:
-    """Pr[Y(x) is in event] for the ell-step walk from every start x at once
-    (:func:`hgm.walks.walk_field`), where event maps f's truth table to the
-    event's 0/1 indicator. f is read, uncharged, only once the field fits
-    the budget."""
-    spec = walks.WalkSpec(direction, ell, f.shape)
-    walks.check_field_budget(spec)
-    return walks.walk_field(spec, event(tabulate(f).bits))
-
-
-def persistence_classify(
-    f: FunctionOracle, tau: int, beta: float, x: Sequence[int], direction: str
-) -> bool:
-    """Is Pr[f(walk endpoint) != f(x)] <= beta for the tau-step walk from x?
-    The field is of the indicator [f = 1 - f(x)] itself, so it is exactly 0
-    when no disagreeing point is reachable."""
-    i = f.shape.index_of(f.shape.check_point(x))
-    return bool(_event_field(f, tau, direction, lambda bits: bits != bits[i])[i] <= beta)
-
-
-MZB_THRESHOLD = 0.9
-REDBLUE_THRESHOLD = 0.01
-
-
-def mzb_prob(f: FunctionOracle, ell: int, z: Sequence[int]) -> float:
-    """Exact probability that the ell-step down-walk from z lands on a 0."""
-    i = f.shape.index_of(f.shape.check_point(z))
-    return float(_event_field(f, ell, "down", lambda bits: bits == 0)[i])
-
-
-def mzb_classify(f: FunctionOracle, ell: int, z: Sequence[int]) -> bool:
-    """Mostly-zero-below: down-walk hits a 0 with probability >= 0.9."""
-    return mzb_prob(f, ell, z) >= MZB_THRESHOLD
-
-
-def _interval_indices(shape: GridShape, edge) -> np.ndarray:
-    """Indices of the points of an upward axis-aligned edge, both ends included."""
-    x, y = shape.check_point(edge[0]), shape.check_point(edge[1])
-    diffs = [i for i in range(shape.d) if x[i] != y[i]]
-    if len(diffs) != 1 or x[diffs[0]] > y[diffs[0]]:
-        raise DomainError("edge must be an upward axis-aligned pair")
-    i = diffs[0]
-    return shape.index_of(x) + np.arange(y[i] - x[i] + 1) * int(shape.strides[i])
-
-
-def red_classify(f: FunctionOracle, ell: int, edge) -> bool:
-    """Red edge: a uniform interior point's ell-step up-walk lands on an
-    ell-mostly-zero-below point with probability >= 0.01. Two fields: the
-    down-field of [f = 0], then the up-field of [that field >= 0.9]."""
-    interior = _interval_indices(f.shape, edge)
-    mzb = _event_field(f, ell, "down", lambda bits: bits == 0) >= MZB_THRESHOLD
-    up = walks.walk_field(walks.WalkSpec("up", ell, f.shape), mzb)
-    return math.fsum(up[interior]) / len(interior) >= REDBLUE_THRESHOLD
-
-
-def blue_classify(f: FunctionOracle, ell: int, edge) -> bool:
-    """Blue edge: a uniform interior point's ell-step down-walk lands on a
-    1-valued point with probability >= 0.01."""
-    interior = _interval_indices(f.shape, edge)
-    down = _event_field(f, ell, "down", lambda bits: bits == 1)
-    return math.fsum(down[interior]) / len(interior) >= REDBLUE_THRESHOLD

@@ -585,9 +585,9 @@ def run_full_tester(
                 " none of k, outer_reps, inner_trials and batch_size"
             )
         return line_tester_fallback(f, eps, substream(seed, "fallback"))
-    k_formula = (shape.d / eps) ** 8
+    chosen, k_formula = choose_subgrid_size(shape, eps)
     if k is None:
-        k, k_formula = choose_subgrid_size(shape, eps)
+        k = chosen
     if k < 2 or k & (k - 1):
         raise ConfigError(f"subgrid size {k} must be a power of two >= 2")
     if k > shape.n:

@@ -9,11 +9,10 @@ direction (plain integer comparison after unwrapping).
 Every sampler draws a batch: one row per walk, shift or sub-hypercube
 (``sample_walk_batch``, ``sample_hypercube_batch``,
 ``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). The exact
-pmfs are its independent reference. ``walk_field`` gives E[g(endpoint)]
-from every start at once through ``contract_axes``, the product pass that
-the exact rejection probability also runs. The walk is defined only when n
-is a power of two; the move law and the cube pair laws raise DomainError
-otherwise.
+pmfs are its independent reference. ``contract_axes`` is the product pass
+over the axes that the exact rejection probability runs. The walk is
+defined only when n is a power of two; the move law and the cube pair laws
+raise DomainError otherwise.
 
 One per-coordinate move law: a selected coordinate's draw depends on its
 value u only through a shift, the gap G = (c - u) mod n, whose law is kept
@@ -696,7 +695,7 @@ def exact_shift_pmf(
 
 
 # ---------------------------------------------------------------------------
-# Whole-grid fields: one product pass over the axes
+# The product pass of the exact rejection probability
 # ---------------------------------------------------------------------------
 
 
@@ -724,39 +723,6 @@ def contract_axes(A: np.ndarray, laws: np.ndarray, k: int) -> None:
                 new += below @ laws[1, 0].T
                 new[1:] += below[:-1] @ laws[1, 1].T
             A[j].reshape(Jp, n, -1)[...] = new.swapaxes(1, 2)
-
-
-def check_field_budget(spec: WalkSpec) -> None:
-    """BudgetError when the n^d (m + 1) floats of :func:`walk_field` exceed
-    DEFAULT_PMF_BUDGET."""
-    size = spec.shape.num_points * (spec.effective_coords + 1)
-    if size > DEFAULT_PMF_BUDGET:
-        raise BudgetError(
-            f"walk field on {spec.shape} needs {size} floats, over the budget of {DEFAULT_PMF_BUDGET}"
-        )
-
-
-def walk_field(spec: WalkSpec, g: np.ndarray) -> np.ndarray:
-    """E[g(Y(x))] for the endpoint Y(x) of the walk spec from every start x at
-    once, as an array over the n^d points in index order.
-
-    The walk moves a uniform m-subset of the d coordinates, m = min(length,
-    d), each by P = :func:`one_step`, so the field is
-    [t^m] prod_i (I + t P) g / C(d, m): :func:`contract_axes` with laws
-    (M00, M10) = (I, P) and no s terms. Only non-negative terms are summed,
-    so the field is exactly 0 wherever no point with g > 0 is reachable.
-    Cost O(d m n^(d+1)) time and n^d (m + 1) floats; see
-    :func:`check_field_budget`.
-    """
-    check_field_budget(spec)
-    shape, m = spec.shape, spec.effective_coords
-    laws = np.zeros((2, 2, shape.n, shape.n))
-    laws[0, 0] = np.eye(shape.n)
-    laws[1, 0] = one_step(shape.n, spec.direction)
-    A = np.zeros((m + 1, 1, shape.num_points))
-    A[0, 0] = g
-    contract_axes(A, laws, shape.d)
-    return A[m, 0] / math.comb(shape.d, m)
 
 
 # ---------------------------------------------------------------------------

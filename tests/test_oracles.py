@@ -1,7 +1,6 @@
-"""Exact combinatorial oracles: violation graphs, distance, Talagrand,
-influence, persistence, and the threshold classifiers."""
+"""Exact combinatorial oracles: violation graphs, distance, Talagrand and
+influence."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgm import oracles, walks
+from hgm import oracles, tester
 from hgm.errors import BudgetError, DomainError
 from hgm.grid import (
     Box, ExplicitFunction, FamilySpec, FunctionOracle, GridShape, bits_monotone, make_family,
@@ -315,142 +314,11 @@ def test_hypercube_influence_budget():
         )
 
 
-# ---------------------------------------------------------------------------
-# Persistence and edge classifiers
-# ---------------------------------------------------------------------------
-
-
-def test_persistence_trivial_cases():
-    # A field of non-negative terms is exactly 0 where no disagreeing point
-    # is reachable, so every point of a constant is persistent at beta = 0.
-    const = make_family(FamilySpec("constant1"), GridShape(8, 3))
-    for x in const.shape.points():
-        for direction in ("up", "down"):
-            assert oracles.persistence_classify(const, 3, 0.0, x, direction) is True
-    f = ExplicitFunction(GridShape(4, 2), random_bits(16, 1))
-    # The top point absorbs upward walks, so it is up-persistent at beta = 0.
-    assert oracles.persistence_classify(f, 3, 0.0, (4, 4), "up") is True
-
-
-def test_mzb_constants():
-    shape = GridShape(2, 2)
-    c0 = make_family(FamilySpec("constant0"), shape)
-    c1 = make_family(FamilySpec("constant1"), shape)
-    for z in shape.points():
-        assert oracles.mzb_classify(c0, 1, z) is True
-        assert oracles.mzb_classify(c1, 1, z) is False
-
-
-def test_mzb_red_blue_on_the_two_point_line():
-    f = explicit(2, 1, [1, 0])
-    # Walk length 0: the down-walk stays put, so a point is mostly-zero-below
-    # exactly when its own value is 0.
-    assert oracles.mzb_classify(f, 0, (2,)) is True
-    assert oracles.mzb_classify(f, 0, (1,)) is False
-    edge = ((1,), (2,))
-    assert oracles.red_classify(f, 0, edge) is True
-    assert oracles.blue_classify(f, 0, edge) is True
-
-
-def test_classifiers_match_the_enumeration():
-    # Every verdict equals the one computed from the anchor-by-anchor pmf
-    # enumeration, skipping only probabilities within 1e-9 of a nonzero
-    # threshold (at beta = 0 both sides are exactly 0 or clearly not). Both
-    # verdicts occur for every classifier, in each direction, so a walk in
-    # the wrong direction fails here.
-    ell, MZB, RB = 2, oracles.MZB_THRESHOLD, oracles.REDBLUE_THRESHOLD
-    seen = set()
-
-    def agree(name, verdict, p, threshold, holds):
-        if threshold and abs(p - threshold) < 1e-9:
-            return
-        assert verdict is holds, (name, p, threshold)
-        seen.add((name, verdict))
-
-    for n, d in ((4, 2), (2, 4), (8, 2)):
-        shape = GridShape(n, d)
-        f = ExplicitFunction(shape, random_bits(shape.num_points, 1))
-        value = {x: int(f.peek(x)) for x in shape.points()}
-        pmfs = {
-            (x, direction): walks.exact_pmf(shape, x, walks.WalkSpec(direction, ell, shape)).table
-            for x in shape.points()
-            for direction in ("up", "down")
-        }
-
-        def prob(x, direction, event):
-            return math.fsum(p * event(y) for y, p in pmfs[x, direction].items())
-
-        mzb = {x: prob(x, "down", lambda y: value[y] == 0) for x in shape.points()}
-        for x in shape.points():
-            for direction in ("up", "down"):
-                p = prob(x, direction, lambda y: value[y] != value[x])
-                for beta in (0.0, 0.1, 0.3, 0.6):
-                    verdict = oracles.persistence_classify(f, ell, beta, x, direction)
-                    agree(f"persistence-{direction}", verdict, p, beta, p <= beta)
-            agree("mzb", oracles.mzb_classify(f, ell, x), mzb[x], MZB, mzb[x] >= MZB)
-            for i in range(d):
-                for v in range(x[i] + 1, n + 1):
-                    edge = (x, x[:i] + (v,) + x[i + 1 :])
-                    interior = [x[:i] + (u,) + x[i + 1 :] for u in range(x[i], v + 1)]
-                    red = math.fsum(
-                        prob(z, "up", lambda y: mzb[y] >= MZB) for z in interior
-                    ) / len(interior)
-                    blue = math.fsum(
-                        prob(z, "down", lambda y: value[y] == 1) for z in interior
-                    ) / len(interior)
-                    agree("red", oracles.red_classify(f, ell, edge), red, RB, red >= RB)
-                    agree("blue", oracles.blue_classify(f, ell, edge), blue, RB, blue >= RB)
-    names = ("persistence-up", "persistence-down", "mzb", "red", "blue")
-    assert seen == {(name, v) for name in names for v in (True, False)}
-
-
-_EDGE = ((1, 1), (2, 1))
-
-
-def _unreadable(shape):
-    def fail(_):
-        raise AssertionError("f was read")
-
-    return FunctionOracle(shape, fail, name="unreadable")
-
-
-# Each classifier as (f, walk length, point, edge) -> its answer.
-_CLASSIFIERS = {
-    "persistence": lambda f, ell, x, edge: oracles.persistence_classify(f, ell, 0.1, x, "up"),
-    "mzb-prob": lambda f, ell, x, edge: oracles.mzb_prob(f, ell, x),
-    "mzb": lambda f, ell, x, edge: oracles.mzb_classify(f, ell, x),
-    "red": lambda f, ell, x, edge: oracles.red_classify(f, ell, edge),
-    "blue": lambda f, ell, x, edge: oracles.blue_classify(f, ell, edge),
-}
-
-
-@pytest.mark.parametrize("name", list(_CLASSIFIERS))
-def test_classifiers_check_the_budget_before_reading_f(name):
-    # 2^27 points are over the budget at any walk length.
-    big = _unreadable(GridShape(2, 27))
-    with pytest.raises(BudgetError):
-        _CLASSIFIERS[name](big, 1, (2,) * 27, ((1,) * 27, (2,) + (1,) * 26))
-
-
-@pytest.mark.parametrize("name", list(_CLASSIFIERS))
-def test_classifiers_refuse_a_negative_length_before_reading_f(name):
-    with pytest.raises(DomainError):
-        _CLASSIFIERS[name](_unreadable(GridShape(4, 2)), -1, (2, 2), _EDGE)
-
-
-def test_persistence_refuses_a_bad_direction_before_reading_f():
-    # Only persistence takes a direction; the other classifiers fix theirs.
-    with pytest.raises(DomainError):
-        oracles.persistence_classify(_unreadable(GridShape(4, 2)), 1, 0.1, (2, 2), "Up")
-
-
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_walk_oracles_refuse_a_side_length_that_is_not_a_power_of_two(n):
     # These once answered on a non-dyadic box, where the walk is undefined.
     f = FunctionOracle(Box(n, 2), lambda p: p[:, 0] > p[:, 1], name="box")
     for call in (
-        lambda: oracles.mzb_prob(f, 1, (1, 1)),
-        lambda: oracles.persistence_classify(f, 1, 0.1, (1, 1), "up"),
         lambda: oracles.influence_tilde(f),
         lambda: exact_reject_prob_junta(f, 2, (1, 2)),
     ):
@@ -458,25 +326,23 @@ def test_walk_oracles_refuse_a_side_length_that_is_not_a_power_of_two(n):
             call()
 
 
-
 @pytest.mark.parametrize(
     "read",
     [
-        lambda f: oracles.persistence_classify(f, 1, 0.1, (2, 2), "up"),
-        lambda f: oracles.mzb_classify(f, 1, (2, 2)),
-        lambda f: oracles.red_classify(f, 1, _EDGE),
-        lambda f: oracles.blue_classify(f, 1, _EDGE),
+        lambda f: oracles.influence_tilde(f),
+        lambda f: oracles.influence_via_hypercubes(f),
+        lambda f: tester.exact_reject_prob(f, tester.TesterConfig(f.shape, trials=1)),
         lambda f: oracles.distance_to_monotonicity(f),
         lambda f: oracles.distance_to_monotonicity(f, force_method="dag_flow"),
         lambda f: oracles.distance_bruteforce(f),
         lambda f: oracles.build_violation_graph(f, "augmented_axis"),
     ],
     ids=[
-        "persistence", "mzb", "red", "blue",
+        "influence", "influence-hypercubes", "reject-prob",
         "distance", "distance-flow", "bruteforce", "violation-graph",
     ],
 )
-def test_exact_and_mc_oracles_reject_values_outside_0_1(read):
+def test_exact_oracles_reject_values_outside_0_1(read):
     # The tester is one-sided only for {0, 1}-valued functions, so every
     # oracle read, charged or not, must refuse any other value.
     bad = FunctionOracle(GridShape(2, 2), lambda p: np.full(len(p), 2), name="bad")
@@ -495,11 +361,3 @@ def test_truth_tables_reject_values_outside_0_1(bits):
     with pytest.raises(DomainError):
         oracles.distance_bruteforce(box_fn(2, 2, bits))
 
-
-def test_interval_points_validation():
-    shape = GridShape(4, 2)
-    f = make_family(FamilySpec("constant0"), shape)
-    with pytest.raises(DomainError):
-        oracles.red_classify(f, 1, ((1, 1), (2, 2)))  # not axis-aligned
-    with pytest.raises(DomainError):
-        oracles.red_classify(f, 1, ((3, 1), (1, 1)))  # downward

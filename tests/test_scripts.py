@@ -83,3 +83,21 @@ def test_bench_compare_keeps_the_info_lines():
         "info threads2_trials_per_s 98183.5\n", ""))
     assert bench_compare.info_medians([run, other]) == {
         "threads1_trials_per_s": 130178.0, "threads2_trials_per_s": 98183.5}
+
+
+def test_perfbench_trace_targets_resolve_and_selftest_passes(monkeypatch):
+    # The traced benchmark wraps each (owner, attribute) of TARGETS by name,
+    # so deleting or renaming one breaks it while the rest of the suite
+    # passes. Nothing under perfbench/ is written: no bytecode either.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for owner, attr, name, *_ in tracing.TARGETS if not hasattr(owner, attr)]
+    assert missing == []
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

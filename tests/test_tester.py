@@ -535,6 +535,8 @@ def test_full_tester_accepts_monotone():
     f = make_family(FamilySpec("dictator"), GridShape(16, 4))
     res = tester.run_full_tester(f, 0.5, seed=3, outer_reps=4, inner_trials=500, k=4)
     assert res.accepted and res.witness is None and not res.fallback
+    # A forced k is used as given; the formula is still the helper's.
+    assert (res.k, res.k_formula) == (4, tester.choose_subgrid_size(f.shape, 0.5)[1])
     # The caller's oracle is charged every query, on either path.
     assert f.query_count == res.total_queries == 16 * 4 * 500
     g = make_family(FamilySpec("dictator"), GridShape(4, 4))

@@ -594,28 +594,6 @@ def test_pmf_budget_is_enforced():
         walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 4, shape), budget=100)
 
 
-@pytest.mark.parametrize("n, d", [(4, 2), (2, 4), (8, 2)])
-def test_walk_field_matches_the_enumeration(n, d):
-    # The whole-grid field against each start's own pmf enumeration.
-    shape = GridShape(n, d)
-    g = np.random.default_rng(n * 10 + d).random(shape.num_points)
-    for direction in ("up", "down"):
-        for ell in (0, 1, 2, d + 1):
-            spec = walks.WalkSpec(direction, ell, shape)
-            field = walks.walk_field(spec, g)
-            for x in shape.points():
-                pmf = walks.exact_pmf(shape, x, spec).table
-                expected = math.fsum(p * g[shape.index_of(y)] for y, p in pmf.items())
-                assert abs(field[shape.index_of(x)] - expected) <= 1e-12, (direction, ell, x)
-
-
-def test_walk_field_budget_is_checked_first():
-    # 2^24 points x 8 coefficients > 10^8 floats; g is refused unread.
-    shape = GridShape(2, 24)
-    with pytest.raises(BudgetError):
-        walks.walk_field(walks.WalkSpec("up", 7, shape), None)
-
-
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_move_law_refuses_a_side_length_that_is_not_a_power_of_two(n):
     # The walk is defined only on dyadic grids; these once returned laws.
