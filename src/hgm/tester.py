@@ -448,12 +448,19 @@ def exact_pair_probs(
         walks.contract_axes(A, laws, k)
         W[step] = A @ F
 
+    # C(d-k, m-j) / C(d, m) = C(m, j) C(d-m, k-j) / (C(k, j) C(d, k)), both
+    # sides the hypergeometric Pr[|S & K| = j] for a uniform m-subset S and a
+    # fixed k-subset K, over C(k, j): the same Fraction from binomials whose
+    # lower index is at most k, where C(d, m) has thousands of digits at
+    # d = 4096.
     def weighted(step: str, m: int, mp: int) -> float:
-        denom = math.comb(d, m) * math.comb(d, mp)
+        denom = math.comb(d, k) ** 2
         J, Jp = W[step].shape
         return math.fsum(
             float(W[step][j, jp])
-            * float(Fraction(math.comb(d - k, m - j) * math.comb(d - k, mp - jp), denom))
+            * float(Fraction(math.comb(m, j) * math.comb(d - m, k - j)
+                             * math.comb(mp, jp) * math.comb(d - mp, k - jp),
+                             math.comb(k, j) * math.comb(k, jp) * denom))
             for j in range(max(0, m - (d - k)), min(m, J - 1) + 1)
             for jp in range(max(0, mp - (d - k)), min(mp, Jp - 1) + 1)
         )

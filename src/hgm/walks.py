@@ -23,13 +23,16 @@ all derive from it. ``_split_by_direction``, through which ``one_step``
 and the cube formulations' pair kernels pass, is the only place that splits
 a kernel into moves and lazy mass. ``sample_line_kernel``, which the walk and
 conditioned-cube samplers (and the tester's fused batch) share, draws G
-from the alias table (Vose's method), so one scalar-bounded draw x from
-[0, n * den) per move is exact: its low log n bits pick a column i and the
-rest accept i against the column's integer threshold or take its alias.
-While n * den <= 2^20 (n <= 16; 105 KB at n = 16) that decision is
-tabulated once for every x (``_alias_lookup``), and a move reads its gap
-from the table: the same draw and the same gap, so the same random stream.
-For n >= 2048, n * den no longer fits in 63 bits, and each move draws
+from the alias table (Vose's method) with one uint16 word per move for
+every n <= 1024. The word is the top 16 bits, the bucket, of a uniform
+32-bit word z whose top log n bits pick a column i and whose other bits v
+accept i against a threshold, exactly: v below floor(thr[i] 2^b / den)
+accepts, v above it takes the alias, and the tie accepts with the
+remainder's probability. A cached table of the 2^16 buckets
+(``_gap_buckets``) gives the gap of every bucket that the threshold does
+not cut; the at most n buckets it cuts read -1, and only their moves draw
+z's low 16 bits (and, on the tie, one exact draw from [0, den)). For
+n >= 2048, n * den no longer fits in 63 bits, and each move draws
 (q, window offset, element) as three exact integer draws instead. The move
 kernel returns its values in the caller's integer dtype whenever that
 dtype holds 2n - 1, so a batch drawn narrow stays narrow.
@@ -227,30 +230,55 @@ def gap_alias_table(n: int):
     return den, thr, alias
 
 
-# Largest draw range n * den whose alias decisions are tabulated: 2^20
-# entries, which covers n <= 16 (107,520 entries at n = 16).
-ALIAS_LOOKUP_MAX = 1 << 20
-
-
-def _alias_gap(n: int, x: np.ndarray) -> np.ndarray:
-    """The gap that :func:`gap_alias_table` assigns to each draw x in
-    [0, n * den): column i = x & (n - 1) when x >> log n falls below the
-    column's threshold, else the column's alias."""
-    _, thr, alias = gap_alias_table(n)
-    i = x & (n - 1)
-    return np.where((x >> (n.bit_length() - 1)) < thr[i], i, alias[i])
-
-
 @lru_cache(maxsize=None)
-def _alias_lookup(n: int):
-    """:func:`_alias_gap` of every draw in [0, n * den), as a read-only int8
-    array, or None when n * den exceeds ALIAS_LOOKUP_MAX (from n = 32)."""
-    table = gap_alias_table(n)
-    if table is None or n * table[0] > ALIAS_LOOKUP_MAX:
+def _gap_buckets(n: int):
+    """(table, T, R): the alias decision of :func:`gap_alias_table` read
+    from a uniform 32-bit word z, or None when there is no alias table
+    (n >= 2048). All three are read-only.
+
+    The top log n bits of z are the column i and its low b = 32 - log n
+    bits are v. z gives i when v < T[i] = floor(thr[i] 2^b / den) and
+    alias[i] when v > T[i]; the tie v = T[i] gives i with probability
+    R[i] / den, R[i] = thr[i] 2^b mod den. So i is accepted with
+    probability (T[i] + R[i] / den) / 2^b = thr[i] / den, exactly.
+
+    table has one entry per bucket, the words with the same top 16 bits:
+    the gap when every v in the bucket lies below or above T[i], else -1.
+    Only the bucket holding T[i] is split, so at most n of the 2^16
+    entries are -1. int8 up to n = 128, int16 above.
+    """
+    alias_table = gap_alias_table(n)
+    if alias_table is None:
         return None
-    lookup = _alias_gap(n, np.arange(n * table[0])).astype(np.int8)
-    lookup.flags.writeable = False
-    return lookup
+    den, thr, alias = alias_table
+    b = 32 - (n.bit_length() - 1)
+    T, R = (np.array(a, dtype=np.int64) for a in zip(*(divmod(int(t) << b, den) for t in thr)))
+    bucket = np.arange(1 << 16)
+    i = bucket >> (b - 16)
+    low = (bucket & ((1 << (b - 16)) - 1)) << 16  # the bucket's smallest v
+    table = np.where(low + (1 << 16) <= T[i], i, np.where(low > T[i], alias[i], -1))
+    table = table.astype(np.int8 if n <= 128 else np.int16)
+    for a in (table, T, R):
+        a.flags.writeable = False
+    return table, T, R
+
+
+def _split_gaps(n: int, bucket: np.ndarray, rng) -> np.ndarray:
+    """The gaps of words whose top 16 bits are split buckets of
+    :func:`_gap_buckets`: one more uint16 word per entry gives v's low 16
+    bits, and each tie v = T[i] draws once from [0, den)."""
+    den, _, alias = gap_alias_table(n)
+    _, T, R = _gap_buckets(n)
+    shift = 17 - n.bit_length()  # 16 - log n
+    i = bucket >> shift
+    v = (bucket & ((1 << shift) - 1)).astype(np.int64) << 16
+    v |= _uniform_words(rng, bucket.shape, np.uint16)
+    t = T[i]
+    accept = v < t
+    tie = np.flatnonzero(v == t)
+    if tie.size:
+        accept[tie] = rng.integers(0, den, size=tie.size) < R[i[tie]]
+    return np.where(accept, i, alias[i])
 
 
 @lru_cache(maxsize=None)
@@ -301,25 +329,28 @@ MOVE_CHUNK = 1 << 14
 def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
     """c ~ line_kernel(n)[u, :] for every entry of u (values in 1..n).
 
-    The move kernel every walk sampler shares: one scalar-bounded draw per
-    entry through :func:`gap_alias_table`, whose decision is read from
-    :func:`_alias_lookup` up to n = 16, or, for n >= 2048, three exact
-    integer draws (q, window offset, element). The draws, chunk by chunk, do
-    not depend on the path taken or on u's dtype, so neither does the random
-    stream. c has u's integer dtype when that dtype holds 2n - 1 (int8 up to
-    n = 64), else int64. A walk moves up to max(c, u) or down to min(c, u).
+    The move kernel every walk sampler shares. Up to n = 1024 every entry
+    draws one uint16 word and reads its gap from the bucket table of
+    :func:`_gap_buckets`, the exact alias decision of
+    :func:`gap_alias_table`; the entries whose bucket reads -1 (at most
+    n / 2^16 of the words) then draw together in :func:`_split_gaps`. For
+    n >= 2048 each entry makes three exact integer draws (q, window offset,
+    element), chunk by chunk. The draws do not depend on u's values or
+    dtype, so neither does the random stream. c has u's integer dtype when
+    that dtype holds 2n - 1 (int8 up to n = 64), else int64. A walk moves
+    up to max(c, u) or down to min(c, u).
     """
     u = np.asarray(u)
     flat_u = u.reshape(-1)
     # c is computed as u + gap - 1 (mod n) + 1, and u + gap reaches 2n - 1.
     narrow = u.dtype.kind in "iu" and np.iinfo(u.dtype).max >= 2 * n - 1
     c = np.empty(flat_u.size, dtype=u.dtype if narrow else np.int64)
-    table = gap_alias_table(n)
-    lookup = _alias_lookup(n)
+    buckets = _gap_buckets(n)
+    split, split_words = [], []
     log_n = n.bit_length() - 1
     for start in range(0, flat_u.size, MOVE_CHUNK):
         v = flat_u[start : start + MOVE_CHUNK]
-        if table is None:
+        if buckets is None:
             q = rng.integers(1, log_n + 1, size=v.size)
             size = np.int64(1) << q
             # size divides n, so the low bits of a uniform draw from [0, n)
@@ -330,14 +361,27 @@ def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
             j += j >= offset
             gap = j - offset
         else:
-            x = rng.integers(0, n * table[0], size=v.size)
-            gap = _alias_gap(n, x) if lookup is None else lookup[x]
+            # A 16-bit word per move; MOVE_CHUNK is a multiple of 4, so the
+            # chunks draw the same stream as one draw of every word. A
+            # split bucket's -1 is mended after the loop.
+            words = _uniform_words(rng, (v.size,), np.uint16)
+            gap = np.take(buckets[0], words)
+            if gap.min() < 0:
+                cut = np.flatnonzero(gap < 0)
+                split.append(cut + start)
+                split_words.append(words[cut])
         out = c[start : start + MOVE_CHUNK]
         # An int64 gap is cast down: v + gap <= 2n - 1 fits c's dtype.
         np.add(v, gap, out=out, casting="unsafe")
         out -= 1
         out &= n - 1
         out += 1
+    if split:
+        # The split buckets (at most n of the 2^16) draw once for the call
+        # rather than once per chunk, after every word.
+        at = np.concatenate(split)
+        gap = _split_gaps(n, np.concatenate(split_words), rng)
+        c[at] = (flat_u[at] + gap - 1) % n + 1
     return c.reshape(u.shape)
 
 
@@ -530,12 +574,13 @@ def sample_walk_batch(
 
     Each row selects a uniform subset of min(length, d) coordinates, and
     only the selected coordinates draw, through the exact move kernel
-    :func:`sample_line_kernel`: one scalar-bounded alias draw per selected
-    coordinate, or three integer draws (q, window offset, element) when
-    n >= 2048. Each selected coordinate follows :func:`line_kernel`. A shift
-    is the difference between a walk endpoint and its anchor. How much
-    randomness a call consumes, and in what order, depends on the lengths
-    (see :func:`select_coordinates`); then the selected entries draw together.
+    :func:`sample_line_kernel`: one 16-bit word per selected coordinate into
+    the alias bucket table, or three integer draws (q, window offset,
+    element) when n >= 2048. Each selected coordinate follows
+    :func:`line_kernel`. A shift is the difference between a walk endpoint
+    and its anchor. How much randomness a call consumes, and in what order,
+    depends on the lengths (see :func:`select_coordinates`); then the
+    selected entries draw together.
     """
     _check_direction(direction)
     Y = np.array(X, dtype=np.int64, order="C")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,19 @@ def test_the_readme_flag_table_matches_the_parser():
         key, modes = cli._MODES.get(command, (None, {}))
         names = [key] + [name for _, names in modes.values() for name in names] if key else []
         assert set(re.findall(r"--[a-z-]+", moded)) == set(map(_flag, names)), command
+
+
+def test_every_readme_cli_example_exits_0(tmp_path, monkeypatch, capsys):
+    # The examples once included a walk length over the reversibility cap,
+    # which exits 64. Each line runs in-process, in an empty directory.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("hgm ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,21 @@ def test_junta_anti_dictator_values_to_d_1024():
         exact_reject_prob_junta(anti_dictator(8, 2), 1, (1,))
     with pytest.raises(ConfigError):
         exact_reject_prob_junta(core, 4, (3,))
+
+
+def test_junta_weights_at_d_4096_keep_the_direct_binomial_float():
+    # The weights C(d-k, m-j) / C(d, m) are taken as
+    # C(m, j) C(d-m, k-j) / (C(k, j) C(d, k)): the same Fraction, so the
+    # value below, recorded with the direct binomials, is kept to the last
+    # bit. The core is the 4-junta 32904 (bit i is f at row i of
+    # all_points_array), the worst class at eps = 1/16.
+    d, k = 4096, 4
+    for m in (0, 1, 3, 4, 5, 2048, d - 1, d):
+        for j in range(max(0, m - (d - k)), min(m, k) + 1):
+            assert Fraction(math.comb(d - k, m - j), math.comb(d, m)) == Fraction(
+                math.comb(m, j) * math.comb(d - m, k - j), math.comb(k, j) * math.comb(d, k))
+    core = ExplicitFunction(GridShape(2, k), np.array([(32904 >> i) & 1 for i in range(16)]))
+    assert exact_reject_prob_junta(core, d, tester.default_tau_schedule(d)) == 0.021304899584368986
 
 
 def test_mc_rate_within_ci_of_junta_form_at_8_256():
@@ -391,84 +407,84 @@ def _digits(x):
 
 
 # run_tester reports (rejections, per_tau, per_step, witnesses). The (8, 64)
-# and (8, 256) cells, whose walks draw most of their coordinate subsets by
-# thresholding keys, were recorded since Floyd's algorithm draws only the
-# subsets and complements of at most 4 + d // 32 coordinates. The (64, 4),
-# (128, 5) (int16 anchors, one alias draw per move) and (2^15, 3) (int32
-# anchors, three draws per move) cells were recorded since d <= 16 reads
-# coordinate subsets from the table of all 2^d masks. A witness's points at
+# and (8, 256) cells (most coordinate subsets drawn by thresholding keys),
+# and the (64, 4) and (128, 5) cells (int16 anchors at n = 128), were
+# recorded since every move at n <= 1024 reads one 16-bit word into the
+# alias bucket table. The (2^15, 3) cell (int32 anchors, three draws per
+# move) was recorded since d <= 16 reads coordinate subsets from the table
+# of all 2^d masks. A witness's points at
 # n = 8 are written as their one-digit coordinates, 64 to a string.
 TESTER_STREAM = {
     (8, 64, "anti_dictator", 3000, 5): (
-        878,
-        {1: (429, 7), 2: (469, 24), 4: (418, 28), 8: (414, 72), 16: (410, 148),
-         32: (426, 233), 64: (434, 366)},
-        {"up_path": 325, "down_path": 262, "up_path_down_shift": 159, "down_path_up_shift": 132},
+        867,
+        {1: (429, 8), 2: (469, 22), 4: (418, 25), 8: (414, 68), 16: (410, 128),
+         32: (426, 250), 64: (434, 366)},
+        {"up_path": 307, "down_path": 238, "up_path_down_shift": 169, "down_path_up_shift": 153},
         [
-            (0, "up_path_down_shift", 32,
-             _digits("2217787741165211233652275655267514148165253628111347512331717235"),
-             _digits("7217787744165212233652275668367564868365253648128447523333717235")),
             (1, "down_path", 31,
-             _digits("2126254576523457514646136251725867717315175256313518244268617611"),
+             _digits("3126254776533457444646136251715867617315175216213118243258617711"),
              _digits("8126254776574457545647136251725867717315175256313618344288617711")),
-            (4, "up_path", 31,
-             _digits("4678351832856846223744232676512781266435561336183258671178834523"),
-             _digits("6678451836856846224744233676522781368436778437183258676378844524")),
+            (4, "down_path_up_shift", 32,
+             _digits("4463781175664885331116755633372754146433231315767427145117353876"),
+             _digits("8563882175764887332416775738372754146436238315767448375117383876")),
+            (10, "down_path_up_shift", 63,
+             _digits("4477535483443853621571515345613257564346854442744835561233427368"),
+             _digits("5477735483657865828582725447748357576747875444765836568334528478")),
         ],
     ),
     (64, 4, "random_balanced", 2000, 3): (
-        1389,
-        {1: (655, 279), 2: (681, 512), 4: (664, 598)},
-        {"up_path": 538, "down_path": 400, "up_path_down_shift": 268, "down_path_up_shift": 183},
+        1349,
+        {1: (655, 263), 2: (681, 515), 4: (664, 571)},
+        {"up_path": 525, "down_path": 402, "up_path_down_shift": 252, "down_path_up_shift": 170},
         [
-            (1, "up_path", 3, (56, 16, 48, 53), (56, 17, 48, 53)),
-            (3, "down_path", 1, (1, 5, 34, 9), (45, 5, 34, 9)),
-            (4, "up_path", 1, (60, 57, 60, 4), (60, 57, 60, 56)),
+            (1, "up_path", 3, (56, 16, 48, 53), (56, 19, 63, 53)),
+            (2, "down_path", 2, (2, 24, 51, 27), (3, 27, 51, 27)),
+            (3, "down_path_up_shift", 1, (21, 30, 6, 5), (24, 30, 6, 5)),
         ],
     ),
     (8, 256, "anti_dictator", 2000, 11): (
-        482,
-        {1: (219, 0), 2: (222, 2), 4: (208, 6), 8: (220, 11), 16: (222, 17), 32: (225, 42),
-         64: (228, 76), 128: (243, 146), 256: (213, 182)},
-        {"up_path": 177, "down_path": 126, "up_path_down_shift": 105, "down_path_up_shift": 74},
+        452,
+        {1: (219, 0), 2: (222, 2), 4: (208, 7), 8: (220, 7), 16: (222, 24), 32: (225, 40),
+         64: (228, 67), 128: (243, 132), 256: (213, 173)},
+        {"up_path": 178, "down_path": 110, "up_path_down_shift": 92, "down_path_up_shift": 72},
         [
             (5, "up_path", 256,
              _digits("4188676728555488871532135248282773633465543383286154752772453445"
                      "7167454137262217283454248578375324387384538842862371133141547328"
                      "4523461563434117518584357388714145153842564243617336457642187785"
                      "6155187548432218623623456467517136271415548853425423767726333328"),
-             _digits("5288686828655588888553236248283774733566545383386264762878454646"
-                     "8877567338474827484658258588375425388885538864864374336478658868"
-                     "4626468563854827548685557888744275254853667453687337857652888787"
-                     "6256587778548688654666556567627837587425558864426424788726535368")),
-            (6, "down_path_up_shift", 127,
-             _digits("2553574822157458381435266842623736754524734257645814872455783515"
-                     "1747855734257186215664116674183235627763665431335832811747357832"
-                     "5541365755726642145543452587834772144621347283212245437711185215"
-                     "6576158488715172852773841626458256631652443222142413112382613174"),
-             _digits("8653584822857468685435266842653736754524835258665814883455783515"
-                     "2747887734557886878664826674183235727763765431546832882858357832"
-                     "5641365755726742145543485587834772144621347884422755437788185245"
-                     "6576158488765872852783841726458286634652443224148423162382623275")),
-            (9, "down_path_up_shift", 64,
-             _digits("4824563616216873852187667417645122747244531247172842856662138574"
-                     "1651672735666368457877216831415111828113818486884523632156235858"
-                     "8816643617775471823363336158342844776721735128682815652256526473"
-                     "2811526714477347813244324468367313264258785574582223365154855334"),
-             _digits("6824563616216874852887667417645642747247531247172842866662138574"
-                     "1651672835668368457877216831415161828213818486884523632156236858"
-                     "8816646677776671823363336158342844776821735828688815652256538473"
-                     "2811526714477347883244324588387313264258785574582223365164856334")),
+             _digits("6588676728576488878533376348888773634575548584887475857785454546"
+                     "8268457438362778386656758588586736587484588846862372534486847328"
+                     "4584673763445227638685367488725846854853866254658366457643288885"
+                     "6266587548433578834738457677537866678566588863446483867756333528")),
+            (6, "down_path", 127,
+             _digits("2342431636343387444463537564312275122231626733434264161127847632"
+                     "2515425443165123382211517187257751776835152415726421386431527244"
+                     "4577855347111711461421226321443232122585855732433787111376154737"
+                     "3336521716528574488475461135341753441851712233217424331432118842"),
+             _digits("5342541646353388544474537574512478827331626733435284161127847633"
+                     "2585425474765823382281517387257751777835152485787421686431527747"
+                     "4587855347822718761431436335443333122585855734445787212376154737"
+                     "4836528716828574488475475145451755542851725533217444431732268853")),
+            (9, "up_path_down_shift", 63,
+             _digits("2547437573641645147327527328621183833622635815642466823126155764"
+                     "3336647222252722741611111378165371334441352135677283715432722273"
+                     "2671687314421782432457413812243138118866441173466527847186851418"
+                     "1634552283436684665183673517664253262412427535128671645438471853"),
+             _digits("5547437573641645148428527328624183833632635825642766823126155764"
+                     "3336647423552722781611111378165378334448466145677283715432722273"
+                     "2678787315421782532457423812243138188868441173866527847186851518"
+                     "1634552283436686665184673587664553672412427545128671645458482853")),
         ],
     ),
     (128, 5, "random_balanced", 2000, 4): (
-        1451,
-        {1: (511, 217), 2: (497, 370), 4: (515, 445), 8: (477, 419)},
-        {"up_path": 590, "down_path": 431, "up_path_down_shift": 263, "down_path_up_shift": 167},
+        1466,
+        {1: (511, 201), 2: (497, 377), 4: (515, 458), 8: (477, 430)},
+        {"up_path": 639, "down_path": 401, "up_path_down_shift": 241, "down_path_up_shift": 185},
         [
-            (1, "up_path", 7, (7, 21, 26, 30, 15), (33, 21, 26, 30, 15)),
-            (2, "down_path_up_shift", 1, (2, 119, 22, 69, 87), (9, 119, 22, 69, 87)),
-            (5, "down_path_up_shift", 4, (81, 39, 50, 120, 37), (81, 48, 50, 120, 105)),
+            (0, "down_path", 4, (54, 22, 1, 13, 54), (54, 22, 1, 13, 55)),
+            (2, "down_path_up_shift", 1, (5, 119, 22, 69, 87), (9, 119, 22, 69, 87)),
+            (3, "up_path", 2, (71, 57, 10, 115, 30), (71, 57, 10, 115, 31)),
         ],
     ),
     (2**15, 3, "random_balanced", 2000, 9): (
@@ -495,20 +511,20 @@ def test_reports_are_pinned_to_the_recorded_stream(cell):
 
 
 def test_repeated_schedule_entry_sums_into_one_tau():
-    # Recorded since d <= 16 reads coordinate subsets from the mask table.
-    # Both entries of 2 draw trials, and per_tau keeps one key per distinct
-    # tau with their sum.
+    # Recorded since every move at n <= 1024 reads one 16-bit word into the
+    # alias bucket table. Both entries of 2 draw trials, and per_tau keeps
+    # one key per distinct tau with their sum.
     f = anti_dictator(8, 8)
     rep = run_tester(f, Config(shape=f.shape, trials=3000, seed=7, tau_schedule=(1, 2, 2, 8),
                                batch_size=1024, max_witnesses=3))
-    assert rep.rejections == 1097
-    assert rep.per_tau == {1: (717, 68), 2: (1533, 421), 8: (750, 608)}
-    assert rep.per_step == {"up_path": 392, "down_path": 293, "up_path_down_shift": 239,
-                            "down_path_up_shift": 173}
+    assert rep.rejections == 1087
+    assert rep.per_tau == {1: (717, 57), 2: (1533, 412), 8: (750, 618)}
+    assert rep.per_step == {"up_path": 389, "down_path": 283, "up_path_down_shift": 246,
+                            "down_path_up_shift": 169}
     assert rep.witnesses == [
-        (0, "up_path", 7, (1, 3, 2, 6, 4, 7, 8, 8), (7, 7, 2, 6, 5, 8, 8, 8)),
-        (5, "down_path_up_shift", 8, (4, 6, 2, 4, 3, 3, 3, 7), (5, 7, 2, 4, 3, 3, 6, 8)),
-        (6, "down_path", 1, (1, 1, 6, 1, 5, 5, 1, 2), (7, 1, 6, 1, 5, 5, 1, 2)),
+        (5, "down_path", 8, (2, 1, 1, 6, 1, 3, 1, 5), (6, 8, 1, 8, 1, 3, 3, 5)),
+        (7, "down_path", 8, (4, 5, 6, 2, 3, 4, 5, 1), (6, 5, 6, 6, 8, 5, 5, 1)),
+        (9, "down_path", 2, (3, 2, 8, 3, 3, 8, 3, 8), (5, 2, 8, 3, 4, 8, 3, 8)),
     ]
 
 

@@ -96,33 +96,90 @@ def test_gap_alias_table_gives_way_to_three_draws_from_2048():
     assert walks.gap_alias_table(2048) is None
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_alias_lookup_is_the_alias_decision_for_every_draw(n):
-    den, thr, alias = walks.gap_alias_table(n)
-    lookup = walks._alias_lookup(n)
-    assert lookup.shape == (n * den,) and n * den <= 2**20
-    assert lookup.dtype == np.int8 and not lookup.flags.writeable
-    x = np.arange(n * den)
-    column, rest = x % n, x // n
-    assert np.array_equal(lookup, np.where(rest < thr[column], column, alias[column]))
-    assert np.bincount(lookup, minlength=n).tolist() == [n * w for w in walks._gap_masses(n)]
+def _buckets_reference(n):
+    """(b, T, R) of the bucket table, from the alias table in Python ints."""
+    den, thr, _ = walks.gap_alias_table(n)
+    b = 32 - (n.bit_length() - 1)
+    return b, *zip(*(divmod(int(t) << b, den) for t in thr))
 
 
-def test_alias_lookup_stops_at_32():
-    for n in (32, 64, 1024, 2048):
-        assert walks._alias_lookup(n) is None
+@pytest.mark.parametrize("n", [2**q for q in range(1, 11)])
+def test_gap_buckets_add_up_to_the_gap_law(n):
+    # Every 32-bit word z has mass 2^-32. A whole bucket (2^16 words) goes
+    # to its entry. In a split bucket of column i, the words with v < T[i]
+    # go to i, the tie word to i with probability R[i] / den and to
+    # alias[i] otherwise, and the words above it to alias[i].
+    den, _, alias = walks.gap_alias_table(n)
+    table, T, R = walks._gap_buckets(n)
+    b, T_ref, R_ref = _buckets_reference(n)
+    assert T.tolist() == list(T_ref) and R.tolist() == list(R_ref)
+    assert table.shape == (2**16,) and table.dtype == (np.int8 if n <= 128 else np.int16)
+    assert not (table.flags.writeable or T.flags.writeable or R.flags.writeable)
+    whole = np.bincount(table[table >= 0], minlength=n).tolist()
+    mass = [Fraction(count * 2**16, 2**32) for count in whole]
+    split = np.flatnonzero(table < 0)
+    assert split.size <= n
+    for bucket in split.tolist():
+        i, low = bucket >> (b - 16), (bucket & ((1 << (b - 16)) - 1)) << 16
+        t, r, a = T_ref[i], R_ref[i], int(alias[i])
+        assert low <= t < low + 2**16  # only the bucket holding T[i] is split
+        tie = Fraction(r, den)
+        mass[i] += Fraction(t - low, 2**32) + tie / 2**32
+        mass[a] += Fraction(low + 2**16 - 1 - t, 2**32) + (1 - tie) / 2**32
+    assert mass == _gap_law(n)
+
+
+class _ChosenDraws:
+    """A generator whose integers returns the given arrays in turn, after
+    checking each call's bounds: full-range uint64 words, or [0, den)."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        (expected_low, expected_high), values = self.draws.pop(0)
+        assert (low, high) == (expected_low, expected_high)
+        if dtype is np.uint64:
+            values = np.asarray(values + [0] * (-len(values) % 4), np.uint16).view(np.uint64)
+        assert np.size(values) == size
+        return np.asarray(values, dtype=dtype)
+
+
+def test_split_buckets_draw_a_second_word_and_break_ties_exactly():
+    # At n = 8 column 2's threshold T[2] splits a bucket. Five moves from
+    # u = 1 (so c - 1 is the gap): a whole bucket of column 1, then four
+    # words in that split bucket, below, above and twice at T[2]. The tie
+    # draws compare with R[2]: R[2] - 1 accepts column 2, R[2] takes alias.
+    n = 8
+    den, _, alias = walks.gap_alias_table(n)
+    table, T, R = walks._gap_buckets(n)
+    i, shift = 2, 16 - 3
+    t, r = int(T[i]), int(R[i])
+    assert 0 < r and 0 < t & 0xFFFF < 0xFFFF
+    split = (i << shift) | (t >> 16)
+    assert table[split] == -1 and table[1 << shift] == 1
+    words = [1 << shift, split, split, split, split]
+    low = t & 0xFFFF
+    rng = _ChosenDraws(((0, 2**64), words), ((0, 2**64), [low - 1, low + 1, low, low]),
+                       ((0, den), [r - 1, r]))
+    c = walks.sample_line_kernel(n, np.ones(5, dtype=np.int64), rng)
+    a = int(alias[i])
+    assert a != i and not rng.draws
+    assert (c - 1).tolist() == [1, i, a, i, a]
 
 
 # sample_line_kernel(n, u, substream(n, "pin")) for the 40,000 values
 # u = 7919 i mod n + 1: its first ten values and the first 16 hex digits of
-# the sha256 of all of them as little-endian int64. Recorded before the
-# lookup table and the narrow output existed; the chunks cross MOVE_CHUNK.
+# the sha256 of all of them as little-endian int64. n <= 1024 was recorded
+# since every move reads one 16-bit word into the alias bucket table (n = 2
+# moves surely, so its values did not change); n = 2048 (three draws per
+# move, chunk by chunk across MOVE_CHUNK) before the narrow output existed.
 KERNEL_STREAM = {
     2: ([2, 1, 2, 1, 2, 1, 2, 1, 2, 1], "b1b8204ccc8b6df4"),
-    8: ([3, 1, 6, 5, 8, 2, 4, 1, 7, 6], "8672e3e36bb31d2a"),
-    16: ([6, 4, 11, 6, 1, 14, 12, 13, 10, 5], "b5c69ea2b5bad8f0"),
-    64: ([2, 45, 32, 11, 27, 45, 26, 8, 48, 49], "c78523366479e996"),
-    1024: ([1024, 744, 482, 201, 405, 688, 361, 139, 433, 572], "155fdd3bf68d8a21"),
+    8: ([2, 3, 2, 4, 2, 3, 2, 7, 8, 7], "6f3824ab625b5b85"),
+    16: ([2, 1, 2, 15, 1, 16, 10, 11, 13, 9], "8531114a24a8acf4"),
+    64: ([27, 24, 24, 12, 12, 14, 29, 9, 58, 41], "3eef643b0268705e"),
+    1024: ([2, 792, 444, 1006, 981, 685, 412, 136, 847, 618], "3dafffca780ad4ac"),
     2048: ([257, 1777, 1505, 1448, 446, 852, 393, 135, 1922, 1625], "6c23d6d513c340f2"),
 }
 
