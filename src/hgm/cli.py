@@ -220,8 +220,9 @@ def cmd_test(cfg) -> int:
         _require(cfg, "eps")
         res = tester.run_full_tester(f, cfg["eps"], seed=cfg["seed"])
         rejections = 0 if res.accepted else 1
+        trials = res.pairs if res.fallback else res.outer_reps * res.inner_trials
         writer.row(
-            cfg["family"], shape.n, shape.d, "full", res.outer_reps * res.inner_trials,
+            cfg["family"], shape.n, shape.d, "full", trials,
             rejections, float(rejections), 0.0, 1.0, res.total_queries, cfg["seed"],
         )
         writer.comment("fallback", res.fallback)

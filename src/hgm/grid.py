@@ -13,7 +13,10 @@ against [1, n]^d and that the function returns one value in {0, 1} per
 point; ``peek`` and ``peek_many`` are the uncharged scalar and batch reads,
 and a scalar read is a batch of one. A batch reaches the function in the
 caller's integer dtype, so a batch function must not assume int64 (see
-:class:`FunctionOracle`).
+:class:`FunctionOracle`). Points drawn or gathered inside the package are
+in the narrowest signed dtype that holds n (:func:`point_dtype`, int8 up
+to n = 64): the tester's batches, and a subgrid restriction's reads of f,
+whatever dtype its own caller used.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ _MAGIC = b"HGF1"
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def point_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds n: int8 up to n = 64
+    (for a power of two), then int16, int32, int64."""
+    return np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                         if np.iinfo(t).max >= n))
 
 
 @dataclass(frozen=True)
@@ -381,10 +391,14 @@ def restrict_to_subgrid(
 ) -> FunctionOracle:
     """Restrict f to the product of d sorted coordinate multisets of size k.
 
-    The multisets are held as one (d, k) int64 table. A batch of points maps
-    back to f by one gather: coordinate z_i is entry i*k + z_i - 1 of the
-    flattened table, and the values are gathered in place into that index
-    array, which is new on every call, so concurrent batches share no buffer.
+    The multisets are held as one (d, k) table in the narrowest signed dtype
+    that holds n (:func:`point_dtype`). A batch of points maps back to f by
+    one gather: coordinate z_i is entry i*k + z_i - 1 of the flattened
+    table, an index built in the narrowest of int16, int32 and int64 that
+    holds d*k, whatever the caller's dtype. So f reads points in the table's
+    dtype (int8 up to n = 64), and both reads check their points. The index
+    and the gathered points are new on every call, so concurrent batches
+    share no buffer.
     """
     n, d = f.shape.n, f.shape.d
     if len(subsets) != d:
@@ -405,15 +419,17 @@ def restrict_to_subgrid(
     unsorted = np.flatnonzero((np.diff(table, axis=1) < 0).any(axis=1))
     if unsorted.size:
         raise DomainError(f"subset {unsorted[0] + 1} is not sorted non-decreasing")
-    flat = table.astype(np.int64).reshape(-1)
-    offsets = np.arange(d, dtype=np.int64) * k - 1
+    flat = table.astype(point_dtype(n)).reshape(-1)
+    index = np.promote_types(point_dtype(d * k), np.int16)
+    offsets = np.arange(d, dtype=index) * k - 1
 
     def g(pts: np.ndarray) -> np.ndarray:
-        # peek_many has checked pts against [1, k]^d, so no index is clipped;
-        # a mode other than "raise" lets take write into its own index array.
-        # The sum is int64 for any caller's dtype (uint64 + int64 is float).
-        idx = np.add(pts, offsets, dtype=np.int64)
-        return f.peek_many(np.take(flat, idx, out=idx, mode="clip"))
+        # peek_many has checked pts against [1, k]^d, so every index is in
+        # [0, d*k) and none is clipped; a mode other than "raise" lets take
+        # write without a buffer. The sum is cast to the index dtype from
+        # any caller's dtype (uint64 + int16 would be float).
+        idx = np.add(pts, offsets, dtype=index)
+        return f.peek_many(np.take(flat, idx, mode="clip"))
 
     return FunctionOracle(sub_shape, g, f"restrict({f.name},k={k})")
 

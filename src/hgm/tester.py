@@ -515,6 +515,7 @@ class FullTesterResult:
     outer_reps: int = 0
     inner_trials: int = 0
     total_queries: int = 0
+    pairs: int = 0  # pairs the fallback drew, up to the end of its last chunk
 
 
 def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult:
@@ -524,10 +525,16 @@ def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult
     through the dyadic-interval kernel, kept only if it moved up); reject on
     any violated pair. One-sided by construction.
 
-    Pairs are drawn from the batch kernel in chunks of FALLBACK_CHUNK and a
-    chunk's moved pairs are evaluated together, so every evaluated pair is
-    charged to f, including those after the first violation in its chunk.
-    The witness is the chunk's first violated pair.
+    Pairs are drawn in chunks of FALLBACK_CHUNK. A chunk draws its points
+    (:func:`hgm.walks.sample_points_batch`), one uniform coordinate per
+    point, and one kernel move per point from that coordinate's value; only
+    the pairs whose move went up are built and evaluated together, so every
+    evaluated pair is charged to f, including those after the first
+    violation in its chunk. The witness is the chunk's first violated pair.
+    From d = 17 these are the draws that a length-1
+    :func:`hgm.walks.sample_walk_batch` makes (Floyd's algorithm at k = 1
+    is one bounded draw per row), so the results equal its; at d <= 16
+    that call reads its coordinate from the mask table instead.
     """
     shape = f.shape
     if not 0 < eps < 1:
@@ -535,18 +542,27 @@ def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult
     num_pairs = math.ceil(8 * shape.d * max(1, shape.log_n) / eps)
     worker = f.spawn_worker()
     witness = None
+    pairs = 0
     for start in range(0, num_pairs, FALLBACK_CHUNK):
-        X = walks.sample_points_batch(shape, min(FALLBACK_CHUNK, num_pairs - start), rng)
-        Y = walks.sample_walk_batch(shape, X, 1, "up", rng)
-        moved = (Y != X).any(axis=1)  # a lazy draw leaves no pair to test
-        X, Y = X[moved], Y[moved]
+        count = min(FALLBACK_CHUNK, num_pairs - start)
+        pairs += count
+        X = walks.sample_points_batch(shape, count, rng)
+        coord = rng.integers(0, shape.d, size=count)
+        u = X[np.arange(count), coord]
+        c = walks.sample_line_kernel(shape.n, u, rng)
+        moved = np.flatnonzero(c > u)  # an up-walk that draws below u stays put
+        X = X[moved]
+        Y = X.copy()
+        Y[np.arange(moved.size), coord[moved]] = c[moved]
         violated = np.flatnonzero(worker.eval_many(X) > worker.eval_many(Y))
         if violated.size:
             row = violated[0]
             witness = (tuple(X[row].tolist()), tuple(Y[row].tolist()))
             break
     f.query_count += worker.query_count
-    return FullTesterResult(witness is None, witness, True, total_queries=worker.query_count)
+    return FullTesterResult(
+        witness is None, witness, True, total_queries=worker.query_count, pairs=pairs
+    )
 
 
 def choose_subgrid_size(shape: GridShape, eps: float) -> Tuple[int, float]:

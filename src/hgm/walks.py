@@ -63,7 +63,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .grid import GridShape, Point
+from .grid import GridShape, Point, point_dtype
 
 DEFAULT_PMF_BUDGET = 10**8
 
@@ -387,10 +387,21 @@ def sample_line_kernel(n: int, u: np.ndarray, rng) -> np.ndarray:
 
 def _uniform_words(rng, shape, dtype) -> np.ndarray:
     """Integers uniform over the whole range of an integer dtype of at most
-    64 bits, in the given shape: full-range uint64 words viewed as dtype."""
+    64 bits, in the given shape: full-range uint64 words viewed as dtype.
+
+    The words are the bit generator's raw output, which for PCG64 (every
+    substream's) is the same stream as ``rng.integers(0, 2**64,
+    dtype=np.uint64)`` without that call's fixed cost of a few
+    microseconds. MT19937's raw words are 32 bits wide, so it goes through
+    ``integers``."""
     dtype = np.dtype(dtype)
     size = math.prod(shape)
-    words = rng.integers(0, 2**64, size=-(-size * dtype.itemsize // 8), dtype=np.uint64)
+    count = -(-size * dtype.itemsize // 8)
+    bitgen = rng.bit_generator
+    if isinstance(bitgen, np.random.MT19937):
+        words = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    else:
+        words = bitgen.random_raw(count)
     return words.view(dtype)[:size].reshape(shape)
 
 
@@ -403,8 +414,7 @@ def sample_points_batch(shape: GridShape, count: int, rng) -> np.ndarray:
     a bounded one.
     """
     n = shape.n
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
-    x = _uniform_words(rng, (count, shape.d), dtype)
+    x = _uniform_words(rng, (count, shape.d), point_dtype(n))
     x &= n - 1
     x += 1
     return x

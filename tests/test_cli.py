@@ -82,6 +82,19 @@ def test_cmd_test_full_mode(capsys):
     assert comments_of(out)["fallback"] == "False"
 
 
+def test_cmd_test_full_mode_fallback_reports_its_pairs(capsys):
+    # Below eps = 1/sqrt(d) the row's trials are the pairs the fallback drew:
+    # ceil(8 d log2 n / eps) on an accept, each tested pair read twice.
+    code, out, _ = run_cli(
+        capsys, "test", "--family", "majority_threshold", "--n", "8", "--d", "64",
+        "--eps", "0.1", "--full", "--seed", "1",
+    )
+    assert code == cli.EXIT_OK
+    (row,) = rows_of(out)
+    assert comments_of(out)["fallback"] == "True"
+    assert (row["rejections"], row["trials"], row["queries"]) == ("0", "15360", "15466")
+
+
 def test_cmd_test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "test", "--family", "constant0", "--d", "2")
     assert code == cli.EXIT_USAGE and "--n" in err

@@ -290,9 +290,10 @@ def test_restricted_reads_match_a_per_axis_gather(n, d, k):
     for row in z[:3]:
         g(tuple(int(c) for c in row))
     assert len(seen) == 6
-    # The gather is int64 whatever the caller's dtype.
+    # The gather is in the narrowest signed dtype that holds n, whatever the
+    # caller's dtype.
     for pts in seen[:3]:
-        assert pts.dtype == np.int64 and np.array_equal(pts, expected)
+        assert pts.dtype == narrowest_signed(n) and np.array_equal(pts, expected)
     for i, pts in enumerate(seen[3:]):
         assert np.array_equal(pts[0], expected[i])
     # The gather works in its own buffer, never in the caller's points.
@@ -304,6 +305,30 @@ def test_restricted_reads_match_a_per_axis_gather(n, d, k):
     f.eval_many(x)
     assert seen[-1].dtype == x.dtype == np.min_scalar_type(-n)
     assert np.array_equal(seen[-1], x)
+
+
+def narrowest_signed(n):
+    return np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                         if np.iinfo(t).max >= n))
+
+
+@pytest.mark.parametrize("d", [31, 32, 33])
+def test_restricted_gather_across_the_index_dtype_boundary(d):
+    # d*k = 31,744 indexes fit int16; 32,768 and up are built in int32, and
+    # d = 33 is the first whose last index (33,791) int16 cannot hold. Every
+    # caller dtype reads both ends of every axis (int8 only up to 127).
+    n = k = 1024
+    rng = np.random.default_rng(d)
+    T = sample_subgrid(GridShape(n, d), k, rng)
+    f, seen = recording_oracle(GridShape(n, d))
+    g = restrict_to_subgrid(f, T)
+    z = np.vstack([np.ones(d, np.int64), np.full(d, k), rng.integers(1, k + 1, size=(300, d))])
+    for dtype in (np.int8, np.int16, np.int64, np.uint64):
+        pts = (z if dtype is not np.int8 else np.minimum(z, 127)).astype(dtype)
+        wide = pts.astype(np.int64)
+        expected = np.column_stack([np.asarray(T[i])[wide[:, i] - 1] for i in range(d)])
+        assert g.peek_many(pts).shape == (len(pts),)
+        assert seen[-1].dtype == np.int16 and np.array_equal(seen[-1], expected)
 
 
 def test_batch_reads_reject_points_outside_the_box():

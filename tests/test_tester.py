@@ -1,6 +1,7 @@
 """The path/shift tester: one-sidedness, witnesses, exact oracles,
 determinism, and the full distance-targeted driver."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -637,6 +638,56 @@ def test_line_fallback_witnesses_and_query_accounting(eps):
     assert res.accepted
     assert f.query_count == res.total_queries
     assert abs(res.total_queries / 2 - num_pairs / 2) < 4 * math.sqrt(num_pairs / 4)
+
+
+# (family, n, d, eps, seed) -> (accepted, first 16 hex digits of the sha256
+# of repr(witness), total_queries), recorded before the fallback drew its
+# coordinate and move itself rather than through a length-1
+# sample_walk_batch. From d = 17 the draws are the same, so these cells
+# (n = 2048 takes the kernel's three-draw path) must not move.
+FALLBACK_PINS = {
+    ("majority_threshold", 8, 64, 0.1, 0): (True, None, 15124),
+    ("majority_threshold", 8, 64, 0.1, 1): (True, None, 15466),
+    ("surface", 8, 32, 0.1, 0): (False, "57db96d7c3172b17", 992),
+    ("surface", 8, 32, 0.1, 1): (False, "9ac996008124406d", 1070),
+    ("anti_dictator", 8, 64, 0.1, 0): (False, "1c61f859a1f5cc94", 1008),
+    ("anti_dictator", 8, 64, 0.1, 2): (False, "4fc6cb53e5b2fc63", 1048),
+    ("surface", 2048, 20, 0.2, 0): (False, "45827247f51bc522", 1006),
+    ("majority_threshold", 1024, 32, 0.15, 2): (True, None, 17036),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(FALLBACK_PINS))
+def test_fallback_outputs_are_pinned_from_d_17(cell):
+    name, n, d, eps, seed = cell
+    f = make_family(FamilySpec(name), GridShape(n, d))
+    res = tester.run_full_tester(f, eps, seed=seed)
+    digest = None if res.witness is None else \
+        hashlib.sha256(repr(res.witness).encode()).hexdigest()[:16]
+    assert res.fallback and (res.accepted, digest, res.total_queries) == FALLBACK_PINS[cell]
+    assert f.query_count == res.total_queries
+    num_pairs = math.ceil(8 * d * f.shape.log_n / eps)
+    if res.accepted:
+        assert res.pairs == num_pairs
+    else:  # the early exit ends the draws with the witness's chunk
+        assert res.pairs == num_pairs or res.pairs % tester.FALLBACK_CHUNK == 0
+        assert res.total_queries <= 2 * res.pairs
+
+
+@pytest.mark.parametrize("d", [4, 64])
+def test_fallback_draws_no_walk_batch(d, monkeypatch):
+    # The fallback draws its one coordinate per pair itself: no coordinate
+    # mask and no walk batch, at d <= 16 (the mask table) or above.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fallback drew a walk batch")
+
+    monkeypatch.setattr(walks, "select_coordinates", refuse)
+    monkeypatch.setattr(walks, "sample_walk_batch", refuse)
+    monotone = make_family(FamilySpec("majority_threshold"), GridShape(8, d))
+    res = tester.line_tester_fallback(monotone, 0.1, substream(d, "fb-guard"))
+    assert res.accepted and res.pairs == math.ceil(8 * d * 3 / 0.1)
+    res = tester.line_tester_fallback(anti_dictator(8, d), 0.1, substream(d, "fb-guard"))
+    assert not res.accepted
 
 
 def test_full_tester_rejects_bad_eps():

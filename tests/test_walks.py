@@ -130,17 +130,24 @@ def test_gap_buckets_add_up_to_the_gap_law(n):
 
 
 class _ChosenDraws:
-    """A generator whose integers returns the given arrays in turn, after
-    checking each call's bounds: full-range uint64 words, or [0, den)."""
+    """A generator that returns the given draws in turn, checking each one's
+    kind: "raw" for its bit generator's raw 64-bit words (given as their
+    16-bit lanes), or the (low, high) bounds of a call to integers."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
+        self.bit_generator = self  # the words are read from bit_generator.random_raw
+
+    def random_raw(self, size):
+        kind, values = self.draws.pop(0)
+        assert kind == "raw"
+        words = np.asarray(values + [0] * (-len(values) % 4), np.uint16).view(np.uint64)
+        assert words.size == size
+        return words
 
     def integers(self, low, high=None, size=None, dtype=np.int64):
         (expected_low, expected_high), values = self.draws.pop(0)
         assert (low, high) == (expected_low, expected_high)
-        if dtype is np.uint64:
-            values = np.asarray(values + [0] * (-len(values) % 4), np.uint16).view(np.uint64)
         assert np.size(values) == size
         return np.asarray(values, dtype=dtype)
 
@@ -160,12 +167,36 @@ def test_split_buckets_draw_a_second_word_and_break_ties_exactly():
     assert table[split] == -1 and table[1 << shift] == 1
     words = [1 << shift, split, split, split, split]
     low = t & 0xFFFF
-    rng = _ChosenDraws(((0, 2**64), words), ((0, 2**64), [low - 1, low + 1, low, low]),
+    rng = _ChosenDraws(("raw", words), ("raw", [low - 1, low + 1, low, low]),
                        ((0, den), [r - 1, r]))
     c = walks.sample_line_kernel(n, np.ones(5, dtype=np.int64), rng)
     a = int(alias[i])
     assert a != i and not rng.draws
     assert (c - 1).tolist() == [1, i, a, i, a]
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int8])
+def test_uniform_words_are_the_full_range_integers_stream(dtype):
+    # The raw words of a substream's PCG64 are the words that
+    # integers(0, 2**64, dtype=np.uint64) returns, and leave the same state:
+    # a bounded draw between two word draws (which keeps half of a 64-bit
+    # word for its next 32-bit draw) and the draws after them agree too.
+    for size in (0, 1, 3, 8, 1023, 4096 + 5):
+        raw, ref = substream(size, "words"), substream(size, "words")
+        for _ in range(2):
+            assert raw.integers(0, 1000, size=3).tolist() == ref.integers(0, 1000, size=3).tolist()
+            words = walks._uniform_words(raw, (size,), dtype)
+            width = -(-size * np.dtype(dtype).itemsize // 8)
+            expected = ref.integers(0, 2**64, size=width, dtype=np.uint64).view(dtype)[:size]
+            assert words.dtype == dtype and np.array_equal(words, expected)
+        assert raw.integers(0, 2**64, size=5, dtype=np.uint64).tolist() == \
+            ref.integers(0, 2**64, size=5, dtype=np.uint64).tolist()
+    # MT19937's raw words are 32 bits wide; it draws through integers.
+    mt = np.random.Generator(np.random.MT19937(5))
+    words = walks._uniform_words(mt, (64,), dtype)
+    expected = np.random.Generator(np.random.MT19937(5)).integers(
+        0, 2**64, size=-(-64 * np.dtype(dtype).itemsize // 8), dtype=np.uint64).view(dtype)
+    assert np.array_equal(words, expected)
 
 
 # sample_line_kernel(n, u, substream(n, "pin")) for the 40,000 values
@@ -520,18 +551,16 @@ def test_key_subsets_are_uniform():
 
 
 class _TwoBitKeys:
-    """A generator whose full-range 64-bit words keep two bits of every
-    16-bit lane, so threshold keys tie often."""
+    """A generator whose raw 64-bit words keep two bits of every 16-bit
+    lane, so threshold keys tie often."""
 
     def __init__(self, rng):
         self.rng, self.word_draws = rng, 0
+        self.bit_generator = self  # the words are read from bit_generator.random_raw
 
-    def integers(self, low, high=None, size=None, dtype=np.int64):
-        out = self.rng.integers(low, high, size=size, dtype=dtype)
-        if dtype is np.uint64 and (low, high) == (0, 2**64):
-            self.word_draws += 1
-            out &= np.uint64(0x0003_0003_0003_0003)
-        return out
+    def random_raw(self, size):
+        self.word_draws += 1
+        return self.rng.bit_generator.random_raw(size) & np.uint64(0x0003_0003_0003_0003)
 
 
 def test_tied_key_rows_are_redrawn_and_stay_uniform():
@@ -611,18 +640,18 @@ def test_table_subsets_are_uniform_among_mixed_sizes(d, k):
 
 
 class _RejectedWords:
-    """A generator whose first few full-range 64-bit words are all ones, so
+    """A generator whose first few draws of raw 64-bit words are all ones, so
     every 32-bit lane drawn from them lies at or above the table's limit."""
 
     def __init__(self, rng, rejected_draws):
         self.rng, self.rejected_draws, self.word_draws = rng, rejected_draws, 0
+        self.bit_generator = self  # the words are read from bit_generator.random_raw
 
-    def integers(self, low, high=None, size=None, dtype=np.int64):
-        out = self.rng.integers(low, high, size=size, dtype=dtype)
-        if dtype is np.uint64 and (low, high) == (0, 2**64):
-            self.word_draws += 1
-            if self.word_draws <= self.rejected_draws:
-                out[...] = np.uint64(2**64 - 1)
+    def random_raw(self, size):
+        out = self.rng.bit_generator.random_raw(size)
+        self.word_draws += 1
+        if self.word_draws <= self.rejected_draws:
+            out[...] = np.uint64(2**64 - 1)
         return out
 
 
