@@ -367,7 +367,8 @@ def cmd_sweep(cfg) -> int:
             any_failed = True
             writer.row(family, n, d, "", cfg["trials"], 0, 0.0, 0.0, 0.0, 0,
                        cell_seed, f"failed({type(e).__name__})")
-    if cfg["fit_slope"] and len(fit_points) >= 2:
+    # The slope needs positive-rate cells at two distinct d or more.
+    if cfg["fit_slope"] and len({d for d, _ in fit_points}) >= 2:
         writer.comment("loglog_slope", loglog_slope(*zip(*fit_points)))
     writer.flush()
     return EXIT_PARTIAL if any_failed else EXIT_OK

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -44,6 +45,38 @@ def point_dtype(n: int) -> np.dtype:
     (for a power of two), then int16, int32, int64."""
     return np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
                          if np.iinfo(t).max >= n))
+
+
+# Bytes one thread keeps in a KeptBuffer between calls; a call that needs
+# more allocates its own and keeps nothing.
+BUFFER_CAP = 64 << 20
+
+
+class KeptBuffer(threading.local):
+    """A byte buffer that each thread keeps between calls, so a steady stream
+    of calls of one size does not hand its scratch memory back to the
+    allocator and fault it in again on the next call.
+
+    ``take`` hands out the calling thread's buffer, grown to fit, and empties
+    its slot while the caller uses it, so a nested call on the same thread
+    allocates its own; ``keep`` puts a buffer back. A request over ``cap``
+    bytes gets a new buffer, and ``keep`` drops it. The caller must not
+    return anything that references the buffer.
+    """
+
+    buffer: Optional[np.ndarray] = None
+
+    def take(self, nbytes: int, cap: int = BUFFER_CAP) -> np.ndarray:
+        if nbytes > cap:
+            return np.empty(nbytes, dtype=np.uint8)
+        buf, self.buffer = self.buffer, None
+        if buf is None or buf.size < nbytes:
+            buf = np.empty(nbytes, dtype=np.uint8)
+        return buf
+
+    def keep(self, buf: np.ndarray, cap: int = BUFFER_CAP) -> None:
+        if buf.size <= cap:
+            self.buffer = buf
 
 
 @dataclass(frozen=True)
@@ -154,7 +187,10 @@ class FunctionOracle:
     The array comes in whatever integer dtype the caller passed (int8 from
     the tester's narrow batches, int64 from a list), so ``fn`` must widen
     before arithmetic that can leave that dtype's range, such as a
-    coordinate sum or a linear index.
+    coordinate sum or a linear index. ``fn`` must not keep its input array,
+    nor return a view of it: the tester's batches and a restriction's reads
+    pass views of per-thread buffers (:class:`KeptBuffer`) that the next
+    call overwrites. Copy what must outlive the call.
     """
 
     def __init__(
@@ -386,6 +422,9 @@ def doubly_flip(f: FunctionOracle) -> FunctionOracle:
     return FunctionOracle(shape, g, f"flip({f.name})")
 
 
+_GATHER = KeptBuffer()
+
+
 def restrict_to_subgrid(
     f: FunctionOracle, subsets: Sequence[Sequence[int]]
 ) -> FunctionOracle:
@@ -396,9 +435,14 @@ def restrict_to_subgrid(
     one gather: coordinate z_i is entry i*k + z_i - 1 of the flattened
     table, an index built in the narrowest of int16, int32 and int64 that
     holds d*k, whatever the caller's dtype. So f reads points in the table's
-    dtype (int8 up to n = 64), and both reads check their points. The index
-    and the gathered points are new on every call, so concurrent batches
-    share no buffer.
+    dtype (int8 up to n = 64), and both reads check their points.
+
+    The index, its intp copy for ``np.take`` and the gathered points are
+    views of the calling thread's kept gather buffer (:class:`KeptBuffer`),
+    so a steady stream of reads allocates nothing. The buffer leaves its
+    slot during the read, so reads on other threads, and a read nested in
+    f's own evaluation, each use a buffer of their own; f receives a view of
+    it and must not keep it (see :class:`FunctionOracle`).
     """
     n, d = f.shape.n, f.shape.d
     if len(subsets) != d:
@@ -422,14 +466,31 @@ def restrict_to_subgrid(
     flat = table.astype(point_dtype(n)).reshape(-1)
     index = np.promote_types(point_dtype(d * k), np.int16)
     offsets = np.arange(d, dtype=index) * k - 1
+    # A read's scratch in the kept buffer: the intp index that np.take
+    # reads, then the narrow index, whose place the gathered points take
+    # once it has been copied. Every byte kept here is a byte more that the
+    # rest of a full-tester round must share the caches with.
+    wide_size = np.dtype(np.intp).itemsize
+    tail_size = max(index.itemsize, flat.itemsize)
 
     def g(pts: np.ndarray) -> np.ndarray:
+        m = pts.size
+        buf = _GATHER.take((wide_size + tail_size) * m)
+        wide = np.ndarray(pts.shape, np.intp, buf)
+        narrow = np.ndarray(pts.shape, index, buf, wide_size * m)
+        gathered = np.ndarray(pts.shape, flat.dtype, buf, wide_size * m)
+        # The sum is cast to the index dtype from any caller's dtype (uint64
+        # + int16 would be float). The narrow sum and one copy into intp are
+        # faster than summing the narrow points straight into intp.
+        np.add(pts, offsets, dtype=index, out=narrow)
+        np.copyto(wide, narrow)
         # peek_many has checked pts against [1, k]^d, so every index is in
         # [0, d*k) and none is clipped; a mode other than "raise" lets take
-        # write without a buffer. The sum is cast to the index dtype from
-        # any caller's dtype (uint64 + int16 would be float).
-        idx = np.add(pts, offsets, dtype=index)
-        return f.peek_many(np.take(flat, idx, mode="clip"))
+        # write into out without a buffer.
+        np.take(flat, wide, out=gathered, mode="clip")
+        values = f.peek_many(gathered)
+        _GATHER.keep(buf)
+        return values
 
     return FunctionOracle(sub_shape, g, f"restrict({f.name},k={k})")
 

@@ -20,6 +20,12 @@ Every function here takes a FunctionOracle, whose shape may be any
 cross-validation) are supported: a truth table on any box is an
 :class:`~hgm.grid.ExplicitFunction`. Every value they read goes through the
 oracle's checked ``peek_many``.
+
+SciPy runs only in the minimum cut: ``scipy.sparse`` is imported inside
+:func:`_min_cut_distance`, and the cut calls scipy's flow and search through
+this module's :func:`maximum_flow` and :func:`breadth_first_order`, which
+import ``scipy.sparse.csgraph`` on their first call. So importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import walks
 from .errors import BudgetError, DomainError
@@ -178,6 +182,20 @@ def _covering_edges(box: Box) -> np.ndarray:
     return np.concatenate([np.column_stack([t, t + s]) for t, s in zip(tails, box.strides)])
 
 
+def maximum_flow(csgraph, source: int, sink: int):
+    """scipy.sparse.csgraph.maximum_flow, imported on the first call."""
+    from scipy.sparse.csgraph import maximum_flow as flow
+
+    return flow(csgraph, source, sink)
+
+
+def breadth_first_order(csgraph, start: int, **kwargs):
+    """scipy.sparse.csgraph.breadth_first_order, imported on the first call."""
+    from scipy.sparse.csgraph import breadth_first_order as order
+
+    return order(csgraph, start, **kwargs)
+
+
 def _min_cut_distance(
     box: Box, bits: np.ndarray, edges: np.ndarray, method: str
 ) -> DistanceResult:
@@ -187,6 +205,8 @@ def _min_cut_distance(
     1-point reaches a 0-point exactly when it lies below it gives the same
     cut. Koenig's minimum vertex cover is the unreached 1-points and the
     reached 0-points of the residual graph; the repair keeps the rest."""
+    import scipy.sparse as sp
+
     N = box.num_points
     source, sink = N, N + 1
     ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)

@@ -1,11 +1,14 @@
-"""Small statistical helpers: Wilson intervals, pooled chi-square, log-log slopes."""
+"""Small statistical helpers: Wilson intervals, pooled chi-square, log-log slopes.
+
+Only the chi-square p-value needs SciPy, so ``scipy.stats`` is imported
+inside :func:`chi_square_gof`, on its first call: importing this module (and
+``hgm``) loads numpy only.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Sequence, Tuple
-
-from scipy.stats import chi2
 
 from .errors import DomainError
 
@@ -67,13 +70,18 @@ def chi_square_gof(observed: Dict, expected_probs: Dict, total: int) -> Tuple[fl
         return 0.0, 1.0, 0
     stat = math.fsum((o - e) ** 2 / e for e, o in pooled)
     dof = len(pooled) - 1
+    from scipy.stats import chi2
+
     return stat, float(chi2.sf(stat, dof)), dof
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x). Raises DomainError
+    unless there are at least two points and two distinct x."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise DomainError("need at least two points for a slope")
+    if len(set(xs)) < 2:
+        raise DomainError(f"all x are equal ({xs[0]}); a slope needs two distinct x")
     lx = [math.log(v) for v in xs]
     ly = [math.log(v) for v in ys]
     mx = sum(lx) / len(lx)

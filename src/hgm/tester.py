@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +49,10 @@ import numpy as np
 from . import walks
 from .errors import BudgetError, ConfigError
 from .grid import (
+    BUFFER_CAP,
     FunctionOracle,
     GridShape,
+    KeptBuffer,
     Point,
     restrict_to_subgrid,
     sample_subgrid,
@@ -197,24 +198,9 @@ class TesterReport:
 # ---------------------------------------------------------------------------
 
 
-# Bytes of batch buffer one thread keeps between calls; a batch that needs
-# more allocates its own and keeps nothing.
-BUFFER_CAP = 64 << 20
-_KEPT = threading.local()
-
-
-def _batch_buffer(nbytes: int) -> np.ndarray:
-    """A byte buffer of at least nbytes: the calling thread's kept buffer,
-    grown to fit, or a new one over BUFFER_CAP. The kept buffer leaves its
-    slot while the batch uses it, so a nested batch on the same thread
-    allocates its own."""
-    if nbytes > BUFFER_CAP:
-        return np.empty(nbytes, dtype=np.uint8)
-    buf = getattr(_KEPT, "buffer", None)
-    _KEPT.buffer = None
-    if buf is None or buf.size < nbytes:
-        buf = np.empty(nbytes, dtype=np.uint8)
-    return buf
+# The batch buffer each thread keeps between calls; a batch that needs more
+# than BUFFER_CAP bytes allocates its own and keeps nothing.
+_KEPT = KeptBuffer()
 
 
 def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: int):
@@ -235,10 +221,10 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     n = 64), from the draw through the move kernel to the oracle reads.
 
     Every (walks or pairs, N, d) array lives in one byte buffer that the
-    thread keeps between calls (:func:`_batch_buffer`), so a steady stream
-    of batches does not return them to the allocator and fault them in
-    again: the selection mask, then the offsets, in its first half, and the
-    stack, then the moved points, in its second. With int8 points the mask
+    thread keeps between calls (``_KEPT``, a :class:`~hgm.grid.KeptBuffer`),
+    so a steady stream of batches does not return them to the allocator and
+    fault them in again: the selection mask, then the offsets, in its first
+    half, and the stack, then the moved points, in its second. With int8 points the mask
     is already 1 exactly where the offsets go and 0 elsewhere, so the
     offsets need no zeroing. A batch needing more than BUFFER_CAP bytes
     (24 N d of int8 points) keeps nothing. With HGM_THREADS > 1 the pool's
@@ -255,7 +241,7 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     dtype, block = anchors.dtype, N * d
 
     nbytes = block * dtype.itemsize
-    buf = _batch_buffer(2 * len(WALKS) * nbytes)
+    buf = _KEPT.take(2 * len(WALKS) * nbytes, BUFFER_CAP)
     mask = buf[: len(WALKS) * block].view(bool).reshape(-1, d)
     lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
     idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng, out=mask))
@@ -302,8 +288,7 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
                 tuple(high.tolist()),
             )
         )
-    if buf.size <= BUFFER_CAP:
-        _KEPT.buffer = buf
+    _KEPT.keep(buf, BUFFER_CAP)
     return (
         np.bincount(which, minlength=len(schedule)),
         np.bincount(which[rejected], minlength=len(schedule)),

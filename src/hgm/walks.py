@@ -561,7 +561,8 @@ def select_coordinates(
     floyd_max = _floyd_max(d)
     by_keys = np.minimum(m, d - m) > floyd_max
     flat = selected.reshape(-1)
-    for k in np.unique(m[(m > 0) & ~by_keys]):  # ascending, so the stream is deterministic
+    # The sizes present, ascending, so the stream is deterministic.
+    for k in np.flatnonzero(np.bincount(m[(m > 0) & ~by_keys])):
         k = int(k)
         rows = np.flatnonzero(m == k)
         if k == d:

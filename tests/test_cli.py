@@ -486,6 +486,19 @@ def test_cmd_sweep_failed_cell_and_slope(capsys):
     assert "loglog_slope" in comments_of(out)
 
 
+def test_cmd_sweep_omits_the_slope_when_every_positive_rate_shares_one_d(capsys):
+    # Two positive-rate cells at one d, and one at another d whose rate is
+    # 0 (constant1 is monotone): no slope, and no traceback.
+    code, out, err = run_cli(
+        capsys, "sweep", "--cells", "8:4:anti_dictator;8:4:surface;8:16:constant1",
+        "--trials", "200", "--fit-slope",
+    )
+    assert code == cli.EXIT_OK and "Traceback" not in err
+    rows = rows_of(out)
+    assert [float(r["reject_rate"]) > 0 for r in rows] == [True, True, False]
+    assert "loglog_slope" not in comments_of(out)
+
+
 def test_cmd_sweep_empty_cells(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--cells", ";")
     assert code == cli.EXIT_USAGE

@@ -1,5 +1,7 @@
 """Domain plumbing: indexing, families, transforms, files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,88 @@ def test_restricted_gather_across_the_index_dtype_boundary(d):
         expected = np.column_stack([np.asarray(T[i])[wide[:, i] - 1] for i in range(d)])
         assert g.peek_many(pts).shape == (len(pts),)
         assert seen[-1].dtype == np.int16 and np.array_equal(seen[-1], expected)
+
+
+def per_axis_gather(T, pts):
+    """The points of f that a restriction to T reads for pts, axis by axis."""
+    wide = np.asarray(pts, dtype=np.int64)
+    return np.column_stack([np.asarray(T[i])[wide[:, i] - 1] for i in range(len(T))])
+
+
+def test_repeat_restricted_reads_allocate_no_scratch():
+    # The index, its intp copy and the gathered points (11 bytes per
+    # coordinate at (8, 64)) live in the thread's kept gather buffer, so a
+    # second read of one shape allocates only f's and peek_many's N values.
+    rng = np.random.default_rng(5)
+    f = FunctionOracle(GridShape(8, 64), lambda pts: np.zeros(len(pts), np.int8))
+    g = restrict_to_subgrid(f, sample_subgrid(f.shape, 8, rng))
+    z = walks.sample_points_batch(g.shape, 2536, rng)
+    g.peek_many(z)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g.peek_many(z)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < z.size
+
+
+def test_restricted_reads_of_every_size_read_only_their_own_points():
+    # Reads that shrink, grow and repeat a shape with new points, through one
+    # kept buffer: each gathers exactly its own points, never what an
+    # earlier read left in the buffer.
+    rng = np.random.default_rng(6)
+    n, d, k = 64, 9, 16
+    T = sample_subgrid(GridShape(n, d), k, rng)
+    f, seen = recording_oracle(GridShape(n, d))
+    g = restrict_to_subgrid(f, T)
+    for size in (3000, 40, 3000, 3000, 1, 700, 0):
+        z = walks.sample_points_batch(g.shape, size, rng)
+        assert g.peek_many(z).shape == (size,)
+        assert seen[-1].shape == (size, d) and np.array_equal(seen[-1], per_axis_gather(T, z))
+
+
+def test_nested_restricted_reads_each_use_their_own_buffer():
+    # A restriction of a restriction reads through two gathers on one
+    # thread, and f's own evaluation reads a third restriction before it
+    # reads its points. Each read takes the thread's kept buffer out of its
+    # slot, so no nested read overwrites the points its caller gathered.
+    rng = np.random.default_rng(7)
+    base = make_family(FamilySpec("random_balanced", seed=4), GridShape(16, 6))
+    side = restrict_to_subgrid(base, sample_subgrid(base.shape, 16, rng))
+    probe = walks.sample_points_batch(side.shape, 5000, rng)
+    side.peek_many(probe)  # the kept buffer now fits every read below
+
+    def fn(pts):
+        side.peek_many(probe)
+        return base.peek_many(pts)
+
+    f = FunctionOracle(base.shape, fn, "reads-a-restriction-first")
+    T1 = sample_subgrid(base.shape, 32, rng)  # k above n: int8 table, side 32
+    T2 = sample_subgrid(GridShape(32, 6), 4, rng)
+    inner = restrict_to_subgrid(f, T1)
+    outer = restrict_to_subgrid(inner, T2)
+    for size in (600, 600, 50):
+        z = walks.sample_points_batch(outer.shape, size, rng)
+        through_inner = per_axis_gather(T2, z)
+        expected = base.peek_many(per_axis_gather(T1, through_inner))
+        assert np.array_equal(outer.peek_many(z), expected)
+        assert np.array_equal(inner.peek_many(through_inner), expected)
+
+
+def test_run_tester_on_a_restriction_is_the_same_at_one_and_two_threads(monkeypatch):
+    f = make_family(FamilySpec("random_balanced", seed=5), GridShape(16, 8))
+    g = restrict_to_subgrid(f, sample_subgrid(f.shape, 8, np.random.default_rng(8)))
+    cfg = tester.TesterConfig(shape=g.shape, trials=3000, seed=9, batch_size=512)
+    reports = []
+    for threads in ("1", "2", "1"):
+        monkeypatch.setenv("HGM_THREADS", threads)
+        rep = tester.run_tester(g, cfg)
+        reports.append((rep.rejections, rep.per_tau, rep.per_step, rep.total_queries,
+                        rep.witnesses))
+    assert reports[0][0] > 0
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_batch_reads_reject_points_outside_the_box():

@@ -1,15 +1,20 @@
 """Exact combinatorial oracles: violation graphs, distance, Talagrand and
 influence."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgm import oracles, tester
+from hgm import oracles, stats, tester
 from hgm.errors import BudgetError, DomainError
 from hgm.grid import (
     Box, ExplicitFunction, FamilySpec, FunctionOracle, GridShape, bits_monotone, make_family,
@@ -109,6 +114,65 @@ def test_matching_budget_checked_before_tabulating(monkeypatch):
 # ---------------------------------------------------------------------------
 # Distance
 # ---------------------------------------------------------------------------
+
+
+# Run in a new interpreter: the modules it imports, then a distance and a
+# chi-square p-value, printing which scipy modules each step loaded.
+_LAZY_SCIPY = """
+import json, sys
+import hgm, hgm.cli, hgm.oracles, hgm.validate, hgm.stats
+from hgm.grid import FamilySpec, GridShape, make_family
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = {"imports": loaded()}
+f = make_family(FamilySpec("surface", seed=3), GridShape(4, 3))
+res = hgm.oracles.distance_to_monotonicity(f)
+out["distance"] = [str(res.distance), res.matching_size, res.repair_indices.tolist()]
+out["after_distance"] = loaded()
+out["chi_square"] = hgm.stats.chi_square_gof({0: 40, 1: 60}, {0: 0.5, 1: 0.5}, 100)
+out["after_chi_square"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loads_only_on_a_distance_or_a_p_value():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["imports"] == []
+    assert "scipy.sparse" in out["after_distance"]
+    assert "scipy.stats" not in out["after_distance"]
+    assert "scipy.stats" in out["after_chi_square"]
+    # The same values as in this process.
+    res = oracles.distance_to_monotonicity(make_family(FamilySpec("surface", seed=3),
+                                                       GridShape(4, 3)))
+    assert out["distance"] == [str(res.distance), res.matching_size, res.repair_indices.tolist()]
+    assert res.matching_size > 0
+    assert out["chi_square"] == list(stats.chi_square_gof({0: 40, 1: 60}, {0: 0.5, 1: 0.5}, 100))
+
+
+@pytest.mark.parametrize("method", ["hopcroft_karp", "dag_flow"])
+def test_the_cut_calls_scipy_through_the_module_once_each(monkeypatch, method):
+    # The traced benchmark wraps oracles.maximum_flow and
+    # oracles.breadth_first_order by name, so the cut must look them up there.
+    calls = {"maximum_flow": 0, "breadth_first_order": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(oracles, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, name, counting)
+    f = make_family(FamilySpec("random_balanced", seed=2), GridShape(4, 3))
+    for i in range(1, 4):
+        res = oracles.distance_to_monotonicity(f, force_method=method)
+        assert res.method == method and res.matching_size > 0
+        assert calls == {"maximum_flow": i, "breadth_first_order": i}
 
 
 def test_distance_examples():

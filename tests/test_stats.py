@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hgm.errors import DomainError
 from hgm.stats import chi_square_gof, loglog_slope, wilson_interval
 
 
@@ -59,3 +60,9 @@ def test_loglog_slope_recovers_power_law():
     xs = [4.0, 16.0, 64.0]
     ys = [x**-0.5 for x in xs]
     assert loglog_slope(xs, ys) == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("xs", [[4, 4], [16.0, 16.0, 16.0], [0.1, 0.1, 0.1]])
+def test_loglog_slope_refuses_equal_x(xs):
+    with pytest.raises(DomainError, match="distinct x"):
+        loglog_slope(xs, [0.5 + 0.1 * i for i in range(len(xs))])
