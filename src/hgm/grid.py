@@ -25,6 +25,7 @@ import copy
 import struct
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -59,23 +60,23 @@ class KeptBuffer(threading.local):
 
     ``take`` hands out the calling thread's buffer, grown to fit, and empties
     its slot while the caller uses it, so a nested call on the same thread
-    allocates its own; ``keep`` puts a buffer back. A request over ``cap``
-    bytes gets a new buffer, and ``keep`` drops it. The caller must not
-    return anything that references the buffer.
+    allocates its own; ``keep`` puts a buffer back. A request over
+    BUFFER_CAP bytes gets a new buffer, and ``keep`` drops it. The caller
+    must not return anything that references the buffer.
     """
 
     buffer: Optional[np.ndarray] = None
 
-    def take(self, nbytes: int, cap: int = BUFFER_CAP) -> np.ndarray:
-        if nbytes > cap:
+    def take(self, nbytes: int) -> np.ndarray:
+        if nbytes > BUFFER_CAP:
             return np.empty(nbytes, dtype=np.uint8)
         buf, self.buffer = self.buffer, None
         if buf is None or buf.size < nbytes:
             buf = np.empty(nbytes, dtype=np.uint8)
         return buf
 
-    def keep(self, buf: np.ndarray, cap: int = BUFFER_CAP) -> None:
-        if buf.size <= cap:
+    def keep(self, buf: np.ndarray) -> None:
+        if buf.size <= BUFFER_CAP:
             self.buffer = buf
 
 
@@ -425,6 +426,18 @@ def doubly_flip(f: FunctionOracle) -> FunctionOracle:
 _GATHER = KeptBuffer()
 
 
+@lru_cache(maxsize=8)
+def _repeated_offsets(d: int, k: int, index: np.dtype) -> np.ndarray:
+    """A restriction's gather offsets i*k - 1 of coordinates i = 0..d-1,
+    repeated for whole rows up to about 2^16 entries. A read adds them to
+    its flattened points chunk by chunk, each a contiguous pass; adding the
+    d offsets by broadcasting over (N, d) points runs an inner loop of only
+    d, and at d = 16 takes about twice as long."""
+    repeated = np.tile(np.arange(d, dtype=index) * k - 1, max(1, (1 << 16) // d))
+    repeated.flags.writeable = False
+    return repeated
+
+
 def restrict_to_subgrid(
     f: FunctionOracle, subsets: Sequence[Sequence[int]]
 ) -> FunctionOracle:
@@ -434,8 +447,10 @@ def restrict_to_subgrid(
     that holds n (:func:`point_dtype`). A batch of points maps back to f by
     one gather: coordinate z_i is entry i*k + z_i - 1 of the flattened
     table, an index built in the narrowest of int16, int32 and int64 that
-    holds d*k, whatever the caller's dtype. So f reads points in the table's
-    dtype (int8 up to n = 64), and both reads check their points.
+    holds d*k, whatever the caller's dtype, by adding the offsets i*k - 1
+    (:func:`_repeated_offsets`, shared by the restrictions of one shape) to
+    the flattened points. So f reads points in the table's dtype (int8 up
+    to n = 64), and both reads check their points.
 
     The index, its intp copy for ``np.take`` and the gathered points are
     views of the calling thread's kept gather buffer (:class:`KeptBuffer`),
@@ -465,7 +480,7 @@ def restrict_to_subgrid(
         raise DomainError(f"subset {unsorted[0] + 1} is not sorted non-decreasing")
     flat = table.astype(point_dtype(n)).reshape(-1)
     index = np.promote_types(point_dtype(d * k), np.int16)
-    offsets = np.arange(d, dtype=index) * k - 1
+    repeated = _repeated_offsets(d, k, index)
     # A read's scratch in the kept buffer: the intp index that np.take
     # reads, then the narrow index, whose place the gathered points take
     # once it has been copied. Every byte kept here is a byte more that the
@@ -476,19 +491,23 @@ def restrict_to_subgrid(
     def g(pts: np.ndarray) -> np.ndarray:
         m = pts.size
         buf = _GATHER.take((wide_size + tail_size) * m)
-        wide = np.ndarray(pts.shape, np.intp, buf)
-        narrow = np.ndarray(pts.shape, index, buf, wide_size * m)
-        gathered = np.ndarray(pts.shape, flat.dtype, buf, wide_size * m)
+        wide = np.ndarray(m, np.intp, buf)
+        narrow = np.ndarray(m, index, buf, wide_size * m)
+        gathered = np.ndarray(m, flat.dtype, buf, wide_size * m)
         # The sum is cast to the index dtype from any caller's dtype (uint64
         # + int16 would be float). The narrow sum and one copy into intp are
-        # faster than summing the narrow points straight into intp.
-        np.add(pts, offsets, dtype=index, out=narrow)
+        # faster than summing the narrow points straight into intp. Every
+        # chunk starts a row, as repeated holds whole rows.
+        points, step = pts.reshape(-1), repeated.size
+        for start in range(0, m, step):
+            stop = start + step
+            np.add(points[start:stop], repeated[: m - start], dtype=index, out=narrow[start:stop])
         np.copyto(wide, narrow)
         # peek_many has checked pts against [1, k]^d, so every index is in
         # [0, d*k) and none is clipped; a mode other than "raise" lets take
         # write into out without a buffer.
         np.take(flat, wide, out=gathered, mode="clip")
-        values = f.peek_many(gathered)
+        values = f.peek_many(gathered.reshape(pts.shape))
         _GATHER.keep(buf)
         return values
 

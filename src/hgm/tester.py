@@ -49,7 +49,7 @@ import numpy as np
 from . import walks
 from .errors import BudgetError, ConfigError
 from .grid import (
-    BUFFER_CAP,
+    _GATHER,
     FunctionOracle,
     GridShape,
     KeptBuffer,
@@ -199,7 +199,7 @@ class TesterReport:
 
 
 # The batch buffer each thread keeps between calls; a batch that needs more
-# than BUFFER_CAP bytes allocates its own and keeps nothing.
+# than grid.BUFFER_CAP bytes allocates its own and keeps nothing.
 _KEPT = KeptBuffer()
 
 
@@ -226,10 +226,11 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     fault them in again: the selection mask, then the offsets, in its first
     half, and the stack, then the moved points, in its second. With int8 points the mask
     is already 1 exactly where the offsets go and 0 elsewhere, so the
-    offsets need no zeroing. A batch needing more than BUFFER_CAP bytes
-    (24 N d of int8 points) keeps nothing. With HGM_THREADS > 1 the pool's
-    threads draw their own buffers, which end with the call, and the
-    calling thread drops its own. Nothing returned references the buffer.
+    offsets need no zeroing. A batch needing more than grid.BUFFER_CAP
+    bytes (24 N d of int8 points) keeps nothing. With HGM_THREADS > 1 the
+    pool's threads draw their own buffers, which end with the call, and the
+    calling thread drops its own, and its restricted-read buffer
+    (``grid._GATHER``) too. Nothing returned references the buffer.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
@@ -241,7 +242,7 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     dtype, block = anchors.dtype, N * d
 
     nbytes = block * dtype.itemsize
-    buf = _KEPT.take(2 * len(WALKS) * nbytes, BUFFER_CAP)
+    buf = _KEPT.take(2 * len(WALKS) * nbytes)
     mask = buf[: len(WALKS) * block].view(bool).reshape(-1, d)
     lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
     idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng, out=mask))
@@ -288,7 +289,7 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
                 tuple(high.tolist()),
             )
         )
-    _KEPT.keep(buf, BUFFER_CAP)
+    _KEPT.keep(buf)
     return (
         np.bincount(which, minlength=len(schedule)),
         np.bincount(which[rejected], minlength=len(schedule)),
@@ -307,7 +308,9 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
     args = (repeat(f), repeat(cfg), range(len(sizes)), sizes)
     threads = worker_count()
     if threads > 1:
-        _KEPT.buffer = None  # idle while the pool's threads draw their own
+        # The calling thread's batch and gather buffers would idle while the
+        # pool's threads draw their own.
+        _KEPT.buffer = _GATHER.buffer = None
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_batch, *args))
     else:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgm import tester, walks
+from hgm import grid, tester, walks
 from hgm.errors import ConfigError, DomainError, FormatError
 from hgm.grid import (
     FAMILY_NAMES,
@@ -16,6 +16,7 @@ from hgm.grid import (
     FamilySpec,
     FunctionOracle,
     GridShape,
+    KeptBuffer,
     doubly_flip,
     is_monotone,
     load_truth_table,
@@ -339,8 +340,24 @@ def per_axis_gather(T, pts):
     return np.column_stack([np.asarray(T[i])[wide[:, i] - 1] for i in range(len(T))])
 
 
+def test_kept_buffer_reads_the_cap_on_every_call(monkeypatch):
+    kept = KeptBuffer()
+    buf = kept.take(1000)
+    kept.keep(buf)
+    small = kept.take(10)
+    assert small is buf and kept.buffer is None  # out of its slot while in use
+    kept.keep(small)
+    # A request over the cap, lowered after the buffer was kept, gets a
+    # buffer of its own, which keep then drops.
+    monkeypatch.setattr(grid, "BUFFER_CAP", 100)
+    big = kept.take(500)
+    assert big is not buf and kept.buffer is buf
+    kept.keep(big)
+    assert kept.buffer is buf
+
+
 def test_repeat_restricted_reads_allocate_no_scratch():
-    # The index, its intp copy and the gathered points (11 bytes per
+    # The index, its intp copy and the gathered points (10 bytes per
     # coordinate at (8, 64)) live in the thread's kept gather buffer, so a
     # second read of one shape allocates only f's and peek_many's N values.
     rng = np.random.default_rng(5)
@@ -361,16 +378,20 @@ def test_repeat_restricted_reads_allocate_no_scratch():
 def test_restricted_reads_of_every_size_read_only_their_own_points():
     # Reads that shrink, grow and repeat a shape with new points, through one
     # kept buffer: each gathers exactly its own points, never what an
-    # earlier read left in the buffer.
+    # earlier read left in the buffer. The offsets are added 7281 rows
+    # (65,529 entries) at a time, so the last two reads take two and five
+    # chunks, each of which must start a row. A column-major batch is
+    # flattened by copy.
     rng = np.random.default_rng(6)
     n, d, k = 64, 9, 16
     T = sample_subgrid(GridShape(n, d), k, rng)
     f, seen = recording_oracle(GridShape(n, d))
     g = restrict_to_subgrid(f, T)
-    for size in (3000, 40, 3000, 3000, 1, 700, 0):
+    for size in (3000, 40, 3000, 3000, 1, 700, 0, 7282, 30000):
         z = walks.sample_points_batch(g.shape, size, rng)
-        assert g.peek_many(z).shape == (size,)
-        assert seen[-1].shape == (size, d) and np.array_equal(seen[-1], per_axis_gather(T, z))
+        for batch in (z, np.asfortranarray(z)):
+            assert g.peek_many(batch).shape == (size,)
+            assert seen[-1].shape == (size, d) and np.array_equal(seen[-1], per_axis_gather(T, z))
 
 
 def test_nested_restricted_reads_each_use_their_own_buffer():
@@ -411,6 +432,8 @@ def test_run_tester_on_a_restriction_is_the_same_at_one_and_two_threads(monkeypa
         rep = tester.run_tester(g, cfg)
         reports.append((rep.rejections, rep.per_tau, rep.per_step, rep.total_queries,
                         rep.witnesses))
+        # At two threads the calling thread drops its kept gather buffer.
+        assert (grid._GATHER.buffer is None) == (threads == "2")
     assert reports[0][0] > 0
     assert reports[0] == reports[1] == reports[2]
 

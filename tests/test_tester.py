@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgm import tester, walks
+from hgm import grid, tester, walks
 from hgm.errors import BudgetError, ConfigError
 from hgm.grid import ExplicitFunction, FamilySpec, GridShape, make_family
 from hgm.rng import substream
@@ -376,7 +376,7 @@ def test_kept_batch_buffer_changes_no_report(monkeypatch):
             # The last batch needs 24 N d = 1.6 MB: over the lowered cap, it
             # gets a buffer of its own and leaves the kept one in its slot.
             kept = tester._KEPT.buffer
-            monkeypatch.setattr(tester, "BUFFER_CAP", 1 << 20)
+            monkeypatch.setattr(grid, "BUFFER_CAP", 1 << 20)
         reports.append(_buffer_call_report(*call))
     assert tester._KEPT.buffer is kept
     assert [summary for _, summary in reports] == _fresh_interpreter_reports(BUFFER_CALLS)
