@@ -58,11 +58,13 @@ class KeptBuffer(threading.local):
     of calls of one size does not hand its scratch memory back to the
     allocator and fault it in again on the next call.
 
-    ``take`` hands out the calling thread's buffer, grown to fit, and empties
-    its slot while the caller uses it, so a nested call on the same thread
-    allocates its own; ``keep`` puts a buffer back. A request over
-    BUFFER_CAP bytes gets a new buffer, and ``keep`` drops it. The caller
-    must not return anything that references the buffer.
+    ``take`` hands out the calling thread's buffer, grown to fit with an
+    eighth to spare (so calls whose sizes vary by a few percent stop
+    replacing it after the first), and empties its slot while the caller
+    uses it, so a nested call on the same thread allocates its own; ``keep``
+    puts a buffer back. A request over BUFFER_CAP bytes gets a new buffer,
+    and ``keep`` drops it. The caller must not return anything that
+    references the buffer.
     """
 
     buffer: Optional[np.ndarray] = None
@@ -72,7 +74,7 @@ class KeptBuffer(threading.local):
             return np.empty(nbytes, dtype=np.uint8)
         buf, self.buffer = self.buffer, None
         if buf is None or buf.size < nbytes:
-            buf = np.empty(nbytes, dtype=np.uint8)
+            buf = np.empty(min(nbytes + nbytes // 8, BUFFER_CAP), dtype=np.uint8)
         return buf
 
     def keep(self, buf: np.ndarray) -> None:

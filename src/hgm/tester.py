@@ -201,6 +201,27 @@ class TesterReport:
 # The batch buffer each thread keeps between calls; a batch that needs more
 # than grid.BUFFER_CAP bytes allocates its own and keeps nothing.
 _KEPT = KeptBuffer()
+# The index and anchor values of a large batch's selected entries.
+_SELECTED = KeptBuffer()
+
+# A mask of more than WHOLE_INDEX_MAX entries (12 N d: d = 256 at 1,024
+# trials) indexes its selected entries into _SELECTED, INDEX_CHUNK mask
+# entries per np.flatnonzero call.
+WHOLE_INDEX_MAX = 1 << 20
+INDEX_CHUNK = 1 << 16
+
+
+def _flatnonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask), written into the intp array out, which holds
+    exactly the mask's count of True entries. Chunk by chunk, so that no
+    index of the whole mask is allocated."""
+    flat, pos = mask.reshape(-1), 0
+    for start in range(0, flat.size, INDEX_CHUNK):
+        part = np.flatnonzero(flat[start : start + INDEX_CHUNK])
+        np.add(part, start, out=out[pos : pos + part.size])
+        pos += part.size
+    assert pos == out.size, (pos, out.size)
+    return out
 
 
 def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: int):
@@ -226,11 +247,15 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     fault them in again: the selection mask, then the offsets, in its first
     half, and the stack, then the moved points, in its second. With int8 points the mask
     is already 1 exactly where the offsets go and 0 elsewhere, so the
-    offsets need no zeroing. A batch needing more than grid.BUFFER_CAP
-    bytes (24 N d of int8 points) keeps nothing. With HGM_THREADS > 1 the
-    pool's threads draw their own buffers, which end with the call, and the
-    calling thread drops its own, and its restricted-read buffer
-    (``grid._GATHER``) too. Nothing returned references the buffer.
+    offsets need no zeroing. Above WHOLE_INDEX_MAX mask entries, the
+    selected entries' intp index and anchor values live in a second kept
+    buffer (``_SELECTED``), the index filled chunk by chunk
+    (:func:`_flatnonzero_into`). A batch needing more than grid.BUFFER_CAP
+    bytes (24 N d of int8 points) in either buffer keeps nothing there.
+    With HGM_THREADS > 1 the pool's threads draw their own buffers, which
+    end with the call, and the calling thread drops its own, and its
+    restricted-read buffer (``grid._GATHER``) too. Nothing returned
+    references the buffers.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
@@ -245,13 +270,27 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     buf = _KEPT.take(2 * len(WALKS) * nbytes)
     mask = buf[: len(WALKS) * block].view(bool).reshape(-1, d)
     lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
-    idx = np.flatnonzero(walks.select_coordinates(d, lengths, rng, out=mask))
+    walks.select_coordinates(d, lengths, rng, out=mask)
     # Each walk's copy of its pair's anchors, in the buffer's second half;
     # mode="clip" writes into out directly, where "raise" would buffer it.
     stack = buf[len(WALKS) * nbytes : 2 * len(WALKS) * nbytes].view(dtype)
     np.take(anchors.reshape(len(PAIRS), block), WALK_PAIR, axis=0,
             out=stack.reshape(len(WALKS), block), mode="clip")
-    u = stack[idx]
+    # The selected entries' flat index and anchor values. A large mask's
+    # index, megabytes whose size varies from batch to batch, goes into the
+    # kept _SELECTED buffer: allocated afresh, such blocks fragment the
+    # heap, and the peak RSS of one workload at d = 256 varied by 6 MB
+    # between runs. A smaller mask's is allocated whole, which is faster.
+    if mask.size > WHOLE_INDEX_MAX:
+        chosen = int(np.minimum(lengths, d).sum())  # min(length, d) per row
+        wide = np.dtype(np.intp).itemsize
+        selected = _SELECTED.take((wide + dtype.itemsize) * chosen)
+        idx = _flatnonzero_into(mask, np.ndarray(chosen, np.intp, selected))
+        u = np.take(stack, idx, out=np.ndarray(chosen, dtype, selected, wide * chosen),
+                    mode="clip")
+    else:
+        selected, idx = None, np.flatnonzero(mask)
+        u = stack[idx]
     c = walks.sample_line_kernel(n, u, rng)
     up = np.searchsorted(idx, UP_WALKS * block)
     np.maximum(c[:up], u[:up], out=c[:up])
@@ -290,6 +329,8 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
             )
         )
     _KEPT.keep(buf)
+    if selected is not None:
+        _SELECTED.keep(selected)
     return (
         np.bincount(which, minlength=len(schedule)),
         np.bincount(which[rejected], minlength=len(schedule)),
@@ -308,9 +349,9 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
     args = (repeat(f), repeat(cfg), range(len(sizes)), sizes)
     threads = worker_count()
     if threads > 1:
-        # The calling thread's batch and gather buffers would idle while the
-        # pool's threads draw their own.
-        _KEPT.buffer = _GATHER.buffer = None
+        # The calling thread's batch, selected-entry and gather buffers
+        # would idle while the pool's threads draw their own.
+        _KEPT.buffer = _SELECTED.buffer = _GATHER.buffer = None
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_batch, *args))
     else:

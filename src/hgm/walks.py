@@ -448,23 +448,45 @@ def _key_thresholds(keys: np.ndarray, k: np.ndarray):
     return low, low == ranked[rows, k]
 
 
-def _key_subsets(d: int, k: np.ndarray, rng) -> np.ndarray:
-    """(R, d) mask whose row i is a uniform subset of k[i] of range(d),
-    0 < k[i] < d: the k[i] smallest of d i.i.d. integer keys.
+# Bytes of threshold keys per chunk of the key pass, so that its keys, their
+# sorted copy and their mask stay small next to the batch.
+KEY_CHUNK_BYTES = 1 << 18
+
+
+def _key_subsets(d: int, k: np.ndarray, rng, selected: np.ndarray, rows: np.ndarray) -> None:
+    """Set row rows[i] of the bool array selected to a uniform subset of
+    k[i] of range(d), 0 < k[i] < d: the k[i] smallest of d i.i.d. integer
+    keys.
 
     The keys' law is exchangeable and so is the event that the k-th and
     (k+1)-th smallest keys differ, so given that event the k smallest are a
     uniform k-subset. A row where they tie is redrawn whole, independently.
-    All rows draw and sort together, whatever their k.
+    The rows draw and sort in chunks of about KEY_CHUNK_BYTES of keys, each
+    a whole number of 64-bit words (a multiple of 4 rows), so the chunks
+    draw the same stream as one draw of every row; the tied rows of every
+    chunk then redraw together, as they would after one draw.
     """
-    dtype = np.uint16 if d <= KEY16_MAX_D else np.uint32
-    keys = _uniform_words(rng, (k.size, d), dtype)
-    low, tied = _key_thresholds(keys, k)
+    dtype = np.dtype(np.uint16 if d <= KEY16_MAX_D else np.uint32)
+    step = max(4, KEY_CHUNK_BYTES // (d * dtype.itemsize) // 4 * 4)
+    tied_rows = [np.empty(0, dtype=np.intp)]
+    for start in range(0, k.size, step):
+        part = k[start : start + step]
+        keys = _uniform_words(rng, (part.size, d), dtype)
+        low, tied = _key_thresholds(keys, part)
+        selected[rows[start : start + step]] = keys <= low[:, None]
+        tied_rows.append(np.flatnonzero(tied) + start)
+    redo = np.concatenate(tied_rows)
+    if not redo.size:
+        return
+    part = k[redo]
+    keys = np.empty((redo.size, d), dtype)
+    low = np.empty(redo.size, dtype)
+    tied = np.ones(redo.size, dtype=bool)
     while tied.any():
-        redo = np.flatnonzero(tied)
-        keys[redo] = _uniform_words(rng, (redo.size, d), dtype)
-        low[redo], tied[redo] = _key_thresholds(keys[redo], k[redo])
-    return keys <= low[:, None]
+        again = np.flatnonzero(tied)
+        keys[again] = _uniform_words(rng, (again.size, d), dtype)
+        low[again], tied[again] = _key_thresholds(keys[again], part[again])
+    selected[rows[redo]] = keys <= low[:, None]
 
 
 def _floyd_max(d: int) -> int:
@@ -574,7 +596,7 @@ def select_coordinates(
             flat[(rows * d)[:, None] + _floyd_subsets(d, d - k, rows.size, rng)] = False
     rows = np.flatnonzero(by_keys)
     if rows.size:
-        selected[rows] = _key_subsets(d, m[rows], rng)
+        _key_subsets(d, m[rows], rng, selected, rows)
     return selected
 
 

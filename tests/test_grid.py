@@ -356,6 +356,14 @@ def test_kept_buffer_reads_the_cap_on_every_call(monkeypatch):
     assert kept.buffer is buf
 
 
+def test_kept_buffer_grows_with_an_eighth_to_spare():
+    kept = KeptBuffer()
+    buf = kept.take(800)
+    assert buf.size == 900
+    kept.keep(buf)
+    assert kept.take(900) is buf  # a request a little larger reuses it
+
+
 def test_repeat_restricted_reads_allocate_no_scratch():
     # The index, its intp copy and the gathered points (10 bytes per
     # coordinate at (8, 64)) live in the thread's kept gather buffer, so a

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -398,9 +399,42 @@ def test_batches_of_one_shape_reuse_the_kept_buffer(monkeypatch):
     monkeypatch.setenv("HGM_THREADS", "2")
     call = (8, 256, "anti_dictator", 2500, 8, 1024)
     threaded = _buffer_call_report(*call)[1]
-    assert tester._KEPT.buffer is None
+    assert tester._KEPT.buffer is None and tester._SELECTED.buffer is None
     monkeypatch.setenv("HGM_THREADS", "1")
     assert threaded == _buffer_call_report(*call)[1]
+
+
+def test_flatnonzero_into_matches_flatnonzero():
+    rng = np.random.default_rng(7)
+    chunk = tester.INDEX_CHUNK
+    for size in (0, 1, chunk - 1, chunk, 3 * chunk + 5):
+        for density in (0.0, 0.3, 1.0):
+            mask = rng.random(size) < density
+            out = np.empty(np.count_nonzero(mask), dtype=np.intp)
+            assert tester._flatnonzero_into(mask, out) is out
+            assert np.array_equal(out, np.flatnonzero(mask))
+
+
+def test_large_masks_index_their_entries_in_the_kept_buffer(monkeypatch):
+    # (8, 256) at 1,024 trials: a mask of 12 N d = 3.1M entries, over
+    # WHOLE_INDEX_MAX, whose index alone would take about 5.3 MB.
+    monkeypatch.setenv("HGM_THREADS", "1")
+    call = (8, 256, "anti_dictator", 1024, 3, 1024)
+    first = _buffer_call_report(*call)[1]
+    kept = tester._SELECTED.buffer
+    assert kept is not None
+    tracemalloc.start()
+    try:
+        assert _buffer_call_report(*call)[1] == first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tester._SELECTED.buffer is kept
+    # The anchors (2 MB) and the move kernel's output and scratch.
+    assert peak < 4 << 20, peak
+    # Indexed whole, the same mask gives the same report.
+    monkeypatch.setattr(tester, "WHOLE_INDEX_MAX", 1 << 40)
+    assert _buffer_call_report(*call)[1] == first
 
 
 def _digits(x):

@@ -543,7 +543,9 @@ def _uniform_subset_p(selected, k):
 def _three_of_six_law(rng):
     # select_coordinates reads d = 6 from the mask table, so the key pass
     # that serves d > TABLE_MAX_D is called directly.
-    return _uniform_subset_p(walks._key_subsets(6, np.full(20_000, 3), rng), 3)
+    selected = np.empty((20_000, 6), dtype=bool)
+    walks._key_subsets(6, np.full(20_000, 3), rng, selected, np.arange(20_000))
+    return _uniform_subset_p(selected, 3)
 
 
 def test_key_subsets_are_uniform():
@@ -569,6 +571,30 @@ def test_tied_key_rows_are_redrawn_and_stay_uniform():
     # the law is uniform, through several rounds of redraws.
     assert _three_of_six_law(rng) > ALPHA
     assert rng.word_draws > 3
+
+
+@pytest.mark.parametrize("d, ties", [(6, True), (17, False), (256, False), (1100, False)])
+def test_key_pass_draws_one_stream_in_chunks_of_any_size(monkeypatch, d, ties):
+    # One chunk, the default chunks and chunks of 4 rows (the fewest that
+    # hold a whole number of 64-bit words) set the same rows to the same
+    # subsets and leave the generator at the same word, through redraws of
+    # tied rows (two-bit keys at d = 6) and with 32-bit keys (d = 1100).
+    k = substream(d, "key-chunks").integers(1, d, size=2003)
+    rows = substream(d, "key-chunks", "rows").permutation(k.size + 50)[: k.size]
+
+    def draw(chunk_bytes):
+        monkeypatch.setattr(walks, "KEY_CHUNK_BYTES", chunk_bytes)
+        gen = substream(d, "key-chunks", "draw")
+        selected = np.zeros((k.size + 50, d), dtype=bool)
+        walks._key_subsets(d, k, _TwoBitKeys(gen) if ties else gen, selected, rows)
+        return selected, int(gen.integers(2**62))
+
+    whole, after = draw(1 << 40)
+    assert (whole[rows].sum(axis=1) == k).all()
+    assert not np.delete(whole, rows, axis=0).any()  # the other rows are untouched
+    for chunk_bytes in (walks.KEY_CHUNK_BYTES, 1):
+        selected, at = draw(chunk_bytes)
+        assert np.array_equal(selected, whole) and at == after
 
 
 @pytest.mark.parametrize("d", [1, 5, 16, 17, 64, 256, 2048])
