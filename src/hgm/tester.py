@@ -17,10 +17,10 @@ one-sided because every rejection carries such a witness.
 The multi-trial driver is vectorized in fixed-size batches whose randomness
 is keyed by (seed, batch index), so reports are bit-identical regardless of
 how many worker threads process the batches. A batch is walk-major: the
-twelve walks of a trial (``WALKS``) are stacked, their moves land in one
-dense offset array, and the batch returns count arrays (trials and
-rejections per schedule entry, first rejections per step) that
-``run_tester`` sums.
+twelve walks of a trial (``WALKS``) are stacked and walked in place by the
+walk step every walk sampler runs, the pairs are read off their endpoints,
+and the batch returns count arrays (trials and rejections per schedule
+entry, first rejections per step) that ``run_tester`` sums.
 
 The exact per-trial rejection probability (``exact_reject_prob``) integrates
 a trial over all its randomness by a tensor contraction: once its subsets
@@ -97,30 +97,19 @@ WALKS = tuple(
 )
 
 
-def _blocks(pairs) -> Tuple[Tuple[int, int, int], ...]:
-    """(src, dst, length) for each maximal run of (src, dst) index pairs on
-    which both step by one, so that copying src to dst is a few slice
-    copies."""
-    blocks: List[List[int]] = []
-    for s, t in pairs:
-        if blocks and (s, t) == (blocks[-1][0] + blocks[-1][2], blocks[-1][1] + blocks[-1][2]):
-            blocks[-1][2] += 1
-        else:
-            blocks.append([s, t, 1])
-    return tuple(map(tuple, blocks))
-
-
 # _run_batch's tables: each walk's pair, what it adds to tau - 1 to get its
-# length (a shift adds 0), the number of up walks, and whether each pair's
-# anchor is its low end. Its blocks: the shift walks over the pairs they
-# shift, and each pair's path walk over the pair.
+# length (a shift adds 0), the number of up walks, whether each pair's
+# anchor is its low end, and per step its first pair with that pair's path
+# walk and shift walk (None without one). A step's two pairs are adjacent in
+# PAIRS and their walks in WALKS, so the pairs are assembled two at a time.
 WALK_PAIR = np.array([p for _, _, p in WALKS])
 WALK_KIND = np.array([PAIRS[p][1] if role == "path" else 0 for _, role, p in WALKS])
 UP_WALKS = sum(direction == "up" for direction, _, _ in WALKS)
 ANCHOR_LOW = np.array([SUBTESTS[step].path == "up" for step, _ in PAIRS])[:, None]
-SHIFT_BLOCKS = _blocks((w, p) for w, (_, role, p) in enumerate(WALKS) if role == "shift")
-PATH_BLOCKS = _blocks(
-    (WALKS.index((SUBTESTS[s].path, "path", p)), p) for p, (s, _) in enumerate(PAIRS)
+STEP_BLOCKS = tuple(
+    (p, WALKS.index((sub.path, "path", p)),
+     WALKS.index((sub.shift, "shift", p)) if sub.shift else None)
+    for p, sub in ((2 * i, SUBTESTS[step]) for i, step in enumerate(STEPS))
 )
 
 DEFAULT_BATCH = 8192
@@ -201,27 +190,6 @@ class TesterReport:
 # The batch buffer each thread keeps between calls; a batch that needs more
 # than grid.BUFFER_CAP bytes allocates its own and keeps nothing.
 _KEPT = KeptBuffer()
-# The index and anchor values of a large batch's selected entries.
-_SELECTED = KeptBuffer()
-
-# A mask of more than WHOLE_INDEX_MAX entries (12 N d: d = 256 at 1,024
-# trials) indexes its selected entries into _SELECTED, INDEX_CHUNK mask
-# entries per np.flatnonzero call.
-WHOLE_INDEX_MAX = 1 << 20
-INDEX_CHUNK = 1 << 16
-
-
-def _flatnonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask), written into the intp array out, which holds
-    exactly the mask's count of True entries. Chunk by chunk, so that no
-    index of the whole mask is allocated."""
-    flat, pos = mask.reshape(-1), 0
-    for start in range(0, flat.size, INDEX_CHUNK):
-        part = np.flatnonzero(flat[start : start + INDEX_CHUNK])
-        np.add(part, start, out=out[pos : pos + part.size])
-        pos += part.size
-    assert pos == out.size, (pos, out.size)
-    return out
 
 
 def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: int):
@@ -231,31 +199,26 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
 
     All randomness comes from (seed, "batch", batch_index), so the result is
     independent of which thread runs it. The batch is walk-major: one draw
-    for the eight pairs' anchors, one coordinate selection for the twelve
-    walks stacked in WALKS order, and one move-kernel call. The stack holds
-    each walk's copy of its pair's anchors, so the selected-entry index
-    addresses it directly, and its up walks come first. A walk's moves
-    become dense offsets, zero outside its subset. Shifts: X0 - S = W and
-    Y0 - S = W + (Y0 - X0) for the shift endpoint W, so the shift offsets
-    are added to the anchors and a pair's moved point is its anchor plus its
-    path offsets. Every point stays in the anchors' narrow dtype (int8 up to
-    n = 64), from the draw through the move kernel to the oracle reads.
+    for the eight pairs' anchors; the twelve walks, stacked in WALKS order
+    as copies of their pairs' anchors, up walks first, walked in place by
+    one :func:`hgm.walks.walk_rows` call, the step that
+    :func:`hgm.walks.sample_walk_batch` runs; then the pairs, a step
+    (STEP_BLOCKS) at a time. An unshifted pair's moved point is its path
+    endpoint P. A shifted pair's is P - A + W for anchor A and shift
+    endpoint W, which becomes its anchor: X0 - S = W and Y0 - S = W +
+    (Y0 - X0) for the shift S. Points keep the anchors' narrow dtype (int8
+    up to n = 64) from the draw to the oracle reads.
 
-    Every (walks or pairs, N, d) array lives in one byte buffer that the
+    The (walks or pairs, N, d) arrays live in one byte buffer that the
     thread keeps between calls (``_KEPT``, a :class:`~hgm.grid.KeptBuffer`),
     so a steady stream of batches does not return them to the allocator and
-    fault them in again: the selection mask, then the offsets, in its first
-    half, and the stack, then the moved points, in its second. With int8 points the mask
-    is already 1 exactly where the offsets go and 0 elsewhere, so the
-    offsets need no zeroing. Above WHOLE_INDEX_MAX mask entries, the
-    selected entries' intp index and anchor values live in a second kept
-    buffer (``_SELECTED``), the index filled chunk by chunk
-    (:func:`_flatnonzero_into`). A batch needing more than grid.BUFFER_CAP
-    bytes (24 N d of int8 points) in either buffer keeps nothing there.
-    With HGM_THREADS > 1 the pool's threads draw their own buffers, which
-    end with the call, and the calling thread drops its own, and its
-    restricted-read buffer (``grid._GATHER``) too. Nothing returned
-    references the buffers.
+    fault them in again: the stack, then a region that holds the selection
+    mask and, once the walk step has indexed it, the moved points. A batch
+    needing more than grid.BUFFER_CAP bytes (24 N d of int8 points) keeps
+    nothing there. With HGM_THREADS > 1 the pool's threads draw their own
+    buffers, which end with the call, and the calling thread drops its own,
+    its selected-entry buffer (``walks._SELECTED``) and its restricted-read
+    buffer (``grid._GATHER``) too. Nothing returned references the buffers.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
@@ -267,44 +230,23 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     dtype, block = anchors.dtype, N * d
 
     nbytes = block * dtype.itemsize
-    buf = _KEPT.take(2 * len(WALKS) * nbytes)
-    mask = buf[: len(WALKS) * block].view(bool).reshape(-1, d)
-    lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
-    walks.select_coordinates(d, lengths, rng, out=mask)
-    # Each walk's copy of its pair's anchors, in the buffer's second half;
+    buf = _KEPT.take(len(WALKS) * nbytes + max(len(WALKS) * block, len(PAIRS) * nbytes))
+    stack = buf[: len(WALKS) * nbytes].view(dtype).reshape(len(WALKS), N, d)
     # mode="clip" writes into out directly, where "raise" would buffer it.
-    stack = buf[len(WALKS) * nbytes : 2 * len(WALKS) * nbytes].view(dtype)
     np.take(anchors.reshape(len(PAIRS), block), WALK_PAIR, axis=0,
             out=stack.reshape(len(WALKS), block), mode="clip")
-    # The selected entries' flat index and anchor values. A large mask's
-    # index, megabytes whose size varies from batch to batch, goes into the
-    # kept _SELECTED buffer: allocated afresh, such blocks fragment the
-    # heap, and the peak RSS of one workload at d = 256 varied by 6 MB
-    # between runs. A smaller mask's is allocated whole, which is faster.
-    if mask.size > WHOLE_INDEX_MAX:
-        chosen = int(np.minimum(lengths, d).sum())  # min(length, d) per row
-        wide = np.dtype(np.intp).itemsize
-        selected = _SELECTED.take((wide + dtype.itemsize) * chosen)
-        idx = _flatnonzero_into(mask, np.ndarray(chosen, np.intp, selected))
-        u = np.take(stack, idx, out=np.ndarray(chosen, dtype, selected, wide * chosen),
-                    mode="clip")
-    else:
-        selected, idx = None, np.flatnonzero(mask)
-        u = stack[idx]
-    c = walks.sample_line_kernel(n, u, rng)
-    up = np.searchsorted(idx, UP_WALKS * block)
-    np.maximum(c[:up], u[:up], out=c[:up])
-    np.minimum(c[up:], u[up:], out=c[up:])
-    c -= u
-    offsets = buf[: len(WALKS) * nbytes].view(dtype).reshape(len(WALKS), N, d)
-    if dtype.itemsize > 1:
-        offsets.fill(0)
-    offsets.reshape(-1)[idx] = c
-    for w, p, size in SHIFT_BLOCKS:
-        anchors[p : p + size] += offsets[w : w + size]
-    moved = stack[: len(PAIRS) * block].reshape(len(PAIRS), N, d)
-    for w, p, size in PATH_BLOCKS:
-        np.add(offsets[w : w + size], anchors[p : p + size], out=moved[p : p + size])
+    region = buf[len(WALKS) * nbytes :]
+    mask = region[: len(WALKS) * block].view(bool).reshape(-1, d)
+    lengths = (taus - 1 + WALK_KIND[:, None]).reshape(-1)
+    walks.walk_rows(n, stack.reshape(-1, d), lengths, UP_WALKS * N, rng, mask)
+    moved = region[: len(PAIRS) * nbytes].view(dtype).reshape(len(PAIRS), N, d)
+    for p, w, s in STEP_BLOCKS:
+        if s is None:
+            moved[p : p + 2] = stack[w : w + 2]
+        else:
+            np.subtract(stack[w : w + 2], anchors[p : p + 2], out=moved[p : p + 2])
+            moved[p : p + 2] += stack[s : s + 2]
+            anchors[p : p + 2] = stack[s : s + 2]
 
     worker = f.spawn_worker()
     f_anchor = worker.eval_many(anchors.reshape(-1, d)).reshape(len(PAIRS), N)
@@ -329,8 +271,6 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
             )
         )
     _KEPT.keep(buf)
-    if selected is not None:
-        _SELECTED.keep(selected)
     return (
         np.bincount(which, minlength=len(schedule)),
         np.bincount(which[rejected], minlength=len(schedule)),
@@ -351,7 +291,7 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
     if threads > 1:
         # The calling thread's batch, selected-entry and gather buffers
         # would idle while the pool's threads draw their own.
-        _KEPT.buffer = _SELECTED.buffer = _GATHER.buffer = None
+        _KEPT.buffer = walks._SELECTED.buffer = _GATHER.buffer = None
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_batch, *args))
     else:
@@ -611,18 +551,17 @@ def run_full_tester(
     outer_reps: Optional[int] = None,
     inner_trials: Optional[int] = None,
     k: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> FullTesterResult:
     """Distance-targeted tester: subgrid sampling plus the path tester.
 
     For eps below 1/sqrt(d) the walk analysis offers no advantage and we
     defer to the fallback pair tester, which reads none of ``k``,
-    ``outer_reps``, ``inner_trials`` and ``batch_size``: setting any of them
-    there is a ConfigError. Otherwise: ceil(8/eps) rounds, each restricting
-    f to k sorted uniform samples per axis and running the trial driver on
-    the restriction. A witness in the restriction maps back through the
-    sample tables to a violation of f itself. The restrictions read f
-    without counting, so f is charged the restrictions' queries here.
+    ``outer_reps`` and ``inner_trials``: setting any of them there is a
+    ConfigError. Otherwise: ceil(8/eps) rounds, each restricting f to k
+    sorted uniform samples per axis and running the trial driver (at
+    DEFAULT_BATCH) on the restriction. A witness in the restriction maps
+    back through the sample tables to a violation of f itself. The
+    restrictions read f without counting, so f is charged their queries.
     """
     shape = f.shape
     if not 0 < eps < 1:
@@ -631,10 +570,10 @@ def run_full_tester(
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     if eps < shape.d**-0.5:
-        if (k, outer_reps, inner_trials, batch_size) != (None, None, None, None):
+        if (k, outer_reps, inner_trials) != (None, None, None):
             raise ConfigError(
                 f"eps {eps} < 1/sqrt(d) runs the fallback pair tester, which reads"
-                " none of k, outer_reps, inner_trials and batch_size"
+                " none of k, outer_reps and inner_trials"
             )
         return line_tester_fallback(f, eps, substream(seed, "fallback"))
     chosen, k_formula = choose_subgrid_size(shape, eps)
@@ -656,7 +595,6 @@ def run_full_tester(
             shape=GridShape(k, shape.d),
             trials=inner_trials,
             seed=int(substream(seed, "inner", rep).integers(0, 2**63)),
-            batch_size=DEFAULT_BATCH if batch_size is None else batch_size,
         )
         report = run_tester(fT, cfg)
         total_queries += report.total_queries

@@ -22,7 +22,9 @@ EQUIV_ALPHA = 0.001
 def check_joint_budget(shape: GridShape, tau: int, budget: int) -> None:
     """BudgetError when the bound n^d C(d, m) n^m on the support of the joint
     walk pmf, m = min(tau, d), exceeds budget: the enumeration bound of every
-    equivalence check."""
+    equivalence check. DomainError when tau is negative."""
+    if tau < 0:
+        raise DomainError(f"walk length must be non-negative, got {tau}")
     m = min(tau, shape.d)
     if shape.num_points * math.comb(shape.d, m) * shape.n**m > budget:
         raise BudgetError(f"joint walk pmf on {shape} exceeds budget ({budget} terms)")

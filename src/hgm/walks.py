@@ -8,7 +8,8 @@ direction (plain integer comparison after unwrapping).
 
 Every sampler draws a batch: one row per walk, shift or sub-hypercube
 (``sample_walk_batch``, ``sample_hypercube_batch``,
-``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). The exact
+``sample_hypercube_at_batch``, ``sample_hypercube_walk_batch``). Every walk,
+the tester's batch too, takes one in-place step, ``walk_rows``. The exact
 pmfs are its independent reference. ``contract_axes`` is the product pass
 over the axes that the exact rejection probability runs. The walk is
 defined only when n is a power of two; the move law and the cube pair laws
@@ -21,8 +22,8 @@ den = log n * lcm_q 2^q (2^q - 1). The float ``gap_law``, the circulant
 ``line_kernel``, the alias table and the up/down matrices of ``one_step``
 all derive from it. ``_split_by_direction``, through which ``one_step``
 and the cube formulations' pair kernels pass, is the only place that splits
-a kernel into moves and lazy mass. ``sample_line_kernel``, which the walk and
-conditioned-cube samplers (and the tester's fused batch) share, draws G
+a kernel into moves and lazy mass. ``sample_line_kernel``, which the walk
+step and the conditioned-cube sampler share, draws G
 from the alias table (Vose's method) with one uint16 word per move for
 every n <= 1024. The word is the top 16 bits, the bucket, of a uniform
 32-bit word z whose top log n bits pick a column i and whose other bits v
@@ -63,7 +64,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .grid import GridShape, Point, point_dtype
+from .grid import GridShape, KeptBuffer, Point, point_dtype
 
 DEFAULT_PMF_BUDGET = 10**8
 
@@ -600,10 +601,70 @@ def select_coordinates(
     return selected
 
 
+# Each thread's kept index and values of a large walk's selected entries.
+_SELECTED = KeptBuffer()
+# A mask of more than WHOLE_INDEX_MAX entries (the tester's 12 N d at (8, 256)
+# and 1,024 trials) is indexed INDEX_CHUNK entries per np.flatnonzero call.
+WHOLE_INDEX_MAX = 1 << 20
+INDEX_CHUNK = 1 << 16
+
+
+def _flatnonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask), written into the intp array out, which holds
+    exactly the mask's count of True entries. Chunk by chunk, so that no
+    index of the whole mask is allocated."""
+    flat, pos = mask.reshape(-1), 0
+    for start in range(0, flat.size, INDEX_CHUNK):
+        part = np.flatnonzero(flat[start : start + INDEX_CHUNK])
+        np.add(part, start, out=out[pos : pos + part.size])
+        pos += part.size
+    assert pos == out.size, (pos, out.size)
+    return out
+
+
+def walk_rows(
+    n: int, X: np.ndarray, lengths: np.ndarray, up_rows: int, rng, mask: np.ndarray
+) -> None:
+    """Walk each row of the C-contiguous (R, d) integer array X in place, up
+    for the first up_rows rows and down for the rest: the walk step of
+    :func:`sample_walk_batch` and of the tester's batch.
+
+    One :func:`select_coordinates` call fills mask, a C-contiguous (R, d)
+    bool array that is free again on return; one index of the selected
+    entries; one :func:`sample_line_kernel` call; one scatter of the
+    endpoints. Above WHOLE_INDEX_MAX mask entries the index and the entries'
+    values go into the kept _SELECTED buffer, the index chunk by chunk:
+    allocated afresh, such multi-MB blocks fragmented the heap, and the peak
+    RSS of one workload at d = 256 varied by 6 MB between runs.
+    """
+    d = X.shape[1]
+    select_coordinates(d, lengths, rng, out=mask)
+    flat = X.reshape(-1)
+    if mask.size > WHOLE_INDEX_MAX:
+        # min(length, d) per row, clipped as select_coordinates clips it.
+        chosen = int(np.minimum(lengths, min(d, np.iinfo(lengths.dtype).max)).sum())
+        wide = np.dtype(np.intp).itemsize
+        selected = _SELECTED.take((wide + X.itemsize) * chosen)
+        idx = _flatnonzero_into(mask, np.ndarray(chosen, np.intp, selected))
+        u = np.take(flat, idx, out=np.ndarray(chosen, X.dtype, selected, wide * chosen),
+                    mode="clip")
+    else:
+        selected, idx = None, np.flatnonzero(mask)
+        u = flat[idx]
+    c = sample_line_kernel(n, u, rng)
+    up = np.searchsorted(idx, up_rows * d)
+    np.maximum(c[:up], u[:up], out=c[:up])
+    np.minimum(c[up:], u[up:], out=c[up:])
+    flat[idx] = c
+    if selected is not None:
+        _SELECTED.keep(selected)
+
+
 def sample_walk_batch(
     shape: GridShape, X: np.ndarray, lengths: np.ndarray, direction: str, rng
 ) -> np.ndarray:
-    """Vectorized walk endpoints for a batch of anchors with per-row lengths.
+    """Vectorized walk endpoints for a batch of anchors with per-row lengths:
+    an int64 copy of X, walked in place by :func:`walk_rows`.
 
     Each row selects a uniform subset of min(length, d) coordinates, and
     only the selected coordinates draw, through the exact move kernel
@@ -617,11 +678,9 @@ def sample_walk_batch(
     """
     _check_direction(direction)
     Y = np.array(X, dtype=np.int64, order="C")
-    flat = Y.reshape(-1)  # a view: moves are written into Y
-    idx = np.flatnonzero(select_coordinates(shape.d, np.broadcast_to(lengths, len(Y)), rng))
-    u = flat[idx]
-    c = sample_line_kernel(shape.n, u, rng)
-    flat[idx] = np.maximum(c, u) if direction == "up" else np.minimum(c, u)
+    up_rows = len(Y) if direction == "up" else 0
+    mask = np.empty(Y.shape, dtype=bool)
+    walk_rows(shape.n, Y, np.broadcast_to(lengths, len(Y)), up_rows, rng, mask)
     return Y
 
 

@@ -123,6 +123,8 @@ def test_cmd_test_usage_errors(capsys):
         *(["domain-reduce", "--family", "random_balanced", "--n", "4", "--d", "2", "--k", "2",
            "--eps", eps] for eps in ("-5", "nan", "0.75")),
         ["equiv", "--n", "2", "--d", "1", "--mode", "x"],
+        *(["equiv", "--n", "4", "--d", "2", "--tau", "-1", "--mode", mode]
+          for mode in ("exact", "statistical")),
         ["test", "--config", "/nonexistent/run.cfg"],
         ["test", "--family", "majority_threshold", "--n", "8", "--d", "4", "--threshold", "99"],
         ["test", "--family", "surface", "--n", "8", "--d", "4", "--path", "/nonexistent"],
@@ -134,7 +136,8 @@ def test_cmd_test_usage_errors(capsys):
     ids=["tau-schedule-a", "tau-schedule-bar", "family-seed-negative", "cell-eps", "cell-n",
          "cell-short", "reversibility-eps-0", "reversibility-eps-over-d", "reversibility-c-negative",
          "domain-reduce-reps-0", "domain-reduce-eps-negative", "domain-reduce-eps-nan",
-         "domain-reduce-eps-over-half", "equiv-mode", "config-missing", "threshold-unread",
+         "domain-reduce-eps-over-half", "equiv-mode", "equiv-tau-negative-exact",
+         "equiv-tau-negative-statistical", "config-missing", "threshold-unread",
          "path-unread", "sweep-trials-0", "dim-0", "dim-unread", "family-seed-unread"],
 )
 def test_bad_inputs_exit_64_without_traceback(capsys, argv):

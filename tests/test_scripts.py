@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
          "reversibility w=16 t=0: ratio error"),
         ("dimension_sweep.py", ["--dims", "2,4", "--trials", "200"], "# loglog_slope="),
         ("domain_reduction_demo.py", ["--reps", "3"], "# frac_ci_high="),
+        ("stream_digest.py", [], "sha256="),
     ],
 )
 def test_script_runs_to_completion(script, args, last_line_start):

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -399,42 +398,9 @@ def test_batches_of_one_shape_reuse_the_kept_buffer(monkeypatch):
     monkeypatch.setenv("HGM_THREADS", "2")
     call = (8, 256, "anti_dictator", 2500, 8, 1024)
     threaded = _buffer_call_report(*call)[1]
-    assert tester._KEPT.buffer is None and tester._SELECTED.buffer is None
+    assert tester._KEPT.buffer is None and walks._SELECTED.buffer is None
     monkeypatch.setenv("HGM_THREADS", "1")
     assert threaded == _buffer_call_report(*call)[1]
-
-
-def test_flatnonzero_into_matches_flatnonzero():
-    rng = np.random.default_rng(7)
-    chunk = tester.INDEX_CHUNK
-    for size in (0, 1, chunk - 1, chunk, 3 * chunk + 5):
-        for density in (0.0, 0.3, 1.0):
-            mask = rng.random(size) < density
-            out = np.empty(np.count_nonzero(mask), dtype=np.intp)
-            assert tester._flatnonzero_into(mask, out) is out
-            assert np.array_equal(out, np.flatnonzero(mask))
-
-
-def test_large_masks_index_their_entries_in_the_kept_buffer(monkeypatch):
-    # (8, 256) at 1,024 trials: a mask of 12 N d = 3.1M entries, over
-    # WHOLE_INDEX_MAX, whose index alone would take about 5.3 MB.
-    monkeypatch.setenv("HGM_THREADS", "1")
-    call = (8, 256, "anti_dictator", 1024, 3, 1024)
-    first = _buffer_call_report(*call)[1]
-    kept = tester._SELECTED.buffer
-    assert kept is not None
-    tracemalloc.start()
-    try:
-        assert _buffer_call_report(*call)[1] == first
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert tester._SELECTED.buffer is kept
-    # The anchors (2 MB) and the move kernel's output and scratch.
-    assert peak < 4 << 20, peak
-    # Indexed whole, the same mask gives the same report.
-    monkeypatch.setattr(tester, "WHOLE_INDEX_MAX", 1 << 40)
-    assert _buffer_call_report(*call)[1] == first
 
 
 def _digits(x):
@@ -609,6 +575,8 @@ def test_full_tester_rejects_surface_with_mapped_witness():
 
 def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
     # Restricted batches run concurrently; each gather needs its own buffer.
+    # Three batches per round.
+    trials = 2 * tester.DEFAULT_BATCH + 512
     monotone = make_family(FamilySpec("majority_threshold"), GridShape(16, 16))
     for f, k in ((monotone, 8), (anti_dictator(8, 16), 4)):
         results = []
@@ -616,7 +584,7 @@ def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
             monkeypatch.setenv("HGM_THREADS", threads)
             worker = f.spawn_worker()
             res = tester.run_full_tester(
-                worker, 0.9, seed=5, outer_reps=3, inner_trials=4096, k=k, batch_size=512
+                worker, 0.9, seed=5, outer_reps=3, inner_trials=trials, k=k
             )
             results.append((res, worker.query_count))
         assert results[0] == results[1]
@@ -724,6 +692,40 @@ def test_fallback_draws_no_walk_batch(d, monkeypatch):
     assert not res.accepted
 
 
+@pytest.mark.parametrize("d", [4, 64])
+def test_batch_draws_through_the_walk_step_once(d, monkeypatch):
+    # _run_batch walks its twelve stacked walks in one walks.walk_rows call
+    # per batch, and draws coordinates and moves only inside it.
+    monkeypatch.setenv("HGM_THREADS", "1")
+    calls, inside = [], []
+    walk_rows = walks.walk_rows
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        inside.append(True)
+        try:
+            walk_rows(*args)
+        finally:
+            inside.pop()
+
+    def only_inside(name):
+        draw = getattr(walks, name)
+
+        def guarded(*args, **kwargs):
+            assert inside, f"_run_batch called {name} outside the walk step"
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(walks, name, guarded)
+
+    monkeypatch.setattr(walks, "walk_rows", counted)
+    only_inside("select_coordinates")
+    only_inside("sample_line_kernel")
+    f = anti_dictator(8, d)
+    rep = run_tester(f, Config(shape=f.shape, trials=2500, seed=4, batch_size=1024))
+    assert calls == [len(tester.WALKS) * N for N in (1024, 1024, 452)]
+    assert rep.rejections > 0
+
+
 def test_full_tester_rejects_bad_eps():
     f = make_family(FamilySpec("constant0"), GridShape(4, 2))
     with pytest.raises(ConfigError):
@@ -734,10 +736,10 @@ def test_full_tester_rejects_bad_eps():
         tester.run_full_tester(anti_dictator(8, 4), 0.9, outer_reps=-3)
     with pytest.raises(ConfigError, match="inner_trials"):
         tester.run_full_tester(anti_dictator(8, 4), 0.9, inner_trials=0)
-    # Below 1/sqrt(d) the fallback runs, which reads none of the four.
+    # Below 1/sqrt(d) the fallback runs, which reads none of the three.
     g = make_family(FamilySpec("dictator"), GridShape(4, 16))
     for bad in (dict(k=3, outer_reps=-1, inner_trials=-7), dict(k=2), dict(outer_reps=2),
-                dict(inner_trials=100), dict(batch_size=512), dict(batch_size=-5)):
+                dict(inner_trials=100)):
         with pytest.raises(ConfigError):
             tester.run_full_tester(g, 0.05, **bad)
     assert g.query_count == 0

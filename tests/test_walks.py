@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,13 @@ from scipy.stats import chi2, hypergeom
 
 from hgm import walks
 from hgm.errors import BudgetError, DomainError
-from hgm.grid import GridShape
+from hgm.grid import GridShape, point_dtype
 from hgm.rng import substream
 from hgm.stats import chi_square_gof
 from hgm import validate
 
 from exact_enumeration import cube_walk_prob_enumerated, line_kernel_enumerated
+from test_tester import _buffer_call_report
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +415,68 @@ def test_sampled_walks_match_exact_pmf():
     keys, counts = np.unique(shape.indices_of_points(Y), return_counts=True)
     emp = {shape.point_of(int(k)): int(c) for k, c in zip(keys, counts)}
     assert pmf.tv_distance_to_counts(emp, N) < 0.01
+
+
+# Up rows from the first anchor, then down rows from the second, in one
+# walk_rows call. At (8, 40) most coordinates sit where the walk cannot move
+# them, which keeps the support small enough for the TV bound.
+MIXED_CELLS = [
+    (4, 2, (2, 1), (3, 4)),
+    (8, 40, (1, 4, 7) + (8,) * 37, (8, 5, 2) + (1,) * 37),
+]
+
+
+@pytest.mark.parametrize("n,d,up_anchor,down_anchor", MIXED_CELLS)
+def test_one_walk_step_call_matches_exact_pmf_in_each_direction(n, d, up_anchor, down_anchor):
+    shape = GridShape(n, d)
+    N, tau = 200_000, 2
+    X = np.empty((2 * N, d), dtype=point_dtype(n))
+    X[:N], X[N:] = up_anchor, down_anchor
+    rng = substream(78, "mixed-tv")
+    walks.walk_rows(n, X, np.full(2 * N, tau), N, rng, np.empty(X.shape, dtype=bool))
+    # Every row, the last up row and the first down row too, moved its way.
+    assert (X[:N] >= up_anchor).all() and (X[N:] <= down_anchor).all()
+    for rows, x, direction in ((X[:N], up_anchor, "up"), (X[N:], down_anchor, "down")):
+        pmf = walks.exact_pmf(shape, x, walks.WalkSpec(direction, tau, shape))
+        # Rows as opaque bytes: np.unique over axis 0 is far slower.
+        keys, counts = np.unique(rows.view(f"V{d * rows.itemsize}"), return_counts=True)
+        points = np.frombuffer(keys.tobytes(), dtype=rows.dtype).reshape(-1, d)
+        emp = {tuple(p.tolist()): int(c) for p, c in zip(points, counts)}
+        assert pmf.tv_distance_to_counts(emp, N) < 0.01, direction
+
+
+def test_flatnonzero_into_matches_flatnonzero():
+    rng = np.random.default_rng(7)
+    chunk = walks.INDEX_CHUNK
+    for size in (0, 1, chunk - 1, chunk, 3 * chunk + 5):
+        for density in (0.0, 0.3, 1.0):
+            mask = rng.random(size) < density
+            out = np.empty(np.count_nonzero(mask), dtype=np.intp)
+            assert walks._flatnonzero_into(mask, out) is out
+            assert np.array_equal(out, np.flatnonzero(mask))
+
+
+def test_large_masks_index_their_entries_in_the_kept_buffer(monkeypatch):
+    # (8, 256) at 1,024 trials: a mask of 12 N d = 3.1M entries, over
+    # WHOLE_INDEX_MAX, whose index alone would take about 5.3 MB.
+    monkeypatch.setenv("HGM_THREADS", "1")
+    call = (8, 256, "anti_dictator", 1024, 3, 1024)
+    first = _buffer_call_report(*call)[1]
+    kept = walks._SELECTED.buffer
+    assert kept is not None
+    tracemalloc.start()
+    try:
+        assert _buffer_call_report(*call)[1] == first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walks._SELECTED.buffer is kept
+    # The anchors (2 MB) and the move kernel's output and scratch.
+    assert peak < 4 << 20, peak
+    # Indexed whole, the same mask gives the same report.
+    monkeypatch.setattr(walks, "WHOLE_INDEX_MAX", 1 << 40)
+    assert _buffer_call_report(*call)[1] == first
+
 
 
 # ---------------------------------------------------------------------------
