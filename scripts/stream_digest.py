@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One sha256 over seeded outputs of every random stream the tester draws.
+"""sha256 digests of seeded outputs of every random stream the tester draws.
 
 Hashes, in a fixed order:
 
@@ -12,8 +12,11 @@ Hashes, in a fixed order:
   * ``sample_walk_batch`` endpoints, up and down, with scalar and per-row
     lengths.
 
-A change that keeps every stream prints the same line. Compare two trees by
-pointing PYTHONPATH at each one's ``src``:
+It prints one hash per part, ``tester=``, ``full=`` and ``walks=``, over
+that part's outputs, then the total, ``sha256=``, over all of them, last. A
+change that keeps every stream prints the same lines, and a part whose
+hash moved names the stream that changed. Compare two trees by pointing
+PYTHONPATH at each one's ``src``:
 
     PYTHONPATH=src python3 scripts/stream_digest.py
 """
@@ -96,14 +99,20 @@ def walk_outputs():
                 yield repr((n, d, direction, Y.dtype.str, Y.shape)).encode() + Y.tobytes()
 
 
+PARTS = (("tester", tester_outputs), ("full", full_tester_outputs), ("walks", walk_outputs))
+
+
 def main() -> int:
     threads = os.environ.get("HGM_THREADS")
     digest = hashlib.sha256()
     try:
-        for outputs in (tester_outputs, full_tester_outputs, walk_outputs):
+        for name, outputs in PARTS:
+            part = hashlib.sha256()
             for record in outputs():
-                digest.update(len(record).to_bytes(8, "little"))
-                digest.update(record)
+                framed = len(record).to_bytes(8, "little") + record
+                part.update(framed)
+                digest.update(framed)
+            print(f"{name}={part.hexdigest()}")
     finally:
         if threads is None:
             os.environ.pop("HGM_THREADS", None)

@@ -24,18 +24,22 @@ entry, first rejections per step) that ``run_tester`` sums.
 
 The exact per-trial rejection probability (``exact_reject_prob``) integrates
 a trial over all its randomness by a tensor contraction: once its subsets
-are fixed, a pair is a product over coordinates, so each sub-test is one
-pass of per-coordinate n x n matrices over the truth table, in
-O(d m m' n^(d+1)) time for walk and shift lengths m, m'. Its junta form
-(``exact_reject_prob_junta``) contracts over the k coordinates f depends on
-and weights the rest in closed form, so it reaches any d. Both read the
-sub-tests from ``SUBTESTS``, as the driver does; the tests check them
-against an independent anchor-by-anchor enumeration of the walk pmfs.
+are fixed, a pair is a product over coordinates, so the sub-tests are
+passes of per-coordinate n x n matrices over the truth table, in
+O(d m m' n^(d+1)) time for walk and shift lengths m, m'. Two stacked passes
+(``STACKS``) run them: one over the two sub-tests without a shift, one over
+the two with one. Its junta form (``exact_reject_prob_junta``) contracts
+over the k coordinates f depends on and weights the rest in closed form,
+by exact binomial ratios rounded once and cached per (d, k, schedule), so
+it reaches any d. Both read the sub-tests from ``SUBTESTS``, as the driver
+does; the tests check them against an independent anchor-by-anchor
+enumeration of the walk pmfs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,7 +76,7 @@ class SubTest(NamedTuple):
     shift: Optional[str]
 
 
-# _run_batch and the exact contraction (_pair_laws) both read this table.
+# _run_batch and the exact contraction (_pair_laws, STACKS) both read this table.
 SUBTESTS = {
     "up_path": SubTest("up", None),
     "down_path": SubTest("down", None),
@@ -122,12 +126,27 @@ def default_tau_schedule(d: int) -> Tuple[int, ...]:
     return tuple(2**p for p in range(p_max + 1))
 
 
-def _check_schedule(schedule: Sequence[int]) -> None:
-    if not schedule:
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _normalize_schedule(schedule: Sequence[int]) -> Tuple[int, ...]:
+    """The schedule as a tuple of Python ints, from any sequence of
+    integers; ConfigError unless it is a non-empty sequence of powers of
+    two."""
+    try:
+        taus = tuple(_integer(t, "tau schedule entry") for t in schedule)
+    except TypeError:
+        raise ConfigError(f"tau schedule must be a sequence of integers, got {schedule!r}") from None
+    if not taus:
         raise ConfigError("tau schedule must not be empty")
-    for t in schedule:
+    for t in taus:
         if t < 1 or t & (t - 1):
             raise ConfigError(f"tau schedule entry {t} is not a power of two")
+    return taus
 
 
 def worker_count() -> int:
@@ -160,7 +179,7 @@ class TesterConfig:
         if self.max_witnesses < 0:
             raise ConfigError("max_witnesses must be non-negative")
         if self.tau_schedule is not None:
-            _check_schedule(self.tau_schedule)
+            object.__setattr__(self, "tau_schedule", _normalize_schedule(self.tau_schedule))
 
     @property
     def schedule(self) -> Tuple[int, ...]:
@@ -325,7 +344,6 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _pair_laws(n: int, step: str) -> np.ndarray:
     """laws[a, b, low, high]: the joint law of one coordinate of the step's
     tested pair (low, high), for a uniform anchor coordinate, where a says
@@ -366,8 +384,76 @@ def _pair_laws(n: int, step: str) -> np.ndarray:
         laws[0, b] = np.diag(cum[n])  # no path move: h = w
         laws[1, b] = law if up else law.T
     laws /= n
+    return laws
+
+
+# The exact contraction's two stacks: the steps without a shift, which
+# keep one shift coefficient, then the steps with one.
+STACKS = tuple(
+    tuple(step for step in STEPS if bool(SUBTESTS[step].shift) == shifted)
+    for shifted in (False, True)
+)
+# Each pair's step, by its index in the stacks' order.
+PAIR_STACKED = np.array([sum(STACKS, ()).index(step) for step, _ in PAIRS])
+
+
+@lru_cache(maxsize=None)
+def _stack_laws(n: int, stack: int) -> np.ndarray:
+    """The _pair_laws of STACKS[stack]'s steps, stacked, read-only."""
+    laws = np.stack([_pair_laws(n, step) for step in STACKS[stack]])
     laws.flags.writeable = False
     return laws
+
+
+def _coefficient_counts(k: int, schedule: Tuple[int, ...]) -> Tuple[int, int]:
+    """(J, J'): the path and shift coefficients the contraction keeps, the
+    largest path and shift subset sizes capped at k, plus one."""
+    top = max(schedule)
+    return min(top, k) + 1, min(top - 1, k) + 1
+
+
+@lru_cache(maxsize=64)
+def _pair_weights(d: int, k: int, schedule: Tuple[int, ...]) -> np.ndarray:
+    """weights[t, p, j, j']: the weight of coefficient (j, j') in pair p's
+    rejection probability at schedule[t], 0 outside its (j, j') range;
+    (len(schedule), 8, J, J'), read-only.
+
+    The weight is C(d-k, m-j) C(d-k, m'-j') / (C(d, m) C(d, m')), with
+    C(d-k, m-j) / C(d, m) = C(m, j) C(d-m, k-j) / (C(k, j) C(d, k)), both
+    sides the hypergeometric Pr[|S & K| = j] for a uniform m-subset S and a
+    fixed k-subset K, over C(k, j): the same Fraction from binomials whose
+    lower index is at most k, where C(d, m) has thousands of digits at
+    d = 4096. Each is rounded once, from its exact Fraction, and each
+    distinct (m, m') is computed once.
+    """
+    J, Jp = _coefficient_counts(k, schedule)
+    denom = math.comb(d, k) ** 2
+    blocks = {}
+    weights = np.zeros((len(schedule), len(PAIRS), J, Jp))
+    for t, tau in enumerate(schedule):
+        for p, (step, kind) in enumerate(PAIRS):
+            m = min(tau - 1 + kind, d)
+            mp = min(tau - 1, d) if SUBTESTS[step].shift else 0
+            if (m, mp) not in blocks:
+                block = blocks[m, mp] = np.zeros((J, Jp))
+                for j in range(max(0, m - (d - k)), min(m, J - 1) + 1):
+                    for jp in range(max(0, mp - (d - k)), min(mp, Jp - 1) + 1):
+                        block[j, jp] = float(Fraction(
+                            math.comb(m, j) * math.comb(d - m, k - j)
+                            * math.comb(mp, jp) * math.comb(d - mp, k - jp),
+                            math.comb(k, j) * math.comb(k, jp) * denom))
+            weights[t, p] = blocks[m, mp]
+    weights.flags.writeable = False
+    return weights
+
+
+def _contract_stack(F: np.ndarray, n: int, k: int, stack: int, J: int, Jp: int) -> np.ndarray:
+    """W[s, j, j'] = F . (coefficient (j, j') of the product applied to
+    1 - F) for each step s of STACKS[stack]: one stacked pass."""
+    A = np.zeros((len(STACKS[stack]), J, Jp, F.size))
+    A[:, 0, 0] = 1.0 - F
+    walks.contract_axes(A, _stack_laws(n, stack), k)
+    return A @ F
 
 
 def exact_pair_probs(
@@ -385,65 +471,46 @@ def exact_pair_probs(
     G = 1 - F, m = min(l, d), m' = min(l', d) (0 without a shift) and
     W[j, j'] the coefficient of t^j s^j' of
     prod_i (M00 + t M10 + s M01 + t s M11), Mab = _pair_laws acting on axis
-    i. One pass per step (:func:`hgm.walks.contract_axes`) applies the
-    product to G axis by axis and keeps every coefficient the schedule
+    i. Two stacked passes (:func:`hgm.walks.contract_axes`), one over the
+    two steps without a shift and one over the two with one (STACKS), apply
+    the product to G axis by axis and keep every coefficient the schedule
     needs. Every Mab sums to 1, so the d - k coordinates f ignores
-    contribute (1 + t)^(d-k) (1 + s)^(d-k): the pass runs over the core's k
-    axes only, and coefficient (j, j') is weighted by
-    C(d-k, m-j) C(d-k, m'-j') / (C(d, m) C(d, m')), taken as an exact ratio
-    because the binomials overflow a float near d = 1024.
+    contribute (1 + t)^(d-k) (1 + s)^(d-k): the passes run over the core's
+    k axes only, and coefficient (j, j') is weighted by
+    C(d-k, m-j) C(d-k, m'-j') / (C(d, m) C(d, m')), rounded once from an
+    exact ratio because the binomials overflow a float near d = 1024. The
+    weights are cached per (d, k, schedule) (:func:`_pair_weights`), and a
+    pair's probability is the correctly rounded sum (math.fsum) of its
+    weighted coefficients.
 
-    Cost O(k m m' n^(k+1)) time and n^k (m+1) (m'+1) floats, m and m'
-    capped at k; BudgetError when that count exceeds budget. Reads core
-    through an uncharged truth table.
+    Cost O(k m m' n^(k+1)) time and 2 n^k (m+1) (m'+1) floats, the shifted
+    stack, m and m' capped at k; BudgetError when that count exceeds
+    budget. Reads core through an uncharged truth table. d and the
+    schedule's entries must be integers (ConfigError otherwise).
     """
-    _check_schedule(schedule)
+    schedule = _normalize_schedule(schedule)
+    d = _integer(d, "dimension")
     n, k = core.shape.n, core.shape.d
     if d < k:
         raise ConfigError(f"dimension {d} is below the core's {k}")
-    top = min(max(schedule), d)
-    top_shift = min(max(schedule) - 1, d)
-    tops = {step: (min(top, k), min(top_shift, k) if SUBTESTS[step].shift else 0) for step in STEPS}
-    size = core.shape.num_points * max((j + 1) * (jp + 1) for j, jp in tops.values())
+    J, Jp = _coefficient_counts(k, schedule)
+    size = len(STACKS[1]) * core.shape.num_points * J * Jp
     if size > budget:
-        raise BudgetError(f"exact contraction needs {size} floats, over the budget of {budget}")
+        raise BudgetError(
+            f"exact contraction needs {size} floats ({len(STACKS[1])} stacked steps"
+            f" of {core.shape.num_points} x {J} x {Jp}), over the budget of {budget}"
+        )
     F = tabulate(core).bits.astype(np.float64).reshape(-1)
-    W = {}
-    for step in STEPS:
-        laws = _pair_laws(n, step)
-        J, Jp = (t + 1 for t in tops[step])
-        A = np.zeros((J, Jp, F.size))
-        A[0, 0] = 1.0 - F
-        walks.contract_axes(A, laws, k)
-        W[step] = A @ F
-
-    # C(d-k, m-j) / C(d, m) = C(m, j) C(d-m, k-j) / (C(k, j) C(d, k)), both
-    # sides the hypergeometric Pr[|S & K| = j] for a uniform m-subset S and a
-    # fixed k-subset K, over C(k, j): the same Fraction from binomials whose
-    # lower index is at most k, where C(d, m) has thousands of digits at
-    # d = 4096.
-    def weighted(step: str, m: int, mp: int) -> float:
-        denom = math.comb(d, k) ** 2
-        J, Jp = W[step].shape
-        return math.fsum(
-            float(W[step][j, jp])
-            * float(Fraction(math.comb(m, j) * math.comb(d - m, k - j)
-                             * math.comb(mp, jp) * math.comb(d - mp, k - jp),
-                             math.comb(k, j) * math.comb(k, jp) * denom))
-            for j in range(max(0, m - (d - k)), min(m, J - 1) + 1)
-            for jp in range(max(0, mp - (d - k)), min(mp, Jp - 1) + 1)
-        )
-
+    # W[s, j, j'] for every step in stack order; the unshifted steps fill
+    # column 0, where their weights are, and the rest of their rows is 0.
+    W = np.zeros((len(STEPS), J, Jp))
+    W[: len(STACKS[0]), :, :1] = _contract_stack(F, n, k, 0, J, 1)
+    W[len(STACKS[0]) :] = _contract_stack(F, n, k, 1, J, Jp)
+    terms = W[PAIR_STACKED] * _pair_weights(d, k, schedule)
+    probs = list(map(math.fsum, terms.reshape(len(schedule) * len(PAIRS), -1).tolist()))
     return {
-        tau: tuple(
-            weighted(
-                step,
-                min(tau - 1 + kind, d),
-                min(tau - 1, d) if SUBTESTS[step].shift else 0,
-            )
-            for step, kind in PAIRS
-        )
-        for tau in schedule
+        tau: tuple(probs[t * len(PAIRS) : (t + 1) * len(PAIRS)])
+        for t, tau in enumerate(schedule)
     }
 
 
@@ -456,6 +523,7 @@ def exact_reject_prob_junta(
     """Exact per-trial rejection probability of f(x) = core(x_1, ..., x_k) on
     [n]^d: the mean over the schedule's entries of 1 - prod over the eight
     pairs of (1 - p_pair), from :func:`exact_pair_probs`."""
+    schedule = _normalize_schedule(schedule)
     probs = exact_pair_probs(core, d, schedule, budget)
     per_tau = [1.0 - math.prod(1.0 - p for p in probs[tau]) for tau in schedule]
     return math.fsum(per_tau) / len(schedule)

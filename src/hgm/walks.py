@@ -837,29 +837,40 @@ def exact_shift_pmf(
 
 
 def contract_axes(A: np.ndarray, laws: np.ndarray, k: int) -> None:
-    """Apply prod_i (M00 + t M10 + s M01 + t s M11) to A in place, with
-    Mab = laws[a, b] acting on axis i of an n^k grid.
+    """Apply prod_i (M00 + t M10 + s M01 + t s M11) to each of a stack of
+    grids in place, with Mab = laws[s, a, b] acting on axis i of the n^k
+    grids of stack entry s.
 
-    A has shape (J, J', n^k): A[j, j'] holds the coefficient of t^j s^j' as
-    a grid in index order, and on entry every coefficient but A[0, :] is 0.
-    On return A holds every coefficient with j < J and j' < J'. Cost
-    O(k J J' n^(k+1)).
+    A has shape (S, J, J', n^k): A[s, j, j'] holds the coefficient of
+    t^j s^j' as a grid in index order, and on entry every coefficient but
+    A[:, 0, 0] is 0. laws has shape (S, 2, 2, n, n). On return A holds
+    every coefficient with j < J and j' < J'. Every matrix product
+    broadcasts over the stack, one per (s, j') block, the product that
+    S = 1 computes alone. Cost O(S k J J' n^(k+1)).
     """
-    J, Jp, _ = A.shape
+    S, J, Jp, _ = A.shape
     n = laws.shape[-1]
+    # Mab[s, 0] is laws[s, a, b] transposed, to right-multiply rows.
+    T = laws.swapaxes(-1, -2)[:, :, :, None]
+    M00, M01, M10, M11 = T[:, 0, 0], T[:, 0, 1], T[:, 1, 0], T[:, 1, 1]
     for axis in range(k):
         # Contract the last axis, then rotate it to the front, so after k
         # passes the axes are back in order. Descending j updates A in
-        # place: coefficient j reads only the old j and j - 1.
+        # place: coefficient j reads only the old j and j - 1. After this
+        # axis only j, j' <= axis + 1 can be nonzero; the rest stay 0 and
+        # are skipped.
+        P = min(axis + 2, Jp)
         for j in range(min(axis + 1, J - 1), -1, -1):
-            old = A[j].reshape(Jp, -1, n)
-            new = old @ laws[0, 0].T
-            new[1:] += old[:-1] @ laws[0, 1].T
+            old = A[:, j, :P].reshape(S, P, -1, n)
+            new = old @ M00
+            if P > 1:
+                new[:, 1:] += old[:, :-1] @ M01
             if j:
-                below = A[j - 1].reshape(Jp, -1, n)
-                new += below @ laws[1, 0].T
-                new[1:] += below[:-1] @ laws[1, 1].T
-            A[j].reshape(Jp, n, -1)[...] = new.swapaxes(1, 2)
+                below = A[:, j - 1, :P].reshape(S, P, -1, n)
+                new += below @ M10
+                if P > 1:
+                    new[:, 1:] += below[:, :-1] @ M11
+            A[:, j, :P].reshape(S, P, n, -1)[...] = new.swapaxes(2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,13 @@ def _enumerated_rate(f, schedule):
 
 
 def test_exact_reject_prob_budget_limits():
-    # The budget counts the floats the contraction holds, n^d (m+1) (m'+1);
-    # nothing else bounds the grid or the walk length.
+    # The budget counts the floats the contraction holds, the shifted stack's
+    # 2 n^d (m+1) (m'+1); nothing else bounds the grid or the walk length.
     f = anti_dictator(8, 3)
     cfg = Config(shape=f.shape, trials=1)
-    with pytest.raises(BudgetError):
-        exact_reject_prob(f, cfg, budget=8**3 * 4 * 4 - 1)
-    assert exact_reject_prob(f, cfg, budget=8**3 * 4 * 4) == pytest.approx(
+    with pytest.raises(BudgetError, match="2 stacked steps"):
+        exact_reject_prob(f, cfg, budget=2 * 8**3 * 4 * 4 - 1)
+    assert exact_reject_prob(f, cfg, budget=2 * 8**3 * 4 * 4) == pytest.approx(
         _enumerated_rate(f, cfg.schedule), abs=1e-12
     )
     f2 = anti_dictator(2, 2)
@@ -213,6 +213,184 @@ def test_junta_weights_at_d_4096_keep_the_direct_binomial_float():
                 math.comb(m, j) * math.comb(d - m, k - j), math.comb(k, j) * math.comb(d, k))
     core = ExplicitFunction(GridShape(2, k), np.array([(32904 >> i) & 1 for i in range(16)]))
     assert exact_reject_prob_junta(core, d, tester.default_tau_schedule(d)) == 0.021304899584368986
+
+
+def test_exact_oracle_normalizes_integer_inputs():
+    # Any integer sequence is a schedule, read as a tuple of Python ints;
+    # a non-integer d or schedule entry is a ConfigError.
+    core = anti_dictator(8, 1)
+    expected = exact_reject_prob_junta(core, 4, (1, 2))
+    assert exact_reject_prob_junta(core, np.int64(4), np.array([1, 2])) == expected
+    assert exact_reject_prob_junta(core, 4, [np.int32(1), 2]) == expected
+    cfg = Config(shape=GridShape(8, 4), trials=1, tau_schedule=np.array([1, 2]))
+    assert cfg.schedule == (1, 2) and {type(t) for t in cfg.schedule} == {int}
+    assert exact_reject_prob(anti_dictator(8, 4), cfg) == exact_reject_prob(
+        anti_dictator(8, 4), Config(shape=GridShape(8, 4), trials=1, tau_schedule=(1, 2)))
+    for d, schedule in ((4.0, (1, 2)), (4, (1.0, 2)), (4, np.array([1.0, 2.0])), (4, 2)):
+        with pytest.raises(ConfigError):
+            exact_reject_prob_junta(core, d, schedule)
+    with pytest.raises(ConfigError):
+        Config(shape=GridShape(8, 4), trials=1, tau_schedule=(1, 2.0))
+
+
+def test_exact_pair_probs_runs_two_unpadded_stacked_passes(monkeypatch):
+    # One pass over the two steps without a shift, which keep one shift
+    # coefficient, and one over the two with one: (S, J, J', n^k).
+    passes = []
+    contract_axes = walks.contract_axes
+
+    def counted(A, laws, k):
+        passes.append((A.shape, laws.shape))
+        contract_axes(A, laws, k)
+
+    monkeypatch.setattr(walks, "contract_axes", counted)
+    core = ExplicitFunction(GridShape(4, 3), random_bits(64, 5))
+    tester.exact_pair_probs(core, 3, (1, 2, 4))
+    assert passes == [((2, 4, 1, 64), (2, 2, 2, 4, 4)), ((2, 4, 4, 64), (2, 2, 2, 4, 4))]
+    passes.clear()
+    tester.exact_pair_probs(core, 256, (1, 2, 4, 8))
+    assert [shape for shape, _ in passes] == [(2, 4, 1, 64), (2, 4, 4, 64)]
+
+
+@pytest.mark.parametrize("n,k,J,Jp", [(2, 5, 4, 3), (4, 3, 4, 4), (8, 2, 3, 1)])
+def test_stacked_pass_equals_one_pass_per_step(n, k, J, Jp):
+    # S = 1 is the one-step pass; a stack gives each step the same bits.
+    G = 1.0 - random_bits(n**k, 40 + k).astype(np.float64)
+    laws = np.stack([tester._pair_laws(n, step) for step in tester.STEPS])
+    A = np.zeros((len(tester.STEPS), J, Jp, G.size))
+    A[:, 0, 0] = G
+    walks.contract_axes(A, laws, k)
+    for s in range(len(tester.STEPS)):
+        one = np.zeros((1, J, Jp, G.size))
+        one[0, 0, 0] = G
+        walks.contract_axes(one, laws[s : s + 1], k)
+        assert np.array_equal(one[0], A[s]), tester.STEPS[s]
+
+
+def test_repeat_exact_call_builds_no_fraction(monkeypatch):
+    # The weights are cached per (d, k, schedule), whatever the core and
+    # whatever integer sequence carries the schedule.
+    core = ExplicitFunction(GridShape(2, 4), random_bits(16, 8))
+    schedule = tester.default_tau_schedule(256)
+    first = tester.exact_pair_probs(core, 256, schedule)
+
+    def no_fraction(*args):
+        raise AssertionError("a repeat call built a Fraction")
+
+    monkeypatch.setattr(tester, "Fraction", no_fraction)
+    assert tester.exact_pair_probs(core, 256, np.array(schedule)) == first
+    tester.exact_pair_probs(ExplicitFunction(GridShape(2, 4), random_bits(16, 9)), 256, schedule)
+
+
+# exact_pair_probs as the four-pass contraction with per-call Fraction
+# weights computed them; the stacked passes and cached weights keep every bit.
+ANTI_DICTATOR_8_1_AT_1024 = {
+    1: (
+        0.0, 0.00020151289682539681, 0.0, 0.00020151289682539681, 0.0,
+        0.00020151289682539681, 0.0, 0.00020151289682539681,
+    ),
+    2: (
+        0.00020151289682539681, 0.00040302579365079363, 0.00020151289682539681,
+        0.00040302579365079363, 0.00020151289682539681, 0.00040302579365079363,
+        0.00020151289682539681, 0.00040302579365079363,
+    ),
+    4: (
+        0.0006045386904761905, 0.0008060515873015873, 0.0006045386904761905,
+        0.0008060515873015873, 0.0006045386904761905, 0.0008060515873015873,
+        0.0006045386904761905, 0.0008060515873015873,
+    ),
+    8: (
+        0.0014105902777777778, 0.0016121031746031745, 0.0014105902777777778,
+        0.0016121031746031745, 0.0014105902777777778, 0.0016121031746031745,
+        0.0014105902777777778, 0.0016121031746031745,
+    ),
+    16: (
+        0.003022693452380952, 0.003224206349206349, 0.003022693452380952,
+        0.003224206349206349, 0.0030226934523809525, 0.003224206349206349,
+        0.0030226934523809525, 0.003224206349206349,
+    ),
+    32: (
+        0.006246899801587301, 0.006448412698412698, 0.006246899801587301,
+        0.006448412698412698, 0.006246899801587301, 0.006448412698412698,
+        0.006246899801587301, 0.006448412698412698,
+    ),
+    64: (
+        0.0126953125, 0.012896825396825396, 0.0126953125, 0.012896825396825396,
+        0.0126953125, 0.012896825396825396, 0.0126953125, 0.012896825396825396,
+    ),
+    128: (
+        0.025592137896825396, 0.025793650793650792, 0.025592137896825396,
+        0.025793650793650792, 0.025592137896825396, 0.025793650793650792,
+        0.025592137896825396, 0.025793650793650792,
+    ),
+    256: (
+        0.051385788690476185, 0.051587301587301584, 0.051385788690476185,
+        0.051587301587301584, 0.05138578869047619, 0.051587301587301584,
+        0.051385788690476185, 0.051587301587301584,
+    ),
+    512: (
+        0.10297309027777778, 0.10317460317460317, 0.10297309027777778,
+        0.10317460317460317, 0.10297309027777778, 0.10317460317460317,
+        0.10297309027777776, 0.10317460317460317,
+    ),
+    1024: (
+        0.20614769345238093, 0.20634920634920634, 0.20614769345238093,
+        0.20634920634920634, 0.20614769345238093, 0.20634920634920634,
+        0.2061476934523809, 0.2063492063492063,
+    ),
+}
+CORE_32904_AT_256 = {
+    1: (
+        0.0, 0.000244140625, 0.0, 0.000244140625, 0.0, 0.000244140625, 0.0,
+        0.000244140625,
+    ),
+    2: (
+        0.000244140625, 0.00048636642156862746, 0.000244140625, 0.0004844515931372549,
+        0.00024318695068359375, 0.00048447403253293504, 0.00024509429931640625,
+        0.0004863589417700674,
+    ),
+    4: (
+        0.0007266773897058824, 0.0009650735294117646, 0.0007209555204955998,
+        0.0009536750231588699, 0.0007181613760917182, 0.0009538082501850794,
+        0.0007294717970633121, 0.0009650300558109074,
+    ),
+    8: (
+        0.0016687729779411764, 0.0018995098039215686, 0.0016293531438165817,
+        0.0018471611085379034, 0.0016231382398213257, 0.001847769758350958,
+        0.0016749921089407047, 0.0018993198870205107,
+    ),
+    16: (
+        0.003461052389705882, 0.003676470588235294, 0.003270285722556739,
+        0.003459356183418249, 0.003258212516993992, 0.0034618539303241562,
+        0.003473169429521192, 0.003675765082825953,
+    ),
+    32: (
+        0.006677964154411765, 0.006862745098039216, 0.005889228230662344,
+        0.006025165971900571, 0.005868929879683499, 0.0060345964354071874,
+        0.006698637058295577, 0.006860681324957684,
+    ),
+    64: (
+        0.011641199448529411, 0.011764705882352941, 0.00879964682723483,
+        0.008846688281611857, 0.008773630714525634, 0.00887811239885023,
+        0.01166995786845585, 0.011762530946784833,
+    ),
+    128: (
+        0.015685317095588236, 0.01568627450980392, 0.007904411764705882,
+        0.00784313725490196, 0.007888791833369376, 0.007919910611303345,
+        0.015716074511254122, 0.015716072619305074,
+    ),
+    256: (
+        0.000244140625, 0.0, 0.0, 0.0, 0.0, 0.0, 0.00024509429931640625, 0.000244140625,
+    ),
+}
+
+
+def test_pair_probs_are_pinned_to_the_four_pass_values():
+    core = ExplicitFunction(GridShape(2, 4), np.array([(32904 >> i) & 1 for i in range(16)]))
+    assert tester.exact_pair_probs(
+        anti_dictator(8, 1), 1024, tester.default_tau_schedule(1024)
+    ) == ANTI_DICTATOR_8_1_AT_1024
+    assert tester.exact_pair_probs(core, 256, tester.default_tau_schedule(256)) == CORE_32904_AT_256
 
 
 def test_mc_rate_within_ci_of_junta_form_at_8_256():
