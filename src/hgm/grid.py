@@ -25,7 +25,7 @@ import copy
 import struct
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -134,24 +134,34 @@ class Box:
 
     def all_points_array(self) -> np.ndarray:
         """All points as an (n^d, d) int array, in index order."""
-        idx = np.arange(self.num_points)
-        return self.points_of_indices(idx)
+        return self.points_of_indices(np.arange(self.num_points))
 
     def points_of_indices(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
         out = np.empty(idx.shape + (self.d,), dtype=np.int64)
-        rem = idx
         for i in range(self.d):
-            out[..., i] = rem % self.n + 1
-            rem = rem // self.n
+            out[..., i] = idx % self.n + 1
+            idx = idx // self.n
         return out
 
     def indices_of_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.int64)
-        idx = np.zeros(pts.shape[:-1], dtype=np.int64)
-        for i in reversed(range(self.d)):
-            idx = idx * self.n + (pts[..., i] - 1)
-        return idx
+        """The int64 index of each point of an (..., d) integer array: Horner's
+        rule in place on one uint64 array, one coordinate column at a time in
+        the points' own dtype, then sum_i n^(i-1) subtracted once for the
+        1-based coordinates. Above n^d = 2^63 the index wraps modulo 2^64."""
+        pts = np.asarray(pts)
+        idx = pts[..., -1].astype(np.uint64)
+        for i in range(self.d - 2, -1, -1):
+            idx *= np.uint64(self.n)
+            np.add(idx, pts[..., i], out=idx, dtype=np.uint64, casting="unsafe")
+        idx -= np.uint64(_index_offset(self.n, self.d))
+        return idx.view(np.int64)
+
+
+@lru_cache(maxsize=64)
+def _index_offset(n: int, d: int) -> int:
+    """sum_i n^(i-1) over i = 1..d, modulo 2^64."""
+    return sum(pow(n, i, 1 << 64) for i in range(d)) % (1 << 64)
 
 
 class GridShape(Box):
@@ -188,17 +198,16 @@ class FunctionOracle:
     ``fn`` is the batch function: it receives an (N, d) integer array whose
     entries are checked to lie in [1, n], and returns N values, each 0 or 1.
     The array comes in whatever integer dtype the caller passed (int8 from
-    the tester's narrow batches, int64 from a list), so ``fn`` must widen
-    before arithmetic that can leave that dtype's range, such as a
-    coordinate sum or a linear index. ``fn`` must not keep its input array,
-    nor return a view of it: the tester's batches and a restriction's reads
-    pass views of per-thread buffers (:class:`KeptBuffer`) that the next
-    call overwrites. Copy what must outlive the call.
+    the tester's narrow batches, int64 from a list), so a result that can
+    leave that dtype's range, such as a coordinate sum or a linear index,
+    needs a wider dtype; the built-in family kernels read the caller's
+    points as they are, with no widened copy of the batch. ``fn`` must not
+    keep its input array, nor return a view of it: the tester's batches and
+    a restriction's reads pass views of per-thread buffers that the next
+    call overwrites (:class:`KeptBuffer`).
     """
 
-    def __init__(
-        self, shape: Box, fn: Callable[[np.ndarray], np.ndarray], name: str = "oracle"
-    ):
+    def __init__(self, shape: Box, fn: Callable[[np.ndarray], np.ndarray], name: str = "oracle"):
         self.shape = shape
         self._function = fn
         self.name = name
@@ -217,9 +226,8 @@ class FunctionOracle:
         return vals
 
     def peek(self, x: Sequence[int]) -> int:
-        """Evaluate without counting a query (for oracles validating oracles).
-
-        The point must lie in [1, n]^d (DomainError otherwise)."""
+        """Evaluate without counting a query (for oracles validating oracles);
+        the point must lie in [1, n]^d (DomainError otherwise)."""
         return int(self.peek_many(np.array([self.shape.check_point(x)]))[0])
 
     def peek_many(self, pts: np.ndarray) -> np.ndarray:
@@ -237,14 +245,10 @@ class FunctionOracle:
         if pts.dtype.kind not in "iu":
             raise DomainError(f"points must be integers, got dtype {pts.dtype}")
         if pts.size and (pts.min() < 1 or pts.max() > n):
-            raise DomainError(
-                f"coordinates span [{pts.min()}, {pts.max()}], outside [1, {n}]"
-            )
+            raise DomainError(f"coordinates span [{pts.min()}, {pts.max()}], outside [1, {n}]")
         vals = np.asarray(self._function(pts))
         if vals.shape != (len(pts),):
-            raise DomainError(
-                f"{self.name} returned shape {vals.shape} for {len(pts)} points"
-            )
+            raise DomainError(f"{self.name} returned shape {vals.shape} for {len(pts)} points")
         if not ((vals == 0) | (vals == 1)).all():
             raise DomainError(f"{self.name} returned values other than 0 and 1")
         return vals.astype(np.int8, copy=False)
@@ -264,14 +268,11 @@ class ExplicitFunction(FunctionOracle):
     def __init__(self, shape: Box, bits: np.ndarray, name: str = "explicit"):
         bits = np.asarray(bits)
         if bits.shape != (shape.num_points,):
-            raise DomainError(
-                f"expected {shape.num_points} bits, got {bits.shape}"
-            )
+            raise DomainError(f"expected {shape.num_points} bits, got {bits.shape}")
         # Checked before the uint8 cast, which would wrap 256 to 0 and -1 to 255.
         if not ((bits == 0) | (bits == 1)).all():
             raise DomainError("truth table values must be 0 or 1")
-        bits = bits.astype(np.uint8)
-        self.bits = bits
+        self.bits = bits = bits.astype(np.uint8)
         super().__init__(shape, lambda pts: bits[shape.indices_of_points(pts)], name)
 
 
@@ -286,14 +287,8 @@ def tabulate(f: FunctionOracle) -> ExplicitFunction:
 # ---------------------------------------------------------------------------
 
 FAMILY_NAMES = (
-    "constant0",
-    "constant1",
-    "dictator",
-    "anti_dictator",
-    "majority_threshold",
-    "surface",
-    "random_balanced",
-    "explicit",
+    "constant0", "constant1", "dictator", "anti_dictator", "majority_threshold", "surface",
+    "random_balanced", "explicit",
 )
 
 
@@ -324,19 +319,28 @@ class FamilySpec:
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    # Deterministic 64-bit mixer; keys the pseudo-random interior bits.
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-    return x ^ (x >> np.uint64(31))
+    """Mix a 1-D uint64 array in place with the splitmix64 finalizer, a
+    deterministic 64-bit mixer that keys the pseudo-random bits, and return
+    it. It mixes 2^16 entries at a time, so each pass stays in cache."""
+    shifted = np.empty(min(x.size, 1 << 16), np.uint64)
+    for start in range(0, x.size, 1 << 16):
+        part = x[start : start + (1 << 16)]
+        tmp = shifted[: part.size]
+        part += np.uint64(0x9E3779B97F4A7C15)
+        part ^= np.right_shift(part, np.uint64(30), out=tmp)
+        part *= np.uint64(0xBF58476D1CE4E5B9)
+        part ^= np.right_shift(part, np.uint64(27), out=tmp)
+        part *= np.uint64(0x94D049BB133111EB)
+        part ^= np.right_shift(part, np.uint64(31), out=tmp)
+    return x
 
 
-def _hash_bit(seed: int, idx: np.ndarray) -> np.ndarray:
-    # The seed is mixed once, as a one-element array: numpy scalar uint64
-    # arithmetic warns on overflow.
-    key = _splitmix64(np.array([seed], dtype=np.uint64))
-    mixed = _splitmix64(np.asarray(idx, dtype=np.uint64) ^ key)
-    return (mixed & np.uint64(1)).astype(np.int8)
+def _hash_bit(key: np.uint64, idx: np.ndarray) -> np.ndarray:
+    """Bit 0 of splitmix64(index ^ key) per int64 index, as int8; mixes idx,
+    which the caller hands over, in place."""
+    mixed = idx.view(np.uint64)
+    mixed ^= key
+    return np.bitwise_and(_splitmix64(mixed), np.uint64(1), out=mixed).astype(np.int8)
 
 
 def surface_warning(shape: GridShape) -> bool:
@@ -345,7 +349,8 @@ def surface_warning(shape: GridShape) -> bool:
 
 
 def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
-    """Build a pure oracle for one of the built-in families."""
+    """Build a pure oracle for one of the built-in families. Each kernel reads
+    the caller's points as they are and makes no widened copy of the batch."""
     n, d = shape.n, shape.d
     t = spec.threshold if spec.threshold is not None else n // 2 + 1
     name = spec.name
@@ -360,41 +365,37 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
             raise ConfigError(f"dictator coordinate {i} out of range for d={d}")
         if not 1 <= t <= n + 1:
             raise ConfigError(f"threshold {t} out of range for n={n}")
-        if name == "dictator":
-            return FunctionOracle(
-                shape, lambda p: (p[:, i - 1] >= t).astype(np.int8), f"dictator(i={i},t={t})"
-            )
+        compare = np.greater_equal if name == "dictator" else np.less
         return FunctionOracle(
-            shape, lambda p: (p[:, i - 1] < t).astype(np.int8), f"anti_dictator(i={i},t={t})"
-        )
+            shape, lambda p: compare(p[:, i - 1], t).view(np.int8), f"{name}(i={i},t={t})")
     if name == "majority_threshold":
-        # Monotone: 1 iff the coordinate sum reaches the midpoint of its range.
-        cut = d * (n + 1) / 2
-        return FunctionOracle(shape, lambda p: (p.sum(axis=1) >= cut).astype(np.int8), name)
-    if name == "surface":
+        # Monotone: 1 iff the coordinate sum, taken in the narrowest dtype that
+        # holds d*n, reaches the midpoint d(n + 1)/2 of its range, rounded up.
+        cut, acc = -(-d * (n + 1) // 2), point_dtype(d * n)
+        row_sums = partial(np.einsum, "ij->i", dtype=acc, casting="unsafe")
+        return FunctionOracle(shape, lambda p: (row_sums(p) >= cut).view(np.int8), name)
+    if name in ("surface", "random_balanced"):
         seed = 0 if spec.seed is None else spec.seed
+        # The seed's key is mixed once per instance, as a one-element array:
+        # numpy scalar uint64 arithmetic warns on overflow.
+        key, narrow = _splitmix64(np.array([seed], dtype=np.uint64))[0], point_dtype(n)
+        if name == "random_balanced":
+            return FunctionOracle(shape, lambda p: _hash_bit(key, shape.indices_of_points(p)),
+                                  f"random_balanced(seed={seed})")
 
         def surface(pts: np.ndarray) -> np.ndarray:
-            out = np.full(len(pts), -1, dtype=np.int8)
-            for i in range(d):
-                col = pts[:, i]
-                undecided = out == -1
-                out[undecided & (col == 1)] = 1
-                out[undecided & (col == n)] = 0
-            interior = out == -1
-            if interior.any():
-                idx = shape.indices_of_points(pts[interior])
-                out[interior] = _hash_bit(seed, idx)
-            return out
+            # Hash every point, then walk its columns (one narrow contiguous
+            # copy) back to front: the first at 1 (value 1) or n (0) decides.
+            cols = np.empty(pts.shape[::-1], narrow)
+            np.copyto(cols, pts.T, casting="unsafe")
+            out = _hash_bit(key, shape.indices_of_points(cols.T)).view(bool)
+            edge = np.empty_like(out)
+            for col in cols[::-1]:
+                out &= np.not_equal(col, n, out=edge)
+                out |= np.equal(col, 1, out=edge)
+            return out.view(np.int8)
 
         return FunctionOracle(shape, surface, f"surface(seed={seed})")
-    if name == "random_balanced":
-        seed = 0 if spec.seed is None else spec.seed
-        return FunctionOracle(
-            shape,
-            lambda p: _hash_bit(seed, shape.indices_of_points(p)),
-            f"random_balanced(seed={seed})",
-        )
     if name == "explicit":
         if spec.path is None:
             raise ConfigError("explicit family requires a truth-table path")
@@ -440,9 +441,7 @@ def _repeated_offsets(d: int, k: int, index: np.dtype) -> np.ndarray:
     return repeated
 
 
-def restrict_to_subgrid(
-    f: FunctionOracle, subsets: Sequence[Sequence[int]]
-) -> FunctionOracle:
+def restrict_to_subgrid(f: FunctionOracle, subsets: Sequence[Sequence[int]]) -> FunctionOracle:
     """Restrict f to the product of d sorted coordinate multisets of size k.
 
     The multisets are held as one (d, k) table in the narrowest signed dtype

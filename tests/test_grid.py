@@ -1,5 +1,6 @@
 """Domain plumbing: indexing, families, transforms, files."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -525,6 +526,140 @@ def test_fn_many_gives_the_same_values_on_every_integer_dtype(tmp_path):
     top[1] = 40
     assert majority.peek_many(top).tolist() == [1, 1]
     assert majority.peek_many(np.ones((1, 256), np.int8)).tolist() == [0]
+
+
+# ---------------------------------------------------------------------------
+# Family kernels against plain reference versions
+# ---------------------------------------------------------------------------
+# The kernels below are the plain versions the in-place family kernels
+# replaced: widened int64 copies, boolean-mask writes and row gathers. They
+# read int64 points only.
+
+
+def reference_indices_of_points(shape, pts):
+    pts = np.asarray(pts, dtype=np.int64)
+    idx = np.zeros(pts.shape[:-1], dtype=np.int64)
+    for i in reversed(range(shape.d)):
+        idx = idx * shape.n + (pts[..., i] - 1)
+    return idx
+
+
+def reference_splitmix64(x):
+    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
+    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
+    return x ^ (x >> np.uint64(31))
+
+
+def reference_hash_bit(seed, idx):
+    key = reference_splitmix64(np.array([seed], dtype=np.uint64))
+    mixed = reference_splitmix64(np.asarray(idx, dtype=np.uint64) ^ key)
+    return (mixed & np.uint64(1)).astype(np.int8)
+
+
+def reference_surface(shape, seed, pts):
+    out = np.full(len(pts), -1, dtype=np.int8)
+    for i in range(shape.d):
+        col = pts[:, i]
+        undecided = out == -1
+        out[undecided & (col == 1)] = 1
+        out[undecided & (col == shape.n)] = 0
+    interior = out == -1
+    if interior.any():
+        out[interior] = reference_hash_bit(seed, reference_indices_of_points(shape, pts[interior]))
+    return out
+
+
+def reference_random_balanced(shape, seed, pts):
+    return reference_hash_bit(seed, reference_indices_of_points(shape, pts))
+
+
+def reference_majority_threshold(shape, pts):
+    return (pts.sum(axis=1) >= shape.d * (shape.n + 1) / 2).astype(np.int8)
+
+
+KERNEL_SEEDS = (0, 1, 7, 2**64 - 1)
+POINT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8)
+
+
+def kernel_cases(shape):
+    """(spec, reference kernel on int64 points) for every family the rewrite
+    touched, at every seed."""
+    yield FamilySpec("majority_threshold"), lambda p: reference_majority_threshold(shape, p)
+    for seed in KERNEL_SEEDS:
+        yield FamilySpec("surface", seed=seed), lambda p, s=seed: reference_surface(shape, s, p)
+        yield (FamilySpec("random_balanced", seed=seed),
+               lambda p, s=seed: reference_random_balanced(shape, s, p))
+
+
+def check_kernels_against_reference(shape, pts):
+    """Every kernel, and the index and hash under them, on pts in every
+    dtype that holds n, against the reference on int64 points."""
+    dtypes = [t for t in POINT_DTYPES if np.iinfo(t).max >= shape.n]
+    idx = reference_indices_of_points(shape, pts)
+    for dtype in dtypes:
+        assert np.array_equal(shape.indices_of_points(pts.astype(dtype)), idx), dtype
+    for seed in KERNEL_SEEDS:
+        key = grid._splitmix64(np.array([seed], dtype=np.uint64))[0]
+        assert np.array_equal(grid._hash_bit(key, idx.copy()), reference_hash_bit(seed, idx))
+    rows = np.random.default_rng(shape.d).integers(len(pts), size=40)
+    for spec, reference in kernel_cases(shape):
+        f = make_family(spec, shape)
+        expected = reference(pts)
+        for dtype in dtypes:
+            assert np.array_equal(f.peek_many(pts.astype(dtype)), expected), (spec, dtype)
+        # List input, batch and scalar.
+        assert f.peek_many(pts[rows].tolist()).tolist() == expected[rows].tolist(), spec
+        assert [f.peek(list(pts[r])) for r in rows[:10]] == expected[rows[:10]].tolist(), spec
+
+
+@pytest.mark.parametrize(
+    "n,d", [(2, 1), (2, 5), (4, 3), (8, 4), (8, 6), (16, 4), (64, 2), (2, 12), (128, 2)]
+)
+def test_family_kernels_match_the_reference_on_every_point(n, d):
+    shape = GridShape(n, d)
+    check_kernels_against_reference(shape, shape.all_points_array())
+
+
+@pytest.mark.parametrize("n,d", [(2, 70), (8, 256)])
+def test_family_kernels_wrap_the_index_as_the_reference_does(n, d):
+    # n^d >= 2^63: the index wraps modulo 2^64, as int64 Horner steps do.
+    shape = GridShape(n, d)
+    pts = np.random.default_rng(n * d).integers(1, n + 1, size=(3000, d))
+    pts[:3] = [[1] * d, [n] * d, [n] * (d - 1) + [1]]
+    assert (reference_indices_of_points(shape, pts) < 0).any()
+    check_kernels_against_reference(shape, pts)
+
+
+def test_family_truth_tables_are_pinned():
+    # sha256 of every truth table above, recorded from the plain kernels; a
+    # kernel change that moves any bit moves it.
+    digest = hashlib.sha256()
+    for n, d in ((2, 1), (2, 5), (4, 3), (8, 4), (8, 6), (16, 4), (64, 2), (2, 12), (128, 2)):
+        shape = GridShape(n, d)
+        for spec, _ in kernel_cases(shape):
+            digest.update(tabulate(make_family(spec, shape)).bits.tobytes())
+    assert digest.hexdigest() == "9156989bd4467b2187c92dd3709e6658e330715113041802a83b0de89e0f1608"
+
+
+@pytest.mark.parametrize(
+    "name,n,d", [("surface", 8, 4), ("majority_threshold", 8, 16), ("random_balanced", 64, 4)]
+)
+def test_family_kernels_make_no_widened_copy_of_the_batch(name, n, d):
+    # One read of 16,384 int8 points, a tester batch's size, peaks under
+    # 1 MiB; a float64 cast of the (8, 16) batch alone is 2 MiB.
+    f = make_family(FamilySpec(name), GridShape(n, d))
+    pts = walks.sample_points_batch(f.shape, 16384, np.random.default_rng(3))
+    assert pts.dtype == np.int8
+    f.eval_many(pts)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f.eval_many(pts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------
