@@ -8,7 +8,9 @@ Hashes, in a fixed order:
     pass; at (8, 256) a 1,024-trial batch indexes its selected entries in
     chunks and a 256-trial one whole) and n = 2048 (three draws per move),
     at two batch sizes and at HGM_THREADS 1 and 2;
-  * ``run_full_tester`` results, on the domain reduction and the fallback;
+  * ``run_full_tester`` results, on the domain reduction at a forced
+    k = 4 < n and on the fallback (the k = n rounds, which run on f itself,
+    are pinned in ``tests/test_tester.py``);
   * ``sample_walk_batch`` endpoints, up and down, with scalar and per-row
     lengths.
 

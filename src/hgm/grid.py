@@ -16,7 +16,8 @@ caller's integer dtype, so a batch function must not assume int64 (see
 :class:`FunctionOracle`). Points drawn or gathered inside the package are
 in the narrowest signed dtype that holds n (:func:`point_dtype`, int8 up
 to n = 64): the tester's batches, and a subgrid restriction's reads of f,
-whatever dtype its own caller used.
+whatever dtype its own caller used; a restriction reads f through one
+plain gather per batch.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ BUFFER_CAP = 64 << 20
 class KeptBuffer(threading.local):
     """A byte buffer that each thread keeps between calls, so a steady stream
     of calls of one size does not hand its scratch memory back to the
-    allocator and fault it in again on the next call.
+    allocator and fault it in again on the next call. The tester's batch
+    (``tester._KEPT``) and the walk step's selected-entry index
+    (``walks._SELECTED``) each keep one.
 
     ``take`` hands out the calling thread's buffer, grown to fit with an
     eighth to spare (so calls whose sizes vary by a few percent stop
@@ -202,9 +205,9 @@ class FunctionOracle:
     leave that dtype's range, such as a coordinate sum or a linear index,
     needs a wider dtype; the built-in family kernels read the caller's
     points as they are, with no widened copy of the batch. ``fn`` must not
-    keep its input array, nor return a view of it: the tester's batches and
-    a restriction's reads pass views of per-thread buffers that the next
-    call overwrites (:class:`KeptBuffer`).
+    keep its input array, nor return a view of it: the tester's batches
+    pass views of a per-thread buffer that the next batch overwrites
+    (:class:`KeptBuffer`).
     """
 
     def __init__(self, shape: Box, fn: Callable[[np.ndarray], np.ndarray], name: str = "oracle"):
@@ -426,39 +429,14 @@ def doubly_flip(f: FunctionOracle) -> FunctionOracle:
     return FunctionOracle(shape, g, f"flip({f.name})")
 
 
-_GATHER = KeptBuffer()
-
-
-@lru_cache(maxsize=8)
-def _repeated_offsets(d: int, k: int, index: np.dtype) -> np.ndarray:
-    """A restriction's gather offsets i*k - 1 of coordinates i = 0..d-1,
-    repeated for whole rows up to about 2^16 entries. A read adds them to
-    its flattened points chunk by chunk, each a contiguous pass; adding the
-    d offsets by broadcasting over (N, d) points runs an inner loop of only
-    d, and at d = 16 takes about twice as long."""
-    repeated = np.tile(np.arange(d, dtype=index) * k - 1, max(1, (1 << 16) // d))
-    repeated.flags.writeable = False
-    return repeated
-
-
 def restrict_to_subgrid(f: FunctionOracle, subsets: Sequence[Sequence[int]]) -> FunctionOracle:
     """Restrict f to the product of d sorted coordinate multisets of size k.
 
     The multisets are held as one (d, k) table in the narrowest signed dtype
     that holds n (:func:`point_dtype`). A batch of points maps back to f by
     one gather: coordinate z_i is entry i*k + z_i - 1 of the flattened
-    table, an index built in the narrowest of int16, int32 and int64 that
-    holds d*k, whatever the caller's dtype, by adding the offsets i*k - 1
-    (:func:`_repeated_offsets`, shared by the restrictions of one shape) to
-    the flattened points. So f reads points in the table's dtype (int8 up
-    to n = 64), and both reads check their points.
-
-    The index, its intp copy for ``np.take`` and the gathered points are
-    views of the calling thread's kept gather buffer (:class:`KeptBuffer`),
-    so a steady stream of reads allocates nothing. The buffer leaves its
-    slot during the read, so reads on other threads, and a read nested in
-    f's own evaluation, each use a buffer of their own; f receives a view of
-    it and must not keep it (see :class:`FunctionOracle`).
+    table, so f reads points in the table's dtype (int8 up to n = 64),
+    whatever the caller's dtype, and both reads check their points.
     """
     n, d = f.shape.n, f.shape.d
     if len(subsets) != d:
@@ -480,37 +458,13 @@ def restrict_to_subgrid(f: FunctionOracle, subsets: Sequence[Sequence[int]]) -> 
     if unsorted.size:
         raise DomainError(f"subset {unsorted[0] + 1} is not sorted non-decreasing")
     flat = table.astype(point_dtype(n)).reshape(-1)
-    index = np.promote_types(point_dtype(d * k), np.int16)
-    repeated = _repeated_offsets(d, k, index)
-    # A read's scratch in the kept buffer: the intp index that np.take
-    # reads, then the narrow index, whose place the gathered points take
-    # once it has been copied. Every byte kept here is a byte more that the
-    # rest of a full-tester round must share the caches with.
-    wide_size = np.dtype(np.intp).itemsize
-    tail_size = max(index.itemsize, flat.itemsize)
+    offsets = np.arange(d) * k - 1
 
     def g(pts: np.ndarray) -> np.ndarray:
-        m = pts.size
-        buf = _GATHER.take((wide_size + tail_size) * m)
-        wide = np.ndarray(m, np.intp, buf)
-        narrow = np.ndarray(m, index, buf, wide_size * m)
-        gathered = np.ndarray(m, flat.dtype, buf, wide_size * m)
-        # The sum is cast to the index dtype from any caller's dtype (uint64
-        # + int16 would be float). The narrow sum and one copy into intp are
-        # faster than summing the narrow points straight into intp. Every
-        # chunk starts a row, as repeated holds whole rows.
-        points, step = pts.reshape(-1), repeated.size
-        for start in range(0, m, step):
-            stop = start + step
-            np.add(points[start:stop], repeated[: m - start], dtype=index, out=narrow[start:stop])
-        np.copyto(wide, narrow)
         # peek_many has checked pts against [1, k]^d, so every index is in
-        # [0, d*k) and none is clipped; a mode other than "raise" lets take
-        # write into out without a buffer.
-        np.take(flat, wide, out=gathered, mode="clip")
-        values = f.peek_many(gathered.reshape(pts.shape))
-        _GATHER.keep(buf)
-        return values
+        # [0, d*k). The sum is cast to intp from any caller's dtype (uint64
+        # + int64 would be float).
+        return f.peek_many(flat[np.add(pts, offsets, dtype=np.intp, casting="unsafe")])
 
     return FunctionOracle(sub_shape, g, f"restrict({f.name},k={k})")
 

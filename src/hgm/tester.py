@@ -53,7 +53,6 @@ import numpy as np
 from . import walks
 from .errors import BudgetError, ConfigError
 from .grid import (
-    _GATHER,
     FunctionOracle,
     GridShape,
     KeptBuffer,
@@ -172,6 +171,8 @@ class TesterConfig:
     max_witnesses: int = 8
 
     def __post_init__(self):
+        for name in ("trials", "batch_size", "max_witnesses"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.batch_size < 1:
@@ -235,9 +236,9 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     mask and, once the walk step has indexed it, the moved points. A batch
     needing more than grid.BUFFER_CAP bytes (24 N d of int8 points) keeps
     nothing there. With HGM_THREADS > 1 the pool's threads draw their own
-    buffers, which end with the call, and the calling thread drops its own,
-    its selected-entry buffer (``walks._SELECTED``) and its restricted-read
-    buffer (``grid._GATHER``) too. Nothing returned references the buffers.
+    buffers, which end with the call, and the calling thread drops its own
+    and its selected-entry buffer (``walks._SELECTED``) too. Nothing
+    returned references the buffers.
     """
     shape = cfg.shape
     n, d, N = shape.n, shape.d, count
@@ -308,9 +309,9 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
     args = (repeat(f), repeat(cfg), range(len(sizes)), sizes)
     threads = worker_count()
     if threads > 1:
-        # The calling thread's batch, selected-entry and gather buffers
-        # would idle while the pool's threads draw their own.
-        _KEPT.buffer = walks._SELECTED.buffer = _GATHER.buffer = None
+        # The calling thread's batch and selected-entry buffers would idle
+        # while the pool's threads draw their own.
+        _KEPT.buffer = walks._SELECTED.buffer = None
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_batch, *args))
     else:
@@ -625,15 +626,23 @@ def run_full_tester(
     For eps below 1/sqrt(d) the walk analysis offers no advantage and we
     defer to the fallback pair tester, which reads none of ``k``,
     ``outer_reps`` and ``inner_trials``: setting any of them there is a
-    ConfigError. Otherwise: ceil(8/eps) rounds, each restricting f to k
-    sorted uniform samples per axis and running the trial driver (at
-    DEFAULT_BATCH) on the restriction. A witness in the restriction maps
-    back through the sample tables to a violation of f itself. The
-    restrictions read f without counting, so f is charged their queries.
+    ConfigError. Otherwise: ceil(8/eps) rounds, each running the trial
+    driver (at DEFAULT_BATCH) on a side-k grid. At k = n, the size
+    :func:`choose_subgrid_size` gives at every desk-scale shape, a round
+    runs on f itself, which it charges, and its witness is one of f's. A
+    forced k < n restricts f to k sorted uniform samples per axis; the
+    restriction reads f without counting, so f is charged its queries, and
+    a witness in it maps back through the sample tables to a violation of
+    f. The three counts must be integers (ConfigError otherwise).
     """
     shape = f.shape
     if not 0 < eps < 1:
         raise ConfigError("eps must be in (0,1)")
+    k, outer_reps, inner_trials = (
+        None if value is None else _integer(value, name)
+        for name, value in (("subgrid size", k), ("outer_reps", outer_reps),
+                            ("inner_trials", inner_trials))
+    )
     for name, value in (("outer_reps", outer_reps), ("inner_trials", inner_trials)):
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -657,20 +666,24 @@ def run_full_tester(
         inner_trials = math.ceil(32 * eps**-2 * math.sqrt(shape.d))
     total_queries = 0
     for rep in range(outer_reps):
-        T = sample_subgrid(shape, k, substream(seed, "subgrid", rep))
-        fT = restrict_to_subgrid(f, T)
         cfg = TesterConfig(
-            shape=GridShape(k, shape.d),
+            # At k = n, f's own shape: it may be a plain Box of side n.
+            shape=shape if k == shape.n else GridShape(k, shape.d),
             trials=inner_trials,
             seed=int(substream(seed, "inner", rep).integers(0, 2**63)),
         )
-        report = run_tester(fT, cfg)
+        if k == shape.n:
+            report = run_tester(f, cfg)
+        else:
+            T = sample_subgrid(shape, k, substream(seed, "subgrid", rep))
+            report = run_tester(restrict_to_subgrid(f, T), cfg)
+            f.query_count += report.total_queries
         total_queries += report.total_queries
-        f.query_count += report.total_queries
         if report.rejections:
-            _, _, _, zu, zv = report.witnesses[0]
-            u = tuple(T[i][zu[i] - 1] for i in range(shape.d))
-            v = tuple(T[i][zv[i] - 1] for i in range(shape.d))
+            _, _, _, u, v = report.witnesses[0]
+            if k < shape.n:
+                u = tuple(T[i][u[i] - 1] for i in range(shape.d))
+                v = tuple(T[i][v[i] - 1] for i in range(shape.d))
             return FullTesterResult(
                 False, (u, v), False, k, k_formula, rep + 1, inner_trials, total_queries
             )

@@ -300,7 +300,7 @@ def test_restricted_reads_match_a_per_axis_gather(n, d, k):
         assert pts.dtype == narrowest_signed(n) and np.array_equal(pts, expected)
     for i, pts in enumerate(seen[3:]):
         assert np.array_equal(pts[0], expected[i])
-    # The gather works in its own buffer, never in the caller's points.
+    # The gather never writes into the caller's points.
     assert np.array_equal(z, z_before) and np.array_equal(wide, z_before)
     assert g.query_count == len(z) + 3 and f.query_count == 0
     # A batch read hands fn the caller's own points, in their own
@@ -318,9 +318,9 @@ def narrowest_signed(n):
 
 @pytest.mark.parametrize("d", [31, 32, 33])
 def test_restricted_gather_across_the_index_dtype_boundary(d):
-    # d*k = 31,744 indexes fit int16; 32,768 and up are built in int32, and
-    # d = 33 is the first whose last index (33,791) int16 cannot hold. Every
-    # caller dtype reads both ends of every axis (int8 only up to 127).
+    # d*k = 31,744, 32,768 and 33,792 table entries, either side of the
+    # largest int16. Every caller dtype reads both ends of every axis (int8
+    # only up to 127).
     n = k = 1024
     rng = np.random.default_rng(d)
     T = sample_subgrid(GridShape(n, d), k, rng)
@@ -365,32 +365,10 @@ def test_kept_buffer_grows_with_an_eighth_to_spare():
     assert kept.take(900) is buf  # a request a little larger reuses it
 
 
-def test_repeat_restricted_reads_allocate_no_scratch():
-    # The index, its intp copy and the gathered points (10 bytes per
-    # coordinate at (8, 64)) live in the thread's kept gather buffer, so a
-    # second read of one shape allocates only f's and peek_many's N values.
-    rng = np.random.default_rng(5)
-    f = FunctionOracle(GridShape(8, 64), lambda pts: np.zeros(len(pts), np.int8))
-    g = restrict_to_subgrid(f, sample_subgrid(f.shape, 8, rng))
-    z = walks.sample_points_batch(g.shape, 2536, rng)
-    g.peek_many(z)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        g.peek_many(z)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < z.size
-
-
 def test_restricted_reads_of_every_size_read_only_their_own_points():
-    # Reads that shrink, grow and repeat a shape with new points, through one
-    # kept buffer: each gathers exactly its own points, never what an
-    # earlier read left in the buffer. The offsets are added 7281 rows
-    # (65,529 entries) at a time, so the last two reads take two and five
-    # chunks, each of which must start a row. A column-major batch is
-    # flattened by copy.
+    # Reads that shrink, grow and repeat a shape with new points: each
+    # gathers exactly its own points, from a row-major or a column-major
+    # batch.
     rng = np.random.default_rng(6)
     n, d, k = 64, 9, 16
     T = sample_subgrid(GridShape(n, d), k, rng)
@@ -406,13 +384,12 @@ def test_restricted_reads_of_every_size_read_only_their_own_points():
 def test_nested_restricted_reads_each_use_their_own_buffer():
     # A restriction of a restriction reads through two gathers on one
     # thread, and f's own evaluation reads a third restriction before it
-    # reads its points. Each read takes the thread's kept buffer out of its
-    # slot, so no nested read overwrites the points its caller gathered.
+    # reads its points: no nested read changes the points its caller
+    # gathered.
     rng = np.random.default_rng(7)
     base = make_family(FamilySpec("random_balanced", seed=4), GridShape(16, 6))
     side = restrict_to_subgrid(base, sample_subgrid(base.shape, 16, rng))
     probe = walks.sample_points_batch(side.shape, 5000, rng)
-    side.peek_many(probe)  # the kept buffer now fits every read below
 
     def fn(pts):
         side.peek_many(probe)
@@ -441,8 +418,6 @@ def test_run_tester_on_a_restriction_is_the_same_at_one_and_two_threads(monkeypa
         rep = tester.run_tester(g, cfg)
         reports.append((rep.rejections, rep.per_tau, rep.per_step, rep.total_queries,
                         rep.witnesses))
-        # At two threads the calling thread drops its kept gather buffer.
-        assert (grid._GATHER.buffer is None) == (threads == "2")
     assert reports[0][0] > 0
     assert reports[0] == reports[1] == reports[2]
 

@@ -50,6 +50,13 @@ def test_config_validation():
         Config(shape=shape, trials=1, tau_schedule=(3,))
     cfg = Config(shape=shape, trials=1, tau_schedule=(1, 4))
     assert cfg.schedule == (1, 4)
+    # Counts must be integers; integer types other than int are read as ints.
+    for bad in (dict(trials=2.5), dict(trials=1, batch_size=2.5),
+                dict(trials=1, max_witnesses=1.5), dict(trials="3")):
+        with pytest.raises(ConfigError, match="integer"):
+            Config(shape=shape, **bad)
+    cfg = Config(shape=shape, trials=np.int64(3), batch_size=np.int16(2))
+    assert (cfg.trials, cfg.batch_size) == (3, 2) and type(cfg.trials) is int
 
 
 def test_config_rejects_nonpositive_batch_size():
@@ -752,11 +759,12 @@ def test_full_tester_rejects_surface_with_mapped_witness():
 
 
 def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
-    # Restricted batches run concurrently; each gather needs its own buffer.
-    # Three batches per round.
+    # Batches run concurrently, three per round, on a restriction (k < n)
+    # or on f itself (k = n).
     trials = 2 * tester.DEFAULT_BATCH + 512
     monotone = make_family(FamilySpec("majority_threshold"), GridShape(16, 16))
-    for f, k in ((monotone, 8), (anti_dictator(8, 16), 4)):
+    for f, k in ((monotone, 8), (monotone, None), (anti_dictator(8, 16), 4),
+                 (anti_dictator(8, 16), None)):
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HGM_THREADS", threads)
@@ -767,8 +775,9 @@ def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
             results.append((res, worker.query_count))
         assert results[0] == results[1]
         assert results[0][0].accepted == (f is monotone)
-    u, v = results[0][0].witness
-    assert all(a <= b for a, b in zip(u, v)) and f.peek(u) == 1 and f.peek(v) == 0
+        if f is not monotone:
+            u, v = results[0][0].witness
+            assert all(a <= b for a, b in zip(u, v)) and f.peek(u) == 1 and f.peek(v) == 0
     assert monotone.query_count == 0
 
 
@@ -780,6 +789,60 @@ def test_full_tester_falls_back_below_sqrt_d_threshold():
     # Below the threshold: the pair tester takes over.
     res = tester.run_full_tester(f, 0.05, seed=0)
     assert res.fallback and res.accepted
+
+
+def test_full_tester_at_k_n_runs_on_f_itself(monkeypatch):
+    # At k = n nothing is sampled and nothing restricted: every round runs
+    # the trial driver on f, which charges f once.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the k = n path sampled or restricted a subgrid")
+
+    monkeypatch.setattr(tester, "sample_subgrid", refuse)
+    monkeypatch.setattr(tester, "restrict_to_subgrid", refuse)
+    monotone = make_family(FamilySpec("majority_threshold"), GridShape(8, 16))
+    res = tester.run_full_tester(monotone, 0.9, seed=1)
+    assert res.accepted and not res.fallback and res.k == 8
+    assert (res.outer_reps, res.inner_trials) == (math.ceil(8 / 0.9), math.ceil(32 / 0.81 * 4))
+    assert monotone.query_count == res.total_queries == 16 * res.outer_reps * res.inner_trials
+    # f's shape may be a plain Box whose side is a power of two.
+    box = ExplicitFunction(grid.Box(8, 2), np.zeros(64, np.uint8))
+    assert tester.run_full_tester(box, 0.9, seed=1).accepted
+    # A rejection in round 0 reports that round's first witness, as f's.
+    f = anti_dictator(8, 16)
+    res = tester.run_full_tester(f, 0.9, seed=2)
+    assert not res.accepted and res.outer_reps == 1
+    assert f.query_count == res.total_queries == 16 * res.inner_trials
+    round_0 = Config(shape=f.shape, trials=res.inner_trials,
+                     seed=int(substream(2, "inner", 0).integers(0, 2**63)))
+    assert res.witness == run_tester(anti_dictator(8, 16), round_0).witnesses[0][3:]
+    u, v = res.witness
+    assert all(a <= b for a, b in zip(u, v)) and f.peek(u) == 1 and f.peek(v) == 0
+
+
+# (family, n, d, eps, seed, k) -> (accepted, first 16 hex digits of the
+# sha256 of repr(witness), total_queries). The forced k < n cells were
+# recorded before the rounds at k = n ran on f itself and must not move;
+# the k = n cells (k None) were recorded after.
+REDUCTION_PINS = {
+    ("majority_threshold", 16, 8, 0.9, 1, 4): (True, None, 16128),
+    ("anti_dictator", 16, 8, 0.9, 2, 4): (False, "fd204a066bf1b728", 1792),
+    ("surface", 8, 16, 0.5, 3, 2): (False, "ebb55a82dd052a07", 8192),
+    ("majority_threshold", 8, 16, 0.9, 1, None): (True, None, 22896),
+    ("anti_dictator", 8, 16, 0.9, 2, None): (False, "a9a5383a2a331742", 2544),
+    ("surface", 16, 6, 0.5, 4, None): (False, "c4246d6059d795bc", 5024),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(REDUCTION_PINS, key=repr))
+def test_reduction_outputs_are_pinned(cell):
+    name, n, d, eps, seed, k = cell
+    f = make_family(FamilySpec(name), GridShape(n, d))
+    res = tester.run_full_tester(f, eps, seed=seed, k=k)
+    digest = None if res.witness is None else \
+        hashlib.sha256(repr(res.witness).encode()).hexdigest()[:16]
+    assert not res.fallback and res.k == (k or n)
+    assert (res.accepted, digest, res.total_queries) == REDUCTION_PINS[cell]
+    assert f.query_count == res.total_queries
 
 
 def test_line_fallback_rejects_two_point_violation():
@@ -914,6 +977,10 @@ def test_full_tester_rejects_bad_eps():
         tester.run_full_tester(anti_dictator(8, 4), 0.9, outer_reps=-3)
     with pytest.raises(ConfigError, match="inner_trials"):
         tester.run_full_tester(anti_dictator(8, 4), 0.9, inner_trials=0)
+    # Counts that are not integers are usage errors, not TypeErrors.
+    for bad in (dict(k=4.0), dict(outer_reps=2.5), dict(inner_trials=10.5), dict(k="4")):
+        with pytest.raises(ConfigError, match="integer"):
+            tester.run_full_tester(anti_dictator(8, 4), 0.9, **bad)
     # Below 1/sqrt(d) the fallback runs, which reads none of the three.
     g = make_family(FamilySpec("dictator"), GridShape(4, 16))
     for bad in (dict(k=3, outer_reps=-1, inner_trials=-7), dict(k=2), dict(outer_reps=2),
