@@ -82,10 +82,7 @@ def tester_outputs():
 def full_tester_outputs():
     for family, n, d, eps, seed in FULL_CELLS:
         f = make_family(FamilySpec(family), GridShape(n, d))
-        if eps >= d**-0.5:
-            res = tester.run_full_tester(f, eps, seed=seed, outer_reps=3, inner_trials=1500, k=4)
-        else:
-            res = tester.run_full_tester(f, eps, seed=seed)
+        res = tester.run_full_tester(f, eps, seed=seed, k=4 if eps >= d**-0.5 else None)
         yield repr((family, n, d, eps, res, f.query_count)).encode()
 
 

@@ -3,9 +3,10 @@
 :class:`Box` is the domain [n]^d for any n >= 1 and holds all point
 indexing; the order-theoretic oracles (distance, violation graphs,
 Talagrand) run on any box. :class:`GridShape` is a Box whose side is a
-power of two, the domain the walks need. Points are 1-based tuples of
-length d. The linear index uses mixed radix with coordinate 1 least
-significant: index(x) = sum_i (x_i - 1) * n^(i-1).
+power of two, the domain the walks need; a domain is its (n, d), so the
+two compare equal at the same side and dimension. Points are 1-based
+tuples of length d. The linear index uses mixed radix with coordinate 1
+least significant: index(x) = sum_i (x_i - 1) * n^(i-1).
 
 A :class:`FunctionOracle` holds one function, a batch function from (N, d)
 integer points to N values. Every read, charged or not, checks its points
@@ -85,9 +86,10 @@ class KeptBuffer(threading.local):
             self.buffer = buf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """The domain [n]^d for any side n >= 1."""
+    """The domain [n]^d for any side n >= 1. A domain is its (n, d): a Box
+    equals, and hashes as, a GridShape of the same side and dimension."""
 
     n: int
     d: int
@@ -97,6 +99,14 @@ class Box:
             raise DomainError(f"side length must be positive, got {self.n}")
         if self.d < 1:
             raise DomainError(f"dimension must be positive, got {self.d}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Box):
+            return NotImplemented
+        return (self.n, self.d) == (other.n, other.d)
+
+    def __hash__(self):
+        return hash((self.n, self.d))
 
     @property
     def num_points(self) -> int:
@@ -502,7 +512,7 @@ def load_truth_table(path) -> ExplicitFunction:
         raise FormatError("truncated header")
     n, d = struct.unpack("<II", blob[4:12])
     try:
-        shape = GridShape(n, d)
+        shape = Box(n, d)
     except DomainError as e:
         raise FormatError(str(e)) from e
     num_bytes = (shape.num_points + 7) // 8

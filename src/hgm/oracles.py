@@ -60,7 +60,6 @@ class ViolationGraph:
 
     box: Box
     bits: np.ndarray
-    mode: str
     edges: np.ndarray
 
     @property
@@ -76,7 +75,7 @@ class ViolationGraph:
         return np.unique(self.edges[:, 1]) if self.m else np.empty(0, np.int64)
 
     def subgraph(self, which: np.ndarray) -> "ViolationGraph":
-        return ViolationGraph(self.box, self.bits, self.mode, self.edges[which])
+        return ViolationGraph(self.box, self.bits, self.edges[which])
 
     def check_edges(self) -> bool:
         """Every edge re-verifies as a violation against the truth table."""
@@ -103,7 +102,7 @@ def build_violation_graph(
         edges = _comparable_violations(box, bits, budget)
     else:
         raise DomainError(f"unknown violation graph mode {mode!r}")
-    return ViolationGraph(box, bits, mode, edges)
+    return ViolationGraph(box, bits, edges)
 
 
 def _axis_violations(box: Box, bits: np.ndarray) -> np.ndarray:
@@ -158,7 +157,6 @@ class DistanceResult:
     distance: Fraction
     matching_size: int
     repair_indices: np.ndarray  # indices where the optimal repair differs
-    num_points: int
     method: str
 
 
@@ -239,7 +237,7 @@ def _min_cut_distance(
     assert len(cover) == size, "cover size must equal the flow value"
     repair = _upset_repair(box, bits, cover)
     assert len(repair) == size, "repair size must equal the flow value"
-    return DistanceResult(Fraction(size, N), size, repair, N, method)
+    return DistanceResult(Fraction(size, N), size, repair, method)
 
 
 def _distance_small(box: Box, bits: np.ndarray, budget: int) -> DistanceResult:
@@ -374,7 +372,6 @@ def colored_thresholded_degree(G: ViolationGraph, coloring: Optional[np.ndarray]
 @dataclass
 class TalResult:
     value: float
-    coloring: Optional[np.ndarray]
     exact: bool
     method: str
 
@@ -385,7 +382,8 @@ TAL_MAX_PASSES = 50  # sweeps of single-edge flips in the local search
 
 
 def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> TalResult:
-    """min over edge bicolorings of sum_z sqrt(colored thresholded degree).
+    """min over edge bicolorings of sum_z sqrt(colored thresholded degree),
+    the value only.
 
     Exact brute force over all 2^m colorings for m <= exact_cap; larger
     graphs get the best of the two trivial colorings improved by greedy
@@ -393,7 +391,7 @@ def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> Ta
     """
     m = G.m
     if m == 0:
-        return TalResult(0.0, np.empty(0, dtype=np.int8), True, "empty")
+        return TalResult(0.0, True, "empty")
     if m > exact_cap:
         return _tal_local_search(G)
     # Per (vertex, dim): bitmask of incident edges and which color counts there.
@@ -410,7 +408,6 @@ def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> Ta
             masks[vd[key]][0] |= 1 << k
     total = 1 << m
     best_val = math.inf
-    best_chi = 0
     chunk = 1 << min(TAL_CHUNK_BITS, m)
     sqrt_table = np.sqrt(np.arange(G.box.d + 1))
     for start in range(0, total, chunk):
@@ -425,12 +422,10 @@ def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> Ta
                 )
                 phi += hit
             obj += sqrt_table[phi]
-        k = int(np.argmin(obj))
-        if obj[k] < best_val - 1e-15:
-            best_val = float(obj[k])
-            best_chi = int(chis[k])
-    chi_arr = np.array([(best_chi >> k) & 1 for k in range(m)], dtype=np.int8)
-    return TalResult(best_val, chi_arr, True, "brute_force")
+        low = float(obj.min())
+        if low < best_val - 1e-15:
+            best_val = low
+    return TalResult(best_val, True, "brute_force")
 
 
 def _tal_value(G: ViolationGraph, chi: np.ndarray) -> float:
@@ -456,7 +451,7 @@ def _tal_local_search(G: ViolationGraph) -> TalResult:
                 chi[e] ^= 1
         if not improved:
             break
-    return TalResult(val, chi, False, "local_search")
+    return TalResult(val, False, "local_search")
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +463,6 @@ def _tal_local_search(G: ViolationGraph) -> TalResult:
 class InfluenceResult:
     total: float
     negative: float
-    exact: bool
-    ci_total: Optional[Tuple[float, float]] = None
-    ci_negative: Optional[Tuple[float, float]] = None
 
 
 def influence_tilde(f: FunctionOracle) -> InfluenceResult:
@@ -488,7 +480,7 @@ def influence_tilde(f: FunctionOracle) -> InfluenceResult:
         negative += float((moves * down).sum())
         total += float((moves * (down + down.T)).sum())
     N = shape.num_points
-    return InfluenceResult(total / N, negative / N, True)
+    return InfluenceResult(total / N, negative / N)
 
 
 def influence_via_hypercubes(
@@ -525,4 +517,4 @@ def influence_via_hypercubes(
         scale = w / 2**shape.d
         total_acc.append(scale * cube_T)
         neg_acc.append(scale * cube_N)
-    return InfluenceResult(math.fsum(total_acc), math.fsum(neg_acc), True)
+    return InfluenceResult(math.fsum(total_acc), math.fsum(neg_acc))

@@ -116,6 +116,8 @@ STEP_BLOCKS = tuple(
 )
 
 DEFAULT_BATCH = 8192
+# Witnesses a report keeps, the first in trial order.
+MAX_WITNESSES = 8
 # Pairs per fallback chunk; larger chunks raise the fallback's peak memory.
 FALLBACK_CHUNK = 1024
 
@@ -163,22 +165,24 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class TesterConfig:
+    """One run of the trial driver: trials trials on shape, in batches of
+    batch_size whose randomness is keyed by (seed, batch index), with walk
+    lengths drawn from tau_schedule (default_tau_schedule(d) if None). The
+    counts must be positive integers (ConfigError otherwise)."""
+
     shape: GridShape
     trials: int
     seed: int = 0
     tau_schedule: Optional[Tuple[int, ...]] = None
     batch_size: int = DEFAULT_BATCH
-    max_witnesses: int = 8
 
     def __post_init__(self):
-        for name in ("trials", "batch_size", "max_witnesses"):
+        for name in ("trials", "batch_size"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        if self.max_witnesses < 0:
-            raise ConfigError("max_witnesses must be non-negative")
         if self.tau_schedule is not None:
             object.__setattr__(self, "tau_schedule", _normalize_schedule(self.tau_schedule))
 
@@ -215,7 +219,7 @@ _KEPT = KeptBuffer()
 def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: int):
     """One deterministic batch of count trials: trials and rejections per
     schedule index, first rejections per step, queries spent, and the first
-    cfg.max_witnesses witnesses.
+    MAX_WITNESSES witnesses.
 
     All randomness comes from (seed, "batch", batch_index), so the result is
     independent of which thread runs it. The batch is walk-major: one draw
@@ -275,7 +279,7 @@ def _run_batch(f: FunctionOracle, cfg: TesterConfig, batch_index: int, count: in
     rejected = viol.any(axis=0)
     first = np.argmax(viol, axis=0)  # index of first rejecting pair
     witnesses = []
-    for row in np.flatnonzero(rejected)[: cfg.max_witnesses]:
+    for row in np.flatnonzero(rejected)[:MAX_WITNESSES]:
         pi = int(first[row])
         step, kind = PAIRS[pi]
         low, high = anchors[pi, row], moved[pi, row]
@@ -335,7 +339,7 @@ def run_tester(f: FunctionOracle, cfg: TesterConfig) -> TesterReport:
         per_step=dict(zip(STEPS, step_rejections.tolist())),
         total_queries=queries,
         # Batch order, so deterministic.
-        witnesses=[w for batch in witnesses for w in batch][: cfg.max_witnesses],
+        witnesses=[w for batch in witnesses for w in batch][:MAX_WITNESSES],
         seed=cfg.seed,
     )
 
@@ -561,7 +565,9 @@ def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult
     not from the walk analysis): up to ceil(8 d log n / eps) pairs, each a
     uniform point and its length-1 up-walk (one uniform coordinate resampled
     through the dyadic-interval kernel, kept only if it moved up); reject on
-    any violated pair. One-sided by construction.
+    any violated pair. One-sided by construction. It runs on the domain
+    GridShape(n, d) of f's (n, d), so f may be any Box whose side is a power
+    of two (DomainError otherwise).
 
     Pairs are drawn in chunks of FALLBACK_CHUNK. A chunk draws its points
     (:func:`hgm.walks.sample_points_batch`), one uniform coordinate per
@@ -574,7 +580,7 @@ def line_tester_fallback(f: FunctionOracle, eps: float, rng) -> FullTesterResult
     is one bounded draw per row), so the results equal its; at d <= 16
     that call reads its coordinate from the mask table instead.
     """
-    shape = f.shape
+    shape = GridShape(f.shape.n, f.shape.d)
     if not 0 < eps < 1:
         raise ConfigError("eps must be in (0,1)")
     num_pairs = math.ceil(8 * shape.d * max(1, shape.log_n) / eps)
@@ -614,61 +620,45 @@ def choose_subgrid_size(shape: GridShape, eps: float) -> Tuple[int, float]:
 
 
 def run_full_tester(
-    f: FunctionOracle,
-    eps: float,
-    seed: int = 0,
-    outer_reps: Optional[int] = None,
-    inner_trials: Optional[int] = None,
-    k: Optional[int] = None,
+    f: FunctionOracle, eps: float, seed: int = 0, k: Optional[int] = None
 ) -> FullTesterResult:
     """Distance-targeted tester: subgrid sampling plus the path tester.
 
-    For eps below 1/sqrt(d) the walk analysis offers no advantage and we
-    defer to the fallback pair tester, which reads none of ``k``,
-    ``outer_reps`` and ``inner_trials``: setting any of them there is a
-    ConfigError. Otherwise: ceil(8/eps) rounds, each running the trial
-    driver (at DEFAULT_BATCH) on a side-k grid. At k = n, the size
-    :func:`choose_subgrid_size` gives at every desk-scale shape, a round
-    runs on f itself, which it charges, and its witness is one of f's. A
-    forced k < n restricts f to k sorted uniform samples per axis; the
-    restriction reads f without counting, so f is charged its queries, and
-    a witness in it maps back through the sample tables to a violation of
-    f. The three counts must be integers (ConfigError otherwise).
+    It runs on the domain GridShape(n, d) of f's (n, d), so f may be any Box
+    whose side is a power of two (DomainError otherwise). For eps below
+    1/sqrt(d) the walk analysis offers no advantage and we defer to the
+    fallback pair tester, which reads no ``k``: setting it there is a
+    ConfigError. Otherwise: ceil(8/eps) rounds of ceil(32 eps^-2 sqrt(d))
+    trials, each round running the trial driver (at DEFAULT_BATCH) on
+    GridShape(k, d). At k = n, the size :func:`choose_subgrid_size` gives at
+    every desk-scale shape, a round runs on f itself, which it charges, and
+    its witness is one of f's. A forced k < n, a power of two (an integer,
+    ConfigError otherwise), restricts f to k sorted uniform samples per axis;
+    the restriction reads f without counting, so f is charged its queries,
+    and a witness in it maps back through the sample tables to a violation
+    of f.
     """
-    shape = f.shape
+    shape = GridShape(f.shape.n, f.shape.d)
     if not 0 < eps < 1:
         raise ConfigError("eps must be in (0,1)")
-    k, outer_reps, inner_trials = (
-        None if value is None else _integer(value, name)
-        for name, value in (("subgrid size", k), ("outer_reps", outer_reps),
-                            ("inner_trials", inner_trials))
-    )
-    for name, value in (("outer_reps", outer_reps), ("inner_trials", inner_trials)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
     if eps < shape.d**-0.5:
-        if (k, outer_reps, inner_trials) != (None, None, None):
+        if k is not None:
             raise ConfigError(
-                f"eps {eps} < 1/sqrt(d) runs the fallback pair tester, which reads"
-                " none of k, outer_reps and inner_trials"
+                f"eps {eps} < 1/sqrt(d) runs the fallback pair tester, which reads no k"
             )
         return line_tester_fallback(f, eps, substream(seed, "fallback"))
     chosen, k_formula = choose_subgrid_size(shape, eps)
-    if k is None:
-        k = chosen
+    k = chosen if k is None else _integer(k, "subgrid size")
     if k < 2 or k & (k - 1):
         raise ConfigError(f"subgrid size {k} must be a power of two >= 2")
     if k > shape.n:
         raise ConfigError(f"subgrid size {k} exceeds side length {shape.n}")
-    if outer_reps is None:
-        outer_reps = math.ceil(8 / eps)
-    if inner_trials is None:
-        inner_trials = math.ceil(32 * eps**-2 * math.sqrt(shape.d))
+    outer_reps = math.ceil(8 / eps)
+    inner_trials = math.ceil(32 * eps**-2 * math.sqrt(shape.d))
     total_queries = 0
     for rep in range(outer_reps):
         cfg = TesterConfig(
-            # At k = n, f's own shape: it may be a plain Box of side n.
-            shape=shape if k == shape.n else GridShape(k, shape.d),
+            shape=GridShape(k, shape.d),
             trials=inner_trials,
             seed=int(substream(seed, "inner", rep).integers(0, 2**63)),
         )

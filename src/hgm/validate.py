@@ -17,6 +17,7 @@ from .stats import chi_square_gof
 
 FORMULATIONS = ("direct", "cube_first", "cube_at_x")
 EQUIV_ALPHA = 0.001
+EQUIV_TOL = 1e-12
 
 
 def check_joint_budget(shape: GridShape, tau: int, budget: int) -> None:
@@ -54,11 +55,11 @@ class EquivExactResult:
 
 
 def equivalence_exact(
-    shape: GridShape, tau: int, direction: str = "up", tol: float = 1e-12,
-    budget: int = walks.DEFAULT_PMF_BUDGET,
+    shape: GridShape, tau: int, direction: str = "up", budget: int = walks.DEFAULT_PMF_BUDGET
 ) -> EquivExactResult:
     """Pointwise comparison of the three exact pmf formulations over every
-    anchor; budget as in :func:`check_joint_budget`."""
+    anchor; they agree when every difference is below EQUIV_TOL. Budget as
+    in :func:`check_joint_budget`."""
     check_joint_budget(shape, tau, budget)
     diffs = {
         ("direct", "cube_first"): 0.0,
@@ -70,7 +71,7 @@ def equivalence_exact(
         pmfs = {f: walks.exact_pmf(shape, x, spec, f, budget) for f in FORMULATIONS}
         for a, b in diffs:
             diffs[(a, b)] = max(diffs[(a, b)], pmfs[a].max_abs_diff(pmfs[b]))
-    return EquivExactResult(diffs, all(v < tol for v in diffs.values()), tol)
+    return EquivExactResult(diffs, all(v < EQUIV_TOL for v in diffs.values()), EQUIV_TOL)
 
 
 def _sample_pairs(
@@ -98,7 +99,6 @@ class EquivStatResult:
     per_formulation: Dict[str, Tuple[float, float, int]]  # stat, p, dof
     passed: bool
     alpha: float
-    samples: int
 
 
 def equivalence_statistical(
@@ -133,7 +133,7 @@ def equivalence_statistical(
         stat, p, dof = chi_square_gof(observed, expected, samples)
         results[formulation] = (stat, p, dof)
         ok = ok and p > EQUIV_ALPHA
-    return EquivStatResult(results, ok, EQUIV_ALPHA, samples)
+    return EquivStatResult(results, ok, EQUIV_ALPHA)
 
 
 @dataclass

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence
@@ -98,9 +98,7 @@ class WalkSpec:
 class WalkPmf:
     """Exact endpoint distribution of a walk from a fixed anchor."""
 
-    anchor: Point
-    spec: WalkSpec
-    table: Dict[Point, float] = field(default_factory=dict)
+    table: Dict[Point, float]
 
     def total_mass(self) -> float:
         return math.fsum(self.table.values())
@@ -790,7 +788,7 @@ def _pmf_from_one_step(
                     y[i] = v
                 key = tuple(y)
                 table[key] = table.get(key, 0.0) + p
-    return WalkPmf(anchor=x, spec=spec, table=table)
+    return WalkPmf(table)
 
 
 def exact_pmf(

@@ -62,6 +62,16 @@ def test_box_shares_indexing_with_grid_shape():
     assert (Box(3, 3).strides == [1, 3, 9]).all()
 
 
+def test_a_domain_is_its_side_and_dimension():
+    # A Box and a GridShape with the same (n, d) are one domain: equal both
+    # ways, one hash, one set entry.
+    assert Box(4, 2) == GridShape(4, 2) and GridShape(4, 2) == Box(4, 2)
+    assert hash(Box(4, 2)) == hash(GridShape(4, 2))
+    assert {Box(4, 2), GridShape(4, 2)} == {GridShape(4, 2)}
+    assert Box(4, 2) != Box(4, 3) and Box(4, 2) != GridShape(8, 2)
+    assert Box(4, 2) != (4, 2)
+
+
 # Dyadic sides through GridShape, odd sides through Box.
 _SHAPES = [(GridShape, n) for n in (2, 4, 8, 16)] + [(Box, n) for n in (1, 3, 5)]
 
@@ -643,12 +653,15 @@ def test_family_kernels_make_no_widened_copy_of_the_batch(name, n, d):
 
 
 def test_truth_table_roundtrip(tmp_path):
-    for spec in (FamilySpec("constant1"), FamilySpec("surface", seed=9)):
-        f = make_family(spec, GridShape(4, 4))
+    # A table on any box loads back on the box it was saved from.
+    fs = [make_family(spec, GridShape(4, 4))
+          for spec in (FamilySpec("constant1"), FamilySpec("surface", seed=9))]
+    fs += [ExplicitFunction(s, random_bits(s.num_points, 5)) for s in (Box(3, 2), GridShape(4, 2))]
+    for f in fs:
         path = tmp_path / "f.hgf"
         save_truth_table(f, path)
         g = load_truth_table(path)
-        assert (g.bits == tabulate(f).bits).all()
+        assert g.shape == f.shape and (g.bits == tabulate(f).bits).all()
 
 
 def test_truth_table_constant1_bit_count(tmp_path):

@@ -1,6 +1,7 @@
 """The path/shift tester: one-sidedness, witnesses, exact oracles,
 determinism, and the full distance-targeted driver."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from hgm import grid, tester, walks
-from hgm.errors import BudgetError, ConfigError
+from hgm.errors import BudgetError, ConfigError, DomainError
 from hgm.grid import ExplicitFunction, FamilySpec, GridShape, make_family
 from hgm.rng import substream
 from hgm.stats import Z_99, wilson_interval
@@ -51,8 +52,7 @@ def test_config_validation():
     cfg = Config(shape=shape, trials=1, tau_schedule=(1, 4))
     assert cfg.schedule == (1, 4)
     # Counts must be integers; integer types other than int are read as ints.
-    for bad in (dict(trials=2.5), dict(trials=1, batch_size=2.5),
-                dict(trials=1, max_witnesses=1.5), dict(trials="3")):
+    for bad in (dict(trials=2.5), dict(trials=1, batch_size=2.5), dict(trials="3")):
         with pytest.raises(ConfigError, match="integer"):
             Config(shape=shape, **bad)
     cfg = Config(shape=shape, trials=np.int64(3), batch_size=np.int16(2))
@@ -64,14 +64,6 @@ def test_config_rejects_nonpositive_batch_size():
     for batch_size in (0, -8):
         with pytest.raises(ConfigError):
             Config(shape=GridShape(4, 2), trials=1, batch_size=batch_size)
-
-
-def test_config_rejects_negative_max_witnesses():
-    # A negative count would keep every witness but the last few.
-    with pytest.raises(ConfigError):
-        Config(shape=GridShape(4, 2), trials=1, max_witnesses=-1)
-    assert run_tester(anti_dictator(4, 2),
-                      Config(shape=GridShape(4, 2), trials=500, max_witnesses=0)).witnesses == []
 
 
 def test_config_rejects_empty_tau_schedule():
@@ -483,7 +475,7 @@ def test_report_accounting_and_witnesses():
     assert sum(rep.per_step.values()) == rep.rejections
     assert rep.reject_rate == rep.rejections / rep.trials
     assert rep.wilson_ci_95[0] <= rep.reject_rate <= rep.wilson_ci_95[1]
-    assert 0 < len(rep.witnesses) <= cfg.max_witnesses
+    assert len(rep.witnesses) == tester.MAX_WITNESSES
     for trial, step, length, u, v in rep.witnesses:
         assert 0 <= trial < rep.trials
         assert step in tester.STEPS
@@ -690,9 +682,8 @@ TESTER_STREAM = {
 def test_reports_are_pinned_to_the_recorded_stream(cell):
     n, d, family, trials, seed = cell
     f = make_family(FamilySpec(family), GridShape(n, d))
-    rep = run_tester(f, Config(shape=f.shape, trials=trials, seed=seed, batch_size=1024,
-                               max_witnesses=3))
-    assert (rep.rejections, rep.per_tau, rep.per_step, rep.witnesses) == TESTER_STREAM[cell]
+    rep = run_tester(f, Config(shape=f.shape, trials=trials, seed=seed, batch_size=1024))
+    assert (rep.rejections, rep.per_tau, rep.per_step, rep.witnesses[:3]) == TESTER_STREAM[cell]
     assert rep.total_queries == 16 * trials
 
 
@@ -702,12 +693,12 @@ def test_repeated_schedule_entry_sums_into_one_tau():
     # one key per distinct tau with their sum.
     f = anti_dictator(8, 8)
     rep = run_tester(f, Config(shape=f.shape, trials=3000, seed=7, tau_schedule=(1, 2, 2, 8),
-                               batch_size=1024, max_witnesses=3))
+                               batch_size=1024))
     assert rep.rejections == 1087
     assert rep.per_tau == {1: (717, 57), 2: (1533, 412), 8: (750, 618)}
     assert rep.per_step == {"up_path": 389, "down_path": 283, "up_path_down_shift": 246,
                             "down_path_up_shift": 169}
-    assert rep.witnesses == [
+    assert rep.witnesses[:3] == [
         (5, "down_path", 8, (2, 1, 1, 6, 1, 3, 1, 5), (6, 8, 1, 8, 1, 3, 3, 5)),
         (7, "down_path", 8, (4, 5, 6, 2, 3, 4, 5, 1), (6, 5, 6, 6, 8, 5, 5, 1)),
         (9, "down_path", 2, (3, 2, 8, 3, 3, 8, 3, 8), (5, 2, 8, 3, 4, 8, 3, 8)),
@@ -735,12 +726,14 @@ def test_choose_subgrid_size():
 
 def test_full_tester_accepts_monotone():
     f = make_family(FamilySpec("dictator"), GridShape(16, 4))
-    res = tester.run_full_tester(f, 0.5, seed=3, outer_reps=4, inner_trials=500, k=4)
+    res = tester.run_full_tester(f, 0.5, seed=3, k=4)
     assert res.accepted and res.witness is None and not res.fallback
     # A forced k is used as given; the formula is still the helper's.
     assert (res.k, res.k_formula) == (4, tester.choose_subgrid_size(f.shape, 0.5)[1])
+    # ceil(8/eps) rounds of ceil(32 eps^-2 sqrt(d)) trials.
+    assert (res.outer_reps, res.inner_trials) == (16, 256)
     # The caller's oracle is charged every query, on either path.
-    assert f.query_count == res.total_queries == 16 * 4 * 500
+    assert f.query_count == res.total_queries == 16 * 16 * 256
     g = make_family(FamilySpec("dictator"), GridShape(4, 4))
     res = tester.run_full_tester(g, 0.4, seed=3)
     assert res.accepted and res.fallback
@@ -749,7 +742,7 @@ def test_full_tester_accepts_monotone():
 
 def test_full_tester_rejects_surface_with_mapped_witness():
     f = make_family(FamilySpec("surface", seed=7), GridShape(16, 4))
-    res = tester.run_full_tester(f, 0.5, seed=3, outer_reps=8, inner_trials=2000, k=8)
+    res = tester.run_full_tester(f, 0.5, seed=3, k=8)
     assert not res.accepted and not res.fallback
     u, v = res.witness
     assert f.shape.contains(u) and f.shape.contains(v)
@@ -759,9 +752,11 @@ def test_full_tester_rejects_surface_with_mapped_witness():
 
 
 def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
-    # Batches run concurrently, three per round, on a restriction (k < n)
-    # or on f itself (k = n).
-    trials = 2 * tester.DEFAULT_BATCH + 512
+    # Batches of 64 run concurrently, three per round of 159 trials, on a
+    # restriction (k < n) or on f itself (k = n).
+    run_tester = tester.run_tester
+    monkeypatch.setattr(tester, "run_tester",
+                        lambda f, cfg: run_tester(f, dataclasses.replace(cfg, batch_size=64)))
     monotone = make_family(FamilySpec("majority_threshold"), GridShape(16, 16))
     for f, k in ((monotone, 8), (monotone, None), (anti_dictator(8, 16), 4),
                  (anti_dictator(8, 16), None)):
@@ -769,9 +764,8 @@ def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
         for threads in ("1", "2"):
             monkeypatch.setenv("HGM_THREADS", threads)
             worker = f.spawn_worker()
-            res = tester.run_full_tester(
-                worker, 0.9, seed=5, outer_reps=3, inner_trials=trials, k=k
-            )
+            res = tester.run_full_tester(worker, 0.9, seed=5, k=k)
+            assert res.inner_trials == 159
             results.append((res, worker.query_count))
         assert results[0] == results[1]
         assert results[0][0].accepted == (f is monotone)
@@ -784,7 +778,7 @@ def test_full_tester_reduction_is_the_same_on_two_threads(monkeypatch):
 def test_full_tester_falls_back_below_sqrt_d_threshold():
     f = make_family(FamilySpec("dictator"), GridShape(4, 16))
     # Above the 1/sqrt(d) = 1/4 threshold: the subgrid route runs.
-    res = tester.run_full_tester(f, 0.3, seed=0, outer_reps=2, inner_trials=100, k=2)
+    res = tester.run_full_tester(f, 0.3, seed=0, k=2)
     assert not res.fallback and res.accepted
     # Below the threshold: the pair tester takes over.
     res = tester.run_full_tester(f, 0.05, seed=0)
@@ -817,6 +811,21 @@ def test_full_tester_at_k_n_runs_on_f_itself(monkeypatch):
     assert res.witness == run_tester(anti_dictator(8, 16), round_0).witnesses[0][3:]
     u, v = res.witness
     assert all(a <= b for a, b in zip(u, v)) and f.peek(u) == 1 and f.peek(v) == 0
+
+
+def test_full_tester_runs_on_the_domain_of_f_side_and_dimension():
+    # A domain is its (n, d): an oracle on a plain Box whose side is a power
+    # of two runs the fallback, and the trial driver under a GridShape config.
+    zeros = ExplicitFunction(grid.Box(2, 16), np.zeros(2**16, np.uint8))
+    res = tester.run_full_tester(zeros, 0.1, seed=1)
+    assert res.accepted and res.fallback and zeros.query_count == res.total_queries > 0
+    assert run_tester(zeros, Config(shape=GridShape(2, 16), trials=200)).rejections == 0
+    # Another side is a DomainError on either path, with no k given.
+    six = ExplicitFunction(grid.Box(6, 2), np.zeros(36, np.uint8))
+    for eps in (0.9, 0.3):
+        with pytest.raises(DomainError, match="power of two"):
+            tester.run_full_tester(six, eps)
+    assert six.query_count == 0
 
 
 # (family, n, d, eps, seed, k) -> (accepted, first 16 hex digits of the
@@ -973,18 +982,13 @@ def test_full_tester_rejects_bad_eps():
         tester.run_full_tester(f, 0.0)
     with pytest.raises(ConfigError):
         tester.run_full_tester(f, 0.9, k=3)
-    with pytest.raises(ConfigError, match="outer_reps"):
-        tester.run_full_tester(anti_dictator(8, 4), 0.9, outer_reps=-3)
-    with pytest.raises(ConfigError, match="inner_trials"):
-        tester.run_full_tester(anti_dictator(8, 4), 0.9, inner_trials=0)
-    # Counts that are not integers are usage errors, not TypeErrors.
-    for bad in (dict(k=4.0), dict(outer_reps=2.5), dict(inner_trials=10.5), dict(k="4")):
+    # A k that is not an integer is a usage error, not a TypeError.
+    for k in (4.0, "4"):
         with pytest.raises(ConfigError, match="integer"):
-            tester.run_full_tester(anti_dictator(8, 4), 0.9, **bad)
-    # Below 1/sqrt(d) the fallback runs, which reads none of the three.
+            tester.run_full_tester(anti_dictator(8, 4), 0.9, k=k)
+    # Below 1/sqrt(d) the fallback runs, which reads no k.
     g = make_family(FamilySpec("dictator"), GridShape(4, 16))
-    for bad in (dict(k=3, outer_reps=-1, inner_trials=-7), dict(k=2), dict(outer_reps=2),
-                dict(inner_trials=100)):
-        with pytest.raises(ConfigError):
-            tester.run_full_tester(g, 0.05, **bad)
+    for k in (3, 2):
+        with pytest.raises(ConfigError, match="reads no k"):
+            tester.run_full_tester(g, 0.05, k=k)
     assert g.query_count == 0
