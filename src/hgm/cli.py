@@ -277,7 +277,7 @@ def cmd_equiv(cfg) -> int:
         for (a, b), diff in sorted(res.max_diffs.items()):
             writer.row(
                 shape.n, shape.d, cfg["tau"], mode, f"{a}_vs_{b}",
-                "max_abs_diff", diff, diff < res.tolerance,
+                "max_abs_diff", diff, diff < validate.EQUIV_TOL,
             )
         passed = res.passed
     else:
@@ -287,7 +287,7 @@ def cmd_equiv(cfg) -> int:
         for name, (stat, p, dof) in sorted(res.per_formulation.items()):
             writer.row(
                 shape.n, shape.d, cfg["tau"], "statistical", name,
-                f"chi2_p_dof{dof}", p, p > res.alpha,
+                f"chi2_p_dof{dof}", p, p > validate.EQUIV_ALPHA,
             )
         passed = res.passed
     writer.comment("passed", passed)

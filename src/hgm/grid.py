@@ -515,8 +515,11 @@ def load_truth_table(path) -> ExplicitFunction:
         shape = Box(n, d)
     except DomainError as e:
         raise FormatError(str(e)) from e
-    num_bytes = (shape.num_points + 7) // 8
     payload = blob[12:]
+    # n^d >= 2^d points need ceil(n^d / 8) bytes: refuse before computing n^d.
+    if n >= 2 and d > (8 * len(payload)).bit_length():
+        raise FormatError(f"{len(payload)} payload bytes cannot hold n={n}, d={d}")
+    num_bytes = (shape.num_points + 7) // 8
     if len(payload) != num_bytes:
         raise FormatError(
             f"expected {num_bytes} payload bytes for n={n}, d={d}, got {len(payload)}"

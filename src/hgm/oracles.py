@@ -2,9 +2,7 @@
 monotonicity, degree profiles, the Talagrand objective and influence.
 
 Everything here is an exact *oracle*, independent of the sampling code it
-validates. The one exception is labelled: the Talagrand objective of a
-graph with more than ``exact_cap`` edges (TAL_EXACT_CAP by default) is a
-local search (``TalResult.exact`` is False), not the minimum.
+validates; past its budget, each raises BudgetError.
 
 The exact distance is one minimum cut (source -> 1-points -> 0-points ->
 sink) over either of two graphs: the explicit comparable violations
@@ -95,14 +93,23 @@ class ViolationGraph:
 def build_violation_graph(
     f: FunctionOracle, mode: str = "full_comparable", budget: int = DEFAULT_GRAPH_BUDGET
 ) -> ViolationGraph:
-    box, bits = f.shape, tabulate(f).bits
+    """budget bounds the candidate pairs, checked before f is tabulated: at
+    most N^2 / 4 comparable pairs (full_comparable) or N d (n - 1) / 2 axis
+    pairs (augmented_axis) on N points."""
+    box = f.shape
+    N = box.num_points
     if mode == "augmented_axis":
-        edges = _axis_violations(box, bits)
+        pairs = N * box.d * (box.n - 1) // 2
     elif mode == "full_comparable":
-        edges = _comparable_violations(box, bits, budget)
+        pairs = N * N // 4
     else:
         raise DomainError(f"unknown violation graph mode {mode!r}")
-    return ViolationGraph(box, bits, edges)
+    if pairs > budget:
+        raise BudgetError(f"up to {pairs} candidate pairs on {box} exceed budget {budget}")
+    bits = tabulate(f).bits
+    if mode == "augmented_axis":
+        return ViolationGraph(box, bits, _axis_violations(box, bits))
+    return ViolationGraph(box, bits, _comparable_violations(box, bits, budget))
 
 
 def _axis_violations(box: Box, bits: np.ndarray) -> np.ndarray:
@@ -369,31 +376,17 @@ def colored_thresholded_degree(G: ViolationGraph, coloring: Optional[np.ndarray]
     return phi, sum(phi.values())
 
 
-@dataclass
-class TalResult:
-    value: float
-    exact: bool
-    method: str
-
-
 TAL_EXACT_CAP = 22
 TAL_CHUNK_BITS = 16  # colorings scored per numpy pass: 2^16
-TAL_MAX_PASSES = 50  # sweeps of single-edge flips in the local search
 
 
-def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> TalResult:
+def talagrand_objective(G: ViolationGraph) -> float:
     """min over edge bicolorings of sum_z sqrt(colored thresholded degree),
-    the value only.
-
-    Exact brute force over all 2^m colorings for m <= exact_cap; larger
-    graphs get the best of the two trivial colorings improved by greedy
-    single-edge flips, clearly labeled non-exact.
-    """
+    by brute force over all 2^m colorings; BudgetError above TAL_EXACT_CAP
+    edges."""
     m = G.m
-    if m == 0:
-        return TalResult(0.0, True, "empty")
-    if m > exact_cap:
-        return _tal_local_search(G)
+    if m > TAL_EXACT_CAP:
+        raise BudgetError(f"{m} edges exceed the 2^m enumeration cap of {TAL_EXACT_CAP}")
     # Per (vertex, dim): bitmask of incident edges and which color counts there.
     masks = []  # (edge mask, required color bit)
     by_vertex: Dict[int, list] = {}
@@ -422,36 +415,8 @@ def talagrand_objective(G: ViolationGraph, exact_cap: int = TAL_EXACT_CAP) -> Ta
                 )
                 phi += hit
             obj += sqrt_table[phi]
-        low = float(obj.min())
-        if low < best_val - 1e-15:
-            best_val = low
-    return TalResult(best_val, True, "brute_force")
-
-
-def _tal_value(G: ViolationGraph, chi: np.ndarray) -> float:
-    phi, _t = colored_thresholded_degree(G, chi)
-    return math.fsum(math.sqrt(v) for v in phi.values())
-
-
-def _tal_local_search(G: ViolationGraph) -> TalResult:
-    m = G.m
-    candidates = [np.ones(m, dtype=np.int8), np.zeros(m, dtype=np.int8)]
-    vals = [_tal_value(G, c) for c in candidates]
-    k = int(np.argmin(vals))
-    chi, val = candidates[k].copy(), vals[k]
-    for _ in range(TAL_MAX_PASSES):
-        improved = False
-        for e in range(m):
-            chi[e] ^= 1
-            v = _tal_value(G, chi)
-            if v < val - 1e-12:
-                val = v
-                improved = True
-            else:
-                chi[e] ^= 1
-        if not improved:
-            break
-    return TalResult(val, False, "local_search")
+        best_val = min(best_val, float(obj.min()))
+    return best_val
 
 
 # ---------------------------------------------------------------------------

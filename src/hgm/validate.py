@@ -51,7 +51,6 @@ def joint_exact_pmf(shape: GridShape, tau: int, budget: int = walks.DEFAULT_PMF_
 class EquivExactResult:
     max_diffs: Dict[Tuple[str, str], float]
     passed: bool
-    tolerance: float
 
 
 def equivalence_exact(
@@ -71,7 +70,7 @@ def equivalence_exact(
         pmfs = {f: walks.exact_pmf(shape, x, spec, f, budget) for f in FORMULATIONS}
         for a, b in diffs:
             diffs[(a, b)] = max(diffs[(a, b)], pmfs[a].max_abs_diff(pmfs[b]))
-    return EquivExactResult(diffs, all(v < EQUIV_TOL for v in diffs.values()), EQUIV_TOL)
+    return EquivExactResult(diffs, all(v < EQUIV_TOL for v in diffs.values()))
 
 
 def _sample_pairs(
@@ -98,7 +97,6 @@ def _sample_pairs(
 class EquivStatResult:
     per_formulation: Dict[str, Tuple[float, float, int]]  # stat, p, dof
     passed: bool
-    alpha: float
 
 
 def equivalence_statistical(
@@ -133,7 +131,7 @@ def equivalence_statistical(
         stat, p, dof = chi_square_gof(observed, expected, samples)
         results[formulation] = (stat, p, dof)
         ok = ok and p > EQUIV_ALPHA
-    return EquivStatResult(results, ok, EQUIV_ALPHA)
+    return EquivStatResult(results, ok)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import io
 import itertools
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,13 @@ def test_cmd_test_single_shot_rejection_exit_code(capsys):
     assert code == cli.EXIT_REJECTED
     (row,) = rows_of(out)
     assert int(row["rejections"]) > 0
+    # A rejecting full tester writes its witness and exits 2 as well.
+    code, out, _ = run_cli(
+        capsys, "test", "--family", "anti_dictator", "--n", "8", "--d", "4",
+        "--full", "--eps", "0.6", "--single-shot",
+    )
+    assert code == cli.EXIT_REJECTED
+    assert re.fullmatch(r"\(\d+(, \d+)*\)->\(\d+(, \d+)*\)", comments_of(out)["witness"])
 
 
 def test_cmd_test_full_mode(capsys):
@@ -174,6 +182,13 @@ def test_cmd_test_explicit_family_roundtrip(capsys, tmp_path):
     )
     assert code == cli.EXIT_OK
     assert int(rows_of(out)[0]["rejections"]) > 0
+    # A header whose n^d has more digits than Python prints, with no payload.
+    path.write_bytes(path.read_bytes()[:4] + struct.pack("<II", 2, 15000))
+    code, out, err = run_cli(
+        capsys, "test", "--family", "explicit", "--path", str(path),
+        "--n", "2", "--d", "15000",
+    )
+    assert code == cli.EXIT_USAGE and "payload bytes" in err and out == ""
 
 
 def test_config_file_merging(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Domain plumbing: indexing, families, transforms, files."""
 
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,11 @@ def test_family_refuses_a_parameter_it_does_not_read():
     assert make_family(FamilySpec("dictator"), GridShape(4, 2)).name == "dictator(i=1,t=3)"
     with pytest.raises(ConfigError, match="coordinate 0"):
         make_family(FamilySpec("anti_dictator", dim=0), GridShape(4, 2))
+    for t in (0, 6):
+        with pytest.raises(ConfigError, match=f"threshold {t} out of range"):
+            make_family(FamilySpec("dictator", threshold=t), GridShape(4, 2))
+    with pytest.raises(ConfigError, match="requires a truth-table path"):
+        make_family(FamilySpec("explicit"), GridShape(4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +258,10 @@ def test_restrict_rejects_bad_subsets():
         restrict_to_subgrid(f, [[1, 2]])  # wrong arity
     with pytest.raises(DomainError):
         restrict_to_subgrid(f, [[1, 5], [1, 2]])  # out of range
+    with pytest.raises(DomainError, match="equal size"):
+        restrict_to_subgrid(f, [[1, 2], [1, 2, 3]])  # ragged
+    with pytest.raises(DomainError, match="integers"):
+        restrict_to_subgrid(f, [[1.0, 2.0], [1.0, 2.0]])  # floats
 
 
 def test_sample_subgrid_shape(rng):
@@ -677,6 +687,8 @@ def test_explicit_function_rejects_values_outside_0_1(bad):
     # any nonzero value as 1.
     with pytest.raises(DomainError):
         ExplicitFunction(GridShape(2, 1), np.array([bad, 0]))
+    with pytest.raises(DomainError, match="expected 2 bits"):
+        ExplicitFunction(GridShape(2, 1), np.array([0, 1, 0]))
 
 
 def test_explicit_function_roundtrip_keeps_bits(tmp_path):
@@ -706,6 +718,19 @@ def test_truth_table_format_errors(tmp_path):
     padded.write_bytes(blob[:-1] + bytes([blob[-1] | 0xF0]))
     with pytest.raises(FormatError):
         load_truth_table(padded)
+    # Headers whose n^d is too large to compute, or to print, with no payload:
+    # refused from the payload's length before n^d is formed.
+    header = tmp_path / "header.hgf"
+    for n, d in ((2, 15000), (2**31, 2**22)):
+        header.write_bytes(blob[:4] + struct.pack("<II", n, d))
+        with pytest.raises(FormatError, match="payload bytes cannot hold"):
+            load_truth_table(header)
+    header.write_bytes(blob[:11])
+    with pytest.raises(FormatError, match="truncated header"):
+        load_truth_table(header)
+    header.write_bytes(blob[:4] + struct.pack("<II", 0, 2) + b"\x00")
+    with pytest.raises(FormatError, match="side length"):
+        load_truth_table(header)
 
 
 # ---------------------------------------------------------------------------

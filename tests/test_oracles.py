@@ -50,6 +50,12 @@ def test_axis_edges_on_a_three_point_line():
     G = oracles.build_violation_graph(box_fn(3, 1, [1, 0, 0]), "augmented_axis")
     assert sorted(map(tuple, G.edges)) == [(0, 1, 1), (0, 2, 1)]
     assert G.check_edges()
+    # Each bad edge fails the re-check: on [3]^2 with f = 1 only at (1, 1)
+    # and (1, 3), an incomparable pair, a pair that is not 1 -> 0, and an
+    # axis pair labelled with the wrong axis.
+    bits = np.array([1, 0, 0, 0, 0, 0, 1, 0, 0], np.uint8)
+    for edge in ((6, 1, -1), (1, 4, -1), (0, 1, 2)):
+        assert not oracles.ViolationGraph(Box(3, 2), bits, np.array([edge])).check_edges()
 
 
 def test_comparable_edges_anti_dictator_2x2():
@@ -74,11 +80,37 @@ def test_graph_edges_reverify(mask):
         assert G.check_edges()
 
 
-def test_graph_budget_enforced():
+def test_graph_budget_enforced(monkeypatch):
     shape = GridShape(4, 2)
     f = ExplicitFunction(shape, random_bits(16, 0))
     with pytest.raises(BudgetError):
         oracles.build_violation_graph(f, "full_comparable", budget=3)
+    tabulated = []
+    real_tabulate = oracles.tabulate
+    monkeypatch.setattr(oracles, "tabulate", lambda f: tabulated.append(f) or real_tabulate(f))
+    # Both modes refuse from the bound alone, before f is read: N^2 / 4
+    # comparable pairs, N d (n - 1) / 2 axis pairs.
+    with pytest.raises(BudgetError):
+        oracles.build_violation_graph(box_fn(2, 5, random_bits(32, 1)), budget=1)
+    with pytest.raises(BudgetError):
+        oracles.build_violation_graph(
+            box_fn(2, 5, random_bits(32, 1)), "augmented_axis", budget=1
+        )
+    big = make_family(FamilySpec("dictator"), GridShape(8, 8))
+    with pytest.raises(BudgetError):
+        oracles.build_violation_graph(big, "augmented_axis", budget=10)
+    with pytest.raises(DomainError):
+        oracles.build_violation_graph(big, "no_such_mode")
+    assert tabulated == []
+    G = oracles.build_violation_graph(f, "augmented_axis", budget=16 * 2 * 3 // 2)
+    with pytest.raises(BudgetError):
+        oracles.build_violation_graph(f, "augmented_axis", budget=16 * 2 * 3 // 2 - 1)
+    assert G.m > 0 and tabulated == [f]
+    # The comparable bound is N^2 / 4 whatever f is: 4 pairs on 4 points.
+    sparse = box_fn(2, 2, [1, 0, 0, 0])
+    with pytest.raises(BudgetError):
+        oracles.build_violation_graph(sparse, budget=3)
+    assert oracles.build_violation_graph(sparse, budget=4).m == 3
 
 
 def test_dag_flow_budget_checked_before_tabulating():
@@ -316,34 +348,57 @@ def test_thresholded_influence_and_colorings():
 
 def test_talagrand_examples():
     empty = oracles.build_violation_graph(box_fn(2, 1, [0, 1]), "augmented_axis")
-    assert oracles.talagrand_objective(empty).value == 0.0
+    assert oracles.talagrand_objective(empty) == 0.0
     single = oracles.build_violation_graph(box_fn(2, 1, [1, 0]), "augmented_axis")
-    res = oracles.talagrand_objective(single)
-    assert res.exact and res.value == pytest.approx(1.0)
+    assert oracles.talagrand_objective(single) == pytest.approx(1.0)
     star = oracles.build_violation_graph(star_function(), "augmented_axis")
-    res = oracles.talagrand_objective(star)
-    assert res.exact and res.value == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert oracles.talagrand_objective(star) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
 
-def test_talagrand_bounds_and_local_search_labeling():
+def test_talagrand_bounds_and_budget():
     shape = GridShape(2, 4)
     f = ExplicitFunction(shape, random_bits(16, 9))
     G = oracles.build_violation_graph(f, "augmented_axis")
-    assert 0 < G.m <= 22
-    exact = oracles.talagrand_objective(G)
-    assert exact.exact
-    assert exact.value <= G.m + 1e-12  # objective never exceeds edge count
-    approx = oracles.talagrand_objective(G, exact_cap=G.m - 1)
-    assert not approx.exact and approx.method == "local_search"
-    assert approx.value >= exact.value - 1e-12
+    assert 0 < G.m <= oracles.TAL_EXACT_CAP
+    value = oracles.talagrand_objective(G)
+    assert 0 < value <= G.m + 1e-12  # objective never exceeds edge count
+    big = oracles.build_violation_graph(
+        ExplicitFunction(GridShape(2, 5), random_bits(32, 1)), "augmented_axis"
+    )
+    assert big.m > oracles.TAL_EXACT_CAP
+    with pytest.raises(BudgetError):
+        oracles.talagrand_objective(big)
+
+
+def test_talagrand_brute_force_matches_colored_degree_enumeration():
+    """Reference: the minimum over every edge coloring, each scored through
+    colored_thresholded_degree."""
+    rng = np.random.default_rng(30)
+    checked = 0
+    for n, d in ((2, 3), (2, 4), (3, 2), (4, 2), (2, 5)):
+        for _ in range(5):
+            bits = rng.integers(0, 2, n**d).astype(np.uint8)
+            G = oracles.build_violation_graph(box_fn(n, d, bits), "augmented_axis")
+            if G.m > 10:
+                keep = np.zeros(G.m, bool)
+                keep[rng.choice(G.m, size=int(rng.integers(1, 11)), replace=False)] = True
+                G = G.subgraph(keep)
+            best = math.inf
+            for code in range(1 << G.m):
+                chi = (code >> np.arange(G.m)) & 1
+                phi, _ = oracles.colored_thresholded_degree(G, chi)
+                best = min(best, math.fsum(math.sqrt(v) for v in phi.values()))
+            assert oracles.talagrand_objective(G) == pytest.approx(best, abs=1e-12)
+            checked += G.m > 0
+    assert checked >= 20
 
 
 def test_talagrand_subadditive_under_edge_partition():
     G = oracles.build_violation_graph(star_function(), "augmented_axis")
-    total = oracles.talagrand_objective(G).value
+    total = oracles.talagrand_objective(G)
     part = np.array([True, False, True])
-    a = oracles.talagrand_objective(G.subgraph(part)).value
-    b = oracles.talagrand_objective(G.subgraph(~part)).value
+    a = oracles.talagrand_objective(G.subgraph(part))
+    b = oracles.talagrand_objective(G.subgraph(~part))
     assert a + b >= total - 1e-12
 
 

@@ -29,6 +29,24 @@ def test_stream_digest_prints_each_part_then_the_total():
     assert len(set(hashes)) == 4, lines
 
 
+def test_untested_lines_lists_the_lines_a_test_file_leaves_unrun():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "untested_lines.py"),
+         str(ROOT / "tests" / "test_stats.py")],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = [line for line in proc.stdout.splitlines() if line.startswith("src/hgm/")]
+    assert listed and all(re.fullmatch(r"src/hgm/\w+\.py:[1-9]\d*: \S.*", line)
+                          for line in listed), listed[:5]
+    # The stats tests run the chi-square leftover merge, not its refusal of
+    # an empty sample, and none of the command line.
+    stats_lines = [line.split(": ", 1)[1] for line in listed if "stats.py" in line]
+    assert "pooled[-1] = (e + acc_e, o + acc_o)" not in stats_lines
+    assert 'raise DomainError("total sample count must be positive")' in stats_lines
+    assert any(line.startswith("src/hgm/cli.py:") for line in listed)
+
+
 def _bench_compare():
     path = ROOT / "scripts" / "bench_compare.py"
     spec = importlib.util.spec_from_file_location("bench_compare", path)

@@ -49,6 +49,11 @@ def test_chi_square_pools_sparse_categories():
     stat, p, dof = chi_square_gof(observed, expected, 10_000)
     assert dof >= 1
     assert np.isfinite(stat)
+    # Expected counts 3, 3, 4: the first two pool to 6, and the leftover 4
+    # joins that pool, so one pool is left and nothing is tested.
+    assert chi_square_gof({0: 2, 1: 4, 2: 4}, {0: 0.3, 1: 0.3, 2: 0.4}, 10) == (0.0, 1.0, 0)
+    # No pool reaches MIN_EXPECTED: the single leftover pool is returned.
+    assert chi_square_gof({0: 1, 1: 2}, {0: 0.5, 1: 0.5}, 3) == (0.0, 1.0, 0)
 
 
 def test_chi_square_flags_impossible_category():

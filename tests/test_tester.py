@@ -982,6 +982,11 @@ def test_full_tester_rejects_bad_eps():
         tester.run_full_tester(f, 0.0)
     with pytest.raises(ConfigError):
         tester.run_full_tester(f, 0.9, k=3)
+    with pytest.raises(ConfigError, match="exceeds side length"):
+        tester.run_full_tester(anti_dictator(8, 4), 0.9, k=16)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            tester.line_tester_fallback(f, eps, np.random.default_rng(0))
     # A k that is not an integer is a usage error, not a TypeError.
     for k in (4.0, "4"):
         with pytest.raises(ConfigError, match="integer"):

@@ -768,6 +768,10 @@ def test_pmf_budget_is_enforced():
     shape = GridShape(16, 4)
     with pytest.raises(BudgetError):
         walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 4, shape), budget=100)
+    with pytest.raises(DomainError, match="shape mismatch"):
+        walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 1, GridShape(8, 4)))
+    with pytest.raises(DomainError, match="non-negative"):
+        walks.WalkSpec("up", -1, shape)
 
 
 @pytest.mark.parametrize("n", [3, 6, 12])
@@ -895,6 +899,9 @@ def test_reversibility_scan_rows_are_consistent():
             cases.add((r.weight_x, r.t, r.ell))
     # Middle-layer pairs (w, t, ell) on both sides of d/2, up to t = ell.
     assert {(8, 2, 3), (7, 1, 2), (8, 1, 4), (6, 3, 3)} <= cases
+    # A narrow middle band drops the weights and targets outside it.
+    assert len(validate.reversibility_scan(16, 1, 0.5, c=0.01)) == 5
+    assert len(validate.reversibility_scan(16, 1, 0.5, c=100)) == 33
 
 
 def test_band_halfwidth_formula():
