@@ -34,7 +34,6 @@ from .tester import (
     run_tester,
 )
 from .walks import (
-    WalkPmf,
     WalkSpec,
     cube_walk_closed_form,
     exact_pmf,

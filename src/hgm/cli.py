@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -137,8 +136,6 @@ def _merge_config(args: argparse.Namespace) -> Dict:
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     return str(v)
 
 

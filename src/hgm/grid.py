@@ -271,9 +271,6 @@ class FunctionOracle:
         worker.query_count = 0
         return worker
 
-    def __repr__(self):
-        return f"FunctionOracle({self.name}, n={self.shape.n}, d={self.shape.d})"
-
 
 class ExplicitFunction(FunctionOracle):
     """Oracle backed by a truth table over all n^d points of any box."""
@@ -409,14 +406,13 @@ def make_family(spec: FamilySpec, shape: GridShape) -> FunctionOracle:
             return out.view(np.int8)
 
         return FunctionOracle(shape, surface, f"surface(seed={seed})")
-    if name == "explicit":
-        if spec.path is None:
-            raise ConfigError("explicit family requires a truth-table path")
-        f = load_truth_table(spec.path)
-        if f.shape != shape:
-            raise ConfigError(f"truth table shape {f.shape} does not match requested {shape}")
-        return f
-    raise ConfigError(f"unknown family {name!r}")
+    # The explicit family: FamilySpec refuses every other name.
+    if spec.path is None:
+        raise ConfigError("explicit family requires a truth-table path")
+    f = load_truth_table(spec.path)
+    if f.shape != shape:
+        raise ConfigError(f"truth table shape {f.shape} does not match requested {shape}")
+    return f
 
 
 # ---------------------------------------------------------------------------

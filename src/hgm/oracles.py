@@ -109,7 +109,7 @@ def build_violation_graph(
     bits = tabulate(f).bits
     if mode == "augmented_axis":
         return ViolationGraph(box, bits, _axis_violations(box, bits))
-    return ViolationGraph(box, bits, _comparable_violations(box, bits, budget))
+    return ViolationGraph(box, bits, _comparable_violations(box, bits))
 
 
 def _axis_violations(box: Box, bits: np.ndarray) -> np.ndarray:
@@ -133,14 +133,10 @@ def _axis_violations(box: Box, bits: np.ndarray) -> np.ndarray:
     return np.concatenate(rows).astype(np.int64)
 
 
-def _comparable_violations(box: Box, bits: np.ndarray, budget: int) -> np.ndarray:
+def _comparable_violations(box: Box, bits: np.ndarray) -> np.ndarray:
     idx = np.arange(box.num_points)
     ones = idx[bits == 1]
     zeros = idx[bits == 0]
-    if len(ones) * len(zeros) > budget:
-        raise BudgetError(
-            f"{len(ones)}x{len(zeros)} candidate pairs exceed budget {budget}"
-        )
     pts = box.all_points_array()
     P1, P0 = pts[ones], pts[zeros]
     rows = []
@@ -247,12 +243,10 @@ def _min_cut_distance(
     return DistanceResult(Fraction(size, N), size, repair, method)
 
 
-def _distance_small(box: Box, bits: np.ndarray, budget: int) -> DistanceResult:
+def _distance_small(box: Box, bits: np.ndarray) -> DistanceResult:
     """The cut over the explicit comparable violations. It is a unit
     bipartite network, on which Dinic's algorithm is Hopcroft-Karp."""
-    return _min_cut_distance(
-        box, bits, _comparable_violations(box, bits, budget), "hopcroft_karp"
-    )
+    return _min_cut_distance(box, bits, _comparable_violations(box, bits), "hopcroft_karp")
 
 
 def _distance_flow(box: Box, bits: np.ndarray) -> DistanceResult:
@@ -279,7 +273,7 @@ def distance_to_monotonicity(
         raise BudgetError(f"covering DAG of {box} exceeds budget ({budget} edges)")
     bits = tabulate(f).bits
     if method == "hopcroft_karp":
-        return _distance_small(box, bits, budget)
+        return _distance_small(box, bits)
     return _distance_flow(box, bits)
 
 

@@ -1,4 +1,5 @@
-"""Small statistical helpers: Wilson intervals, pooled chi-square, log-log slopes.
+"""Small statistical helpers: Wilson intervals, pooled chi-square over aligned
+arrays of counts and probabilities, log-log slopes.
 
 Only the chi-square p-value needs SciPy, so ``scipy.stats`` is imported
 inside :func:`chi_square_gof`, on its first call: importing this module (and
@@ -8,7 +9,9 @@ inside :func:`chi_square_gof`, on its first call: importing this module (and
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -37,21 +40,26 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> Tuple[float
     return lo, hi
 
 
-def chi_square_gof(observed: Dict, expected_probs: Dict, total: int) -> Tuple[float, float, int]:
-    """Pearson goodness-of-fit with category pooling.
+def chi_square_gof(observed, expected_probs, total: int) -> Tuple[float, float, int]:
+    """Pearson goodness-of-fit with category pooling, over aligned arrays of
+    observed counts and expected probabilities, one entry per category.
 
-    Categories are sorted by expected probability and greedily pooled until
-    every pooled expected count is at least ``MIN_EXPECTED``; the observed
-    counts follow the same pooling. Returns (statistic, p_value, dof).
+    Categories are stably sorted by expected probability and greedily pooled
+    until every pooled expected count is at least ``MIN_EXPECTED``; the
+    leftover joins the last pool, and the observed counts follow the same
+    pooling. A positive count where the probability is 0 gives an infinite
+    statistic. Returns (statistic, p_value, dof).
     """
     if total <= 0:
         raise DomainError("total sample count must be positive")
-    keys = sorted(expected_probs, key=lambda k: (expected_probs[k], repr(k)))
+    observed = np.asarray(observed)
+    probs = np.asarray(expected_probs, dtype=np.float64)
+    order = np.argsort(probs, kind="stable")
     pooled = []  # (expected count, observed count)
     acc_e = acc_o = 0.0
-    for k in keys:
-        acc_e += expected_probs[k] * total
-        acc_o += observed.get(k, 0)
+    for e, o in zip((probs[order] * total).tolist(), observed[order].tolist()):
+        acc_e += e
+        acc_o += o
         if acc_e >= MIN_EXPECTED:
             pooled.append((acc_e, acc_o))
             acc_e = acc_o = 0.0
@@ -61,10 +69,9 @@ def chi_square_gof(observed: Dict, expected_probs: Dict, total: int) -> Tuple[fl
             pooled[-1] = (e + acc_e, o + acc_o)
         else:
             pooled.append((acc_e, acc_o))
-    # Observations outside the expected support are unconditionally evidence
-    # against the null; fold them into the statistic with expectation ~0.
-    stray = sum(v for k, v in observed.items() if k not in expected_probs)
-    if stray:
+    # Observations where the law puts no mass are unconditionally evidence
+    # against the null.
+    if observed[probs == 0].any():
         return math.inf, 0.0, max(1, len(pooled) - 1)
     if len(pooled) < 2:
         return 0.0, 1.0, 0

@@ -1,8 +1,10 @@
-"""Cross-validation suites behind the CLI: distribution-equivalence checks
-(exact and statistical) and the reversibility closed-form scans."""
+"""Cross-validation suites behind the CLI: the walk's joint law of (x, y) as
+one sparse matrix per formulation (``walks.exact_pmf`` is its anchor-by-anchor
+reference), the equivalence checks on it, and the reversibility scans."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -31,20 +33,34 @@ def check_joint_budget(shape: GridShape, tau: int, budget: int) -> None:
         raise BudgetError(f"joint walk pmf on {shape} exceeds budget ({budget} terms)")
 
 
-def joint_exact_pmf(shape: GridShape, tau: int, budget: int = walks.DEFAULT_PMF_BUDGET) -> Dict:
-    """Exact law of (x, y) with x uniform and y a tau-step up-walk endpoint
-    (the pairs :func:`_sample_pairs` draws), keyed by (x_index, y_index);
-    budget as in :func:`check_joint_budget`."""
-    check_joint_budget(shape, tau, budget)
-    N = shape.num_points
-    spec = walks.WalkSpec("up", tau, shape)
-    out: Dict[Tuple[int, int], float] = {}
-    for x in shape.points():
-        pmf = walks.exact_pmf(shape, x, spec, budget=budget)
-        xi = shape.index_of(x)
-        for y, p in pmf.table.items():
-            out[(xi, shape.index_of(y))] = p / N
-    return out
+def joint_law(shape: GridShape, tau: int, P: np.ndarray):
+    """The walk's joint law as an (N, N) CSR matrix with sorted indices: row x
+    is the endpoint pmf of a tau-step walk from x with one-step matrix P. It
+    is the mean, over the C(d, m) coordinate subsets S of size m = min(tau, d),
+    of the Kronecker product of P on S and the identity elsewhere, coordinate
+    1 in the last factor (index order). scipy.sparse loads on the first call."""
+    from scipy import sparse
+
+    d, m = shape.d, min(tau, shape.d)
+    # COO factors and products: the default kron stores dense blocks.
+    factors = (sparse.identity(shape.n, format="coo"), sparse.coo_matrix(P))
+    law = sparse.csr_matrix((shape.num_points, shape.num_points))
+    for S in itertools.combinations(range(d), m):
+        term = sparse.identity(1, format="coo")
+        for i in reversed(range(d)):
+            term = sparse.kron(term, factors[i in S], format="coo")
+        law = law + term
+    law.data /= math.comb(d, m)
+    law.sort_indices()
+    return law
+
+
+def _max_abs_diff(a, b) -> float:
+    """max |a - b| over two sparse (N, N) matrices, in sixteen blocks of rows:
+    a difference of whole laws would raise the peak memory by two laws."""
+    rows = -(-a.shape[0] // 16)
+    return max(float(abs(a[i : i + rows] - b[i : i + rows]).max())
+               for i in range(0, a.shape[0], rows))
 
 
 @dataclass
@@ -56,20 +72,14 @@ class EquivExactResult:
 def equivalence_exact(
     shape: GridShape, tau: int, direction: str = "up", budget: int = walks.DEFAULT_PMF_BUDGET
 ) -> EquivExactResult:
-    """Pointwise comparison of the three exact pmf formulations over every
-    anchor; they agree when every difference is below EQUIV_TOL. Budget as
-    in :func:`check_joint_budget`."""
+    """Pointwise comparison of the joint laws of the three formulations; they
+    agree when every difference is below EQUIV_TOL. Budget as in
+    :func:`check_joint_budget`."""
     check_joint_budget(shape, tau, budget)
-    diffs = {
-        ("direct", "cube_first"): 0.0,
-        ("direct", "cube_at_x"): 0.0,
-        ("cube_first", "cube_at_x"): 0.0,
-    }
-    spec = walks.WalkSpec(direction, tau, shape)
-    for x in shape.points():
-        pmfs = {f: walks.exact_pmf(shape, x, spec, f, budget) for f in FORMULATIONS}
-        for a, b in diffs:
-            diffs[(a, b)] = max(diffs[(a, b)], pmfs[a].max_abs_diff(pmfs[b]))
+    laws = {f: joint_law(shape, tau, walks.formulation_step(shape.n, direction, f))
+            for f in FORMULATIONS}
+    diffs = {(a, b): _max_abs_diff(laws[a], laws[b])
+             for a, b in itertools.combinations(FORMULATIONS, 2)}
     return EquivExactResult(diffs, all(v < EQUIV_TOL for v in diffs.values()))
 
 
@@ -108,27 +118,29 @@ def equivalence_statistical(
     budget: int = walks.DEFAULT_PMF_BUDGET,
 ) -> EquivStatResult:
     """Chi-square goodness of fit of sampled (x, y) pairs from each
-    formulation against the exact joint pmf (budget as in
-    :func:`joint_exact_pmf`). ``sampler`` may replace the default pair
-    sampler (used by harness-sensitivity fixtures). A formulation passes
-    when its p-value exceeds EQUIV_ALPHA."""
-    expected = joint_exact_pmf(shape, tau, budget=budget)
+    formulation, x uniform and y a tau-step up-walk endpoint, against the
+    exact joint law (budget as in :func:`check_joint_budget`); a pair outside
+    its support is one more category of probability 0. ``sampler`` may
+    replace the default pair sampler (used by harness-sensitivity fixtures).
+    A formulation passes when its p-value exceeds EQUIV_ALPHA."""
+    check_joint_budget(shape, tau, budget)
+    N = shape.num_points
+    law = joint_law(shape, tau, walks.one_step(shape.n, "up"))
+    keys = np.repeat(np.arange(N, dtype=np.int64), np.diff(law.indptr)) * N + law.indices
+    probs = np.append(law.data / N, 0.0)
     draw = sampler or _sample_pairs
     results = {}
     ok = True
     for formulation in FORMULATIONS:
         rng = substream(seed, "equiv", formulation)
         X, Y = draw(shape, tau, formulation, samples, rng)
-        xi = shape.indices_of_points(X)
-        yi = shape.indices_of_points(Y)
-        keys, counts = np.unique(
-            xi * shape.num_points + yi, return_counts=True
+        drawn, tally = np.unique(
+            shape.indices_of_points(X) * N + shape.indices_of_points(Y), return_counts=True
         )
-        observed = {
-            (int(k) // shape.num_points, int(k) % shape.num_points): int(c)
-            for k, c in zip(keys, counts)
-        }
-        stat, p, dof = chi_square_gof(observed, expected, samples)
+        pos = np.searchsorted(keys, drawn)
+        pos[keys[np.minimum(pos, keys.size - 1)] != drawn] = keys.size
+        counts = np.bincount(pos, tally, minlength=keys.size + 1)
+        stat, p, dof = chi_square_gof(counts, probs, samples)
         results[formulation] = (stat, p, dof)
         ok = ok and p > EQUIV_ALPHA
     return EquivStatResult(results, ok)

@@ -40,7 +40,8 @@ dtype holds 2n - 1, so a batch drawn narrow stays narrow.
 
 Three equivalent formulations of the same endpoint distribution are
 implemented via genuinely different enumerations of the per-coordinate
-kernel, so their pointwise agreement is a meaningful cross-check:
+kernel, so their pointwise agreement is a meaningful cross-check
+(``formulation_step`` gives each one's one-step matrix):
 
   * ``direct``     -- the circulant of the gap masses from interval counts
   * ``cube_first`` -- sub-hypercube drawn unconditionally, anchor uniform in it
@@ -92,29 +93,6 @@ class WalkSpec:
         # The walk picks a size-tau coordinate subset; tau may exceed d when
         # drawn from the tester's power-of-two schedule, so cap at d.
         return min(self.length, self.shape.d)
-
-
-@dataclass
-class WalkPmf:
-    """Exact endpoint distribution of a walk from a fixed anchor."""
-
-    table: Dict[Point, float]
-
-    def total_mass(self) -> float:
-        return math.fsum(self.table.values())
-
-    def prob(self, y: Sequence[int]) -> float:
-        return self.table.get(tuple(y), 0.0)
-
-    def max_abs_diff(self, other: "WalkPmf") -> float:
-        keys = set(self.table) | set(other.table)
-        return max((abs(self.prob(k) - other.prob(k)) for k in keys), default=0.0)
-
-    def tv_distance_to_counts(self, counts: Dict[Point, int], total: int) -> float:
-        keys = set(self.table) | set(counts)
-        return 0.5 * math.fsum(
-            abs(self.prob(k) - counts.get(k, 0) / total) for k in keys
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +735,21 @@ def _pair_kernel(n: int, conditioned: bool) -> np.ndarray:
     return K
 
 
+def formulation_step(n: int, direction: str, formulation: str) -> np.ndarray:
+    """The 0-based one-step matrix of one formulation, moves off the diagonal
+    and the lazy mass on it: ``one_step`` for ``direct``, the cube pair
+    kernel split by direction for ``cube_first`` and ``cube_at_x``."""
+    _check_direction(direction)
+    if formulation == "direct":
+        return one_step(n, direction)
+    if formulation in ("cube_first", "cube_at_x"):
+        return _split_by_direction(_pair_kernel(n, formulation == "cube_at_x"), direction)
+    raise DomainError(f"unknown formulation {formulation!r}")
+
+
 def _pmf_from_one_step(
     shape: GridShape, x: Point, spec: WalkSpec, P: np.ndarray, budget: int
-) -> WalkPmf:
+) -> Dict[Point, float]:
     # Off the diagonal, P holds the moves; on it, the lazy mass.
     moves = [{v + 1: float(p) for v, p in enumerate(P[u - 1]) if p > 0 and v != u - 1} for u in x]
     lazies = [float(P[u - 1, u - 1]) for u in x]
@@ -788,7 +778,7 @@ def _pmf_from_one_step(
                     y[i] = v
                 key = tuple(y)
                 table[key] = table.get(key, 0.0) + p
-    return WalkPmf(table)
+    return table
 
 
 def exact_pmf(
@@ -797,18 +787,13 @@ def exact_pmf(
     spec: WalkSpec,
     formulation: str = "direct",
     budget: int = DEFAULT_PMF_BUDGET,
-) -> WalkPmf:
-    """Exact endpoint pmf of the walk from x, via one of three formulations."""
+) -> Dict[Point, float]:
+    """Exact endpoint pmf {y: Pr[y]} of the walk from x, via one of three
+    formulations, enumerated anchor by anchor."""
     x = shape.check_point(x)
     if spec.shape != shape:
         raise DomainError("walk spec shape mismatch")
-    if formulation == "direct":
-        P = one_step(shape.n, spec.direction)
-    elif formulation in ("cube_first", "cube_at_x"):
-        K = _pair_kernel(shape.n, conditioned=formulation == "cube_at_x")
-        P = _split_by_direction(K, spec.direction)
-    else:
-        raise DomainError(f"unknown formulation {formulation!r}")
+    P = formulation_step(shape.n, spec.direction, formulation)
     return _pmf_from_one_step(shape, x, spec, P, budget)
 
 
@@ -821,9 +806,8 @@ def exact_shift_pmf(
 ) -> Dict[Point, float]:
     """Exact pmf of the shift magnitude vector drawn at anchor x."""
     spec = WalkSpec(direction, tau, shape)
-    pmf = exact_pmf(shape, x, spec, budget=budget)
     out: Dict[Point, float] = {}
-    for y, p in pmf.table.items():
+    for y, p in exact_pmf(shape, x, spec, budget=budget).items():
         s = tuple(abs(b - a) for a, b in zip(x, y))
         out[s] = out.get(s, 0.0) + p
     return out

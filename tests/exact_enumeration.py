@@ -65,7 +65,7 @@ def cube_walk_prob_enumerated(
 def _walk_pmf(shape: GridShape, anchor, direction: str, ell: int):
     """(endpoints, probabilities) of the walk from anchor, as arrays."""
     pmf = walks.exact_pmf(shape, anchor, walks.WalkSpec(direction, min(ell, shape.d), shape))
-    return np.array(list(pmf.table), dtype=np.int64), np.array(list(pmf.table.values()))
+    return np.array(list(pmf), dtype=np.int64), np.array(list(pmf.values()))
 
 
 def _shift_pmf(shape: GridShape, anchor, tau: int, direction: str):

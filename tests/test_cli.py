@@ -193,7 +193,7 @@ def test_cmd_test_explicit_family_roundtrip(capsys, tmp_path):
 
 def test_config_file_merging(capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("family=constant0\nn=4\nd=2  # inline comment\ntrials=100\n")
+    cfgfile.write_text("# a comment line\nfamily=constant0\n\nn=4\nd=2  # inline comment\ntrials=100\n")
     code, out, _ = run_cli(capsys, "test", "--config", str(cfgfile))
     assert code == cli.EXIT_OK
     assert rows_of(out)[0]["trials"] == "100"

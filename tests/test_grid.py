@@ -679,6 +679,10 @@ def test_truth_table_constant1_bit_count(tmp_path):
     save_truth_table(make_family(FamilySpec("constant1"), GridShape(2, 3)), path)
     g = load_truth_table(path)
     assert int(g.bits.sum()) == 8
+    # The explicit family builds the table's own grid only.
+    assert make_family(FamilySpec("explicit", path=str(path)), GridShape(2, 3)).shape == g.shape
+    with pytest.raises(ConfigError, match="does not match requested"):
+        make_family(FamilySpec("explicit", path=str(path)), GridShape(2, 4))
 
 
 @pytest.mark.parametrize("bad", [2, -1, 256])

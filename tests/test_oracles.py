@@ -163,7 +163,7 @@ f = make_family(FamilySpec("surface", seed=3), GridShape(4, 3))
 res = hgm.oracles.distance_to_monotonicity(f)
 out["distance"] = [str(res.distance), res.matching_size, res.repair_indices.tolist()]
 out["after_distance"] = loaded()
-out["chi_square"] = hgm.stats.chi_square_gof({0: 40, 1: 60}, {0: 0.5, 1: 0.5}, 100)
+out["chi_square"] = hgm.stats.chi_square_gof([40, 60], [0.5, 0.5], 100)
 out["after_chi_square"] = loaded()
 print(json.dumps(out))
 """
@@ -186,7 +186,7 @@ def test_scipy_loads_only_on_a_distance_or_a_p_value():
                                                        GridShape(4, 3)))
     assert out["distance"] == [str(res.distance), res.matching_size, res.repair_indices.tolist()]
     assert res.matching_size > 0
-    assert out["chi_square"] == list(stats.chi_square_gof({0: 40, 1: 60}, {0: 0.5, 1: 0.5}, 100))
+    assert out["chi_square"] == list(stats.chi_square_gof([40, 60], [0.5, 0.5], 100))
 
 
 @pytest.mark.parametrize("method", ["hopcroft_karp", "dag_flow"])

@@ -19,6 +19,10 @@ def test_wilson_interval_known_value():
     lo, hi = wilson_interval(5, 10)
     assert lo == pytest.approx(0.2366, abs=2e-4)
     assert hi == pytest.approx(0.7634, abs=2e-4)
+    with pytest.raises(DomainError, match="trials must be positive"):
+        wilson_interval(0, 0)
+    with pytest.raises(DomainError, match="out of range"):
+        wilson_interval(11, 10)
 
 
 def test_chi_square_fair_coin_calibration():
@@ -27,37 +31,36 @@ def test_chi_square_fair_coin_calibration():
     rng = np.random.default_rng(2024)
     trials, per_run = 10_000, 2000
     heads = rng.binomial(per_run, 0.5, size=trials)
-    expected = {0: 0.5, 1: 0.5}
     rejections = 0
     for h in heads:
-        _, p, _ = chi_square_gof({0: int(h), 1: per_run - int(h)}, expected, per_run)
+        _, p, _ = chi_square_gof([h, per_run - h], [0.5, 0.5], per_run)
         rejections += p <= 0.001
     assert rejections <= 30
 
 
 def test_chi_square_detects_bias():
-    observed = {0: 1300, 1: 700}
-    _, p, _ = chi_square_gof(observed, {0: 0.5, 1: 0.5}, 2000)
+    _, p, _ = chi_square_gof([1300, 700], [0.5, 0.5], 2000)
     assert p < 1e-6
 
 
 def test_chi_square_pools_sparse_categories():
-    expected = {i: (0.97 if i == 0 else 0.0001) for i in range(301)}
-    total_p = sum(expected.values())
-    expected = {k: v / total_p for k, v in expected.items()}
-    observed = {0: 9700, 1: 150, 2: 150}
+    expected = np.full(301, 0.0001)
+    expected[0] = 0.97
+    expected /= expected.sum()
+    observed = np.zeros(301, dtype=np.int64)
+    observed[:3] = 9700, 150, 150
     stat, p, dof = chi_square_gof(observed, expected, 10_000)
     assert dof >= 1
     assert np.isfinite(stat)
     # Expected counts 3, 3, 4: the first two pool to 6, and the leftover 4
     # joins that pool, so one pool is left and nothing is tested.
-    assert chi_square_gof({0: 2, 1: 4, 2: 4}, {0: 0.3, 1: 0.3, 2: 0.4}, 10) == (0.0, 1.0, 0)
+    assert chi_square_gof([2, 4, 4], [0.3, 0.3, 0.4], 10) == (0.0, 1.0, 0)
     # No pool reaches MIN_EXPECTED: the single leftover pool is returned.
-    assert chi_square_gof({0: 1, 1: 2}, {0: 0.5, 1: 0.5}, 3) == (0.0, 1.0, 0)
+    assert chi_square_gof([1, 2], [0.5, 0.5], 3) == (0.0, 1.0, 0)
 
 
 def test_chi_square_flags_impossible_category():
-    stat, p, _ = chi_square_gof({0: 10, 5: 1}, {0: 1.0}, 11)
+    stat, p, _ = chi_square_gof([10, 1], [1.0, 0.0], 11)
     assert stat == float("inf") and p == 0.0
 
 
@@ -65,6 +68,8 @@ def test_loglog_slope_recovers_power_law():
     xs = [4.0, 16.0, 64.0]
     ys = [x**-0.5 for x in xs]
     assert loglog_slope(xs, ys) == pytest.approx(-0.5, abs=1e-12)
+    with pytest.raises(DomainError, match="two points"):
+        loglog_slope(xs[:1], ys[:1])
 
 
 @pytest.mark.parametrize("xs", [[4, 4], [16.0, 16.0, 16.0], [0.1, 0.1, 0.1]])

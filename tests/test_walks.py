@@ -193,6 +193,8 @@ def test_uniform_words_are_the_full_range_integers_stream(dtype):
             assert words.dtype == dtype and np.array_equal(words, expected)
         assert raw.integers(0, 2**64, size=5, dtype=np.uint64).tolist() == \
             ref.integers(0, 2**64, size=5, dtype=np.uint64).tolist()
+    with pytest.raises(TypeError, match="unsupported stream tag"):
+        substream(0, 0.5)
     # MT19937's raw words are 32 bits wide; it draws through integers.
     mt = np.random.Generator(np.random.MT19937(5))
     words = walks._uniform_words(mt, (64,), dtype)
@@ -245,7 +247,7 @@ def test_three_draw_moves_match_gap_law_at_2048(direction):
     shape = GridShape(n, 1)
     X = np.full((N, 1), u)
     Y = walks.sample_walk_batch(shape, X, 1, direction, substream(2048, "three-draw", direction))
-    _, p, _ = chi_square_gof(_tally(Y), expected, N)
+    _, p, _ = chi_square_gof(*_aligned(Y, expected), N)
     assert p > ALPHA, (direction, p)
 
 
@@ -360,11 +362,11 @@ def test_shift_vectors_restore_walk_endpoints(rng):
 def test_single_step_pmf_on_2x2_grid():
     shape = GridShape(2, 2)
     pmf = walks.exact_pmf(shape, (1, 1), walks.WalkSpec("up", 1, shape))
-    assert pmf.prob((2, 1)) == pytest.approx(0.5, abs=1e-15)
-    assert pmf.prob((1, 2)) == pytest.approx(0.5, abs=1e-15)
-    assert pmf.prob((1, 1)) == pytest.approx(0.0, abs=1e-15)
+    assert pmf[(2, 1)] == pytest.approx(0.5, abs=1e-15)
+    assert pmf[(1, 2)] == pytest.approx(0.5, abs=1e-15)
+    assert pmf.get((1, 1), 0.0) == pytest.approx(0.0, abs=1e-15)
     down = walks.exact_pmf(shape, (2, 2), walks.WalkSpec("down", 1, shape))
-    assert down.prob((1, 2)) == pytest.approx(0.5, abs=1e-15)
+    assert down[(1, 2)] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pmf_normalization_and_directional_support():
@@ -372,12 +374,33 @@ def test_pmf_normalization_and_directional_support():
         shape = GridShape(n, d)
         for x in [(1,) * d, (n,) * d, tuple(1 + (i % n) for i in range(d))]:
             pmf = walks.exact_pmf(shape, x, walks.WalkSpec(direction, tau, shape))
-            assert abs(pmf.total_mass() - 1.0) < 1e-12
-            for y in pmf.table:
+            assert abs(math.fsum(pmf.values()) - 1.0) < 1e-12
+            for y in pmf:
                 if direction == "up":
                     assert all(a <= b for a, b in zip(x, y))
                 else:
                     assert all(b <= a for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in (2, 4, 8, 16, 32, 64) for d in range(1, 7) if n**d <= 64]
+)
+def test_joint_law_rows_are_the_exact_pmfs(n, d):
+    # Each anchor's row of the sparse joint law against the anchor-by-anchor
+    # enumeration: the same support, and the same values to 1e-15.
+    shape = GridShape(n, d)
+    for tau, direction, formulation in itertools.product(
+        range(4), ("up", "down"), validate.FORMULATIONS
+    ):
+        law = validate.joint_law(shape, tau, walks.formulation_step(n, direction, formulation))
+        spec = walks.WalkSpec(direction, tau, shape)
+        for xi, x in enumerate(shape.points()):
+            pmf = walks.exact_pmf(shape, x, spec, formulation)
+            expected = {shape.index_of(y): p for y, p in pmf.items()}
+            row = slice(law.indptr[xi], law.indptr[xi + 1])
+            assert law.indices[row].tolist() == sorted(expected), (tau, direction, x)
+            want = [expected[y] for y in law.indices[row].tolist()]
+            assert np.abs(law.data[row] - want).max() <= 1e-15, (tau, direction, x)
 
 
 @pytest.mark.parametrize(
@@ -400,7 +423,14 @@ def test_shift_pmf_is_translated_walk_pmf():
         assert abs(sum(spmf.values()) - 1.0) < 1e-12
         for s, p in spmf.items():
             y = tuple(a + b for a, b in zip(x, s))
-            assert abs(p - pmf.prob(y)) < 1e-12
+            assert abs(p - pmf.get(y, 0.0)) < 1e-12
+
+
+def _tv_distance(pmf, counts, total):
+    """Total variation distance between a pmf and the empirical law of counts."""
+    return 0.5 * math.fsum(
+        abs(pmf.get(y, 0.0) - counts.get(y, 0) / total) for y in set(pmf) | set(counts)
+    )
 
 
 def test_sampled_walks_match_exact_pmf():
@@ -414,7 +444,7 @@ def test_sampled_walks_match_exact_pmf():
     Y = walks.sample_walk_batch(shape, X, np.full(N, 2), "up", rng)
     keys, counts = np.unique(shape.indices_of_points(Y), return_counts=True)
     emp = {shape.point_of(int(k)): int(c) for k, c in zip(keys, counts)}
-    assert pmf.tv_distance_to_counts(emp, N) < 0.01
+    assert _tv_distance(pmf, emp, N) < 0.01
 
 
 # Up rows from the first anchor, then down rows from the second, in one
@@ -442,7 +472,7 @@ def test_one_walk_step_call_matches_exact_pmf_in_each_direction(n, d, up_anchor,
         keys, counts = np.unique(rows.view(f"V{d * rows.itemsize}"), return_counts=True)
         points = np.frombuffer(keys.tobytes(), dtype=rows.dtype).reshape(-1, d)
         emp = {tuple(p.tolist()): int(c) for p, c in zip(points, counts)}
-        assert pmf.tv_distance_to_counts(emp, N) < 0.01, direction
+        assert _tv_distance(pmf, emp, N) < 0.01, direction
 
 
 def test_flatnonzero_into_matches_flatnonzero():
@@ -491,9 +521,13 @@ def _binomial_pmf(m, p):
     return {k: math.comb(m, k) * p**k * (1 - p) ** (m - k) for k in range(m + 1)}
 
 
-def _tally(values):
-    keys, counts = np.unique(values, return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, counts)}
+def _aligned(values, expected):
+    """The counts of values and the probabilities of the law ``expected``
+    ({category: probability}) as aligned arrays; a value outside the law is
+    one more category, of probability 0."""
+    tally = dict(zip(*np.unique(values, return_counts=True)))
+    cats = sorted(set(expected) | set(tally))
+    return [tally.get(c, 0) for c in cats], [expected.get(c, 0.0) for c in cats]
 
 
 def _lazy(n, u, direction):
@@ -512,7 +546,7 @@ def test_large_d_move_count_is_binomial(m, direction):
     Y = walks.sample_walk_batch(LARGE, X, np.full(N, m), direction, rng)
     moved = (Y != X).sum(axis=1)
     expected = _binomial_pmf(m, 1.0 - _lazy(LARGE.n, u, direction))
-    _, p, _ = chi_square_gof(_tally(moved), expected, N)
+    _, p, _ = chi_square_gof(*_aligned(moved, expected), N)
     assert p > ALPHA, (m, direction, p)
 
 
@@ -538,7 +572,7 @@ def test_large_d_coordinates_selected_uniformly(m):
     # picks (say, a contiguous block) would miss.
     half = selected[:, : d // 2].sum(axis=1)
     expected = {k: float(hypergeom.pmf(k, d, d // 2, m)) for k in range(m + 1)}
-    _, p, _ = chi_square_gof(_tally(half), expected, N)
+    _, p, _ = chi_square_gof(*_aligned(half, expected), N)
     assert p > ALPHA, (m, p)
 
 
@@ -555,7 +589,7 @@ def test_large_d_selected_values_follow_line_kernel(n, direction):
     moves = range(u + 1, n + 1) if direction == "up" else range(1, u)
     expected = {v: float(K[u, v]) for v in moves}
     expected[u] = _lazy(n, u, direction)
-    _, p, _ = chi_square_gof(_tally(Y), expected, Y.size)
+    _, p, _ = chi_square_gof(*_aligned(Y, expected), Y.size)
     assert p > ALPHA, (n, direction, p)
 
 
@@ -576,7 +610,7 @@ def test_large_d_mixed_lengths_match_per_group_behaviour():
     p_move = 1.0 - _lazy(LARGE.n, u, "up")
     for ell in pool[pool > 0]:
         expected = _binomial_pmf(min(int(ell), d), p_move)
-        _, p, _ = chi_square_gof(_tally(moved[lengths == ell]), expected, per)
+        _, p, _ = chi_square_gof(*_aligned(moved[lengths == ell], expected), per)
         assert p > ALPHA, (ell, p)
 
 
@@ -593,14 +627,14 @@ def _uniform_subset_p(selected, k):
         codes = selected.astype(np.int64) @ (1 << np.arange(d))
         expected = {sum(1 << i for i in S): 1 / total
                     for S in itertools.combinations(range(d), k)}
-        _, p, _ = chi_square_gof(_tally(codes), expected, len(selected))
+        _, p, _ = chi_square_gof(*_aligned(codes, expected), len(selected))
         return p
     binom = np.array([[math.comb(i, j) for j in range(d + 1)] for i in range(d)], dtype=np.int64)
     ranks = np.where(selected, binom[np.arange(d), np.cumsum(selected, axis=1)], 0).sum(axis=1)
     width = -(-total // (len(selected) // 20))
     expected = {b: (min(total, (b + 1) * width) - b * width) / total
                 for b in range(-(-total // width))}
-    _, p, _ = chi_square_gof(_tally(ranks // width), expected, len(selected))
+    _, p, _ = chi_square_gof(*_aligned(ranks // width, expected), len(selected))
     return p
 
 
@@ -770,6 +804,8 @@ def test_pmf_budget_is_enforced():
         walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 4, shape), budget=100)
     with pytest.raises(DomainError, match="shape mismatch"):
         walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 1, GridShape(8, 4)))
+    with pytest.raises(DomainError, match="unknown formulation"):
+        walks.exact_pmf(shape, (8, 8, 8, 8), walks.WalkSpec("up", 1, shape), "sideways")
     with pytest.raises(DomainError, match="non-negative"):
         walks.WalkSpec("up", -1, shape)
 
@@ -843,7 +879,7 @@ def test_conditioned_cube_weight_matches_bernoulli_sum_law(rng):
         X = np.tile(shape.check_point(x), (samples, 1))
         _, B = walks.sample_hypercube_at_batch(shape, X, rng)
         weights = (X == B).sum(axis=1)  # coordinates at the cube's upper endpoint
-        _, p, _ = chi_square_gof(_tally(weights), _weight_law(shape, x), samples)
+        _, p, _ = chi_square_gof(*_aligned(weights, _weight_law(shape, x)), samples)
         assert p > ALPHA, (shape, x, p)
 
 
@@ -859,6 +895,8 @@ def test_cube_closed_form_examples():
         walks.cube_walk_closed_form(4, 2, 3, 2, "up")
     with pytest.raises(DomainError):
         walks.cube_walk_closed_form(4, 4, 1, 1, "up")  # nothing above the top
+    with pytest.raises(DomainError, match="weight 5 out of range"):
+        walks.cube_walk_closed_form(4, 5, 0, 1, "down")
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -902,6 +940,9 @@ def test_reversibility_scan_rows_are_consistent():
     # A narrow middle band drops the weights and targets outside it.
     assert len(validate.reversibility_scan(16, 1, 0.5, c=0.01)) == 5
     assert len(validate.reversibility_scan(16, 1, 0.5, c=100)) == 33
+    for d, ell in ((0, 1), (16, -1)):
+        with pytest.raises(DomainError, match="invalid scan parameters"):
+            validate.reversibility_scan(d, ell, 0.5)
 
 
 def test_band_halfwidth_formula():
@@ -933,3 +974,17 @@ def test_statistical_equivalence_detects_a_corrupted_sampler():
     assert res.per_formulation["cube_first"][1] <= 0.001
     clean = validate.equivalence_statistical(shape, 1, 40_000, 5)
     assert clean.passed
+
+    def stray(shape_, tau, formulation, count, rng):
+        X, Y = validate._sample_pairs(shape_, tau, formulation, count, rng)
+        X[0], Y[0] = 4, 1  # outside the support: an up-walk never leaves the top corner
+        return X, Y
+
+    res = validate.equivalence_statistical(shape, 1, 2000, 5, sampler=stray)
+    assert not res.passed
+    for stat, p, _ in res.per_formulation.values():
+        assert stat == math.inf and p == 0.0
+    with pytest.raises(DomainError, match="unknown formulation"):
+        validate._sample_pairs(shape, 1, "sideways", 10, substream(5))
+    with pytest.raises(DomainError, match="must be positive"):
+        chi_square_gof([1], [1.0], 0)
